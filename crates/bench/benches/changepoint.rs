@@ -3,7 +3,7 @@
 //! `O(log T)` scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mic_statespace::{approx_change_point, exact_change_point, FitOptions};
+use mic_statespace::{search, FitOptions, SearchPlan};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -29,10 +29,10 @@ fn bench_search(c: &mut Criterion) {
     for &t in &[24usize, 43, 86] {
         let ys = broken_series(t, t / 2, 3);
         group.bench_with_input(BenchmarkId::new("exact", t), &t, |b, _| {
-            b.iter(|| black_box(exact_change_point(&ys, false, &opts).aic));
+            b.iter(|| black_box(search(&ys, false, &opts, &SearchPlan::default()).aic));
         });
         group.bench_with_input(BenchmarkId::new("approx", t), &t, |b, _| {
-            b.iter(|| black_box(approx_change_point(&ys, false, &opts).aic));
+            b.iter(|| black_box(search(&ys, false, &opts, &SearchPlan::approximate()).aic));
         });
     }
     group.finish();

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mic_claims::{Simulator, WorldSpec};
 use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel};
 use mic_statespace::FitOptions;
-use mic_trend::{PipelineConfig, TrendPipeline};
+use mic_trend::{AnalysisSession, PipelineConfig};
 use std::hint::black_box;
 
 /// Fixed-iteration options: tol = 0 disables early convergence so every
@@ -88,7 +88,7 @@ fn bench_em(c: &mut Criterion) {
     let world = spec.generate();
     let ds = Simulator::new(&world, 42).run();
     for &threads in &[1usize, 4] {
-        let pipeline = TrendPipeline::new(PipelineConfig {
+        let config = PipelineConfig {
             seasonal: false,
             fit: FitOptions {
                 max_evals: 120,
@@ -97,12 +97,15 @@ fn bench_em(c: &mut Criterion) {
             },
             stage1_threads: threads,
             ..Default::default()
-        });
+        };
         group.bench_with_input(
             BenchmarkId::new("stage1_threads", threads),
             &threads,
             |b, _| {
-                b.iter(|| black_box(pipeline.reproduce_panel(&ds).n_prescription_series()));
+                b.iter(|| {
+                    let session = AnalysisSession::from_dataset(&config, &ds).unwrap();
+                    black_box(session.panel().n_prescription_series())
+                });
             },
         );
     }

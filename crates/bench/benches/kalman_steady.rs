@@ -20,7 +20,7 @@ use mic_claims::{Simulator, WorldSpec};
 use mic_statespace::kalman::{kalman_loglik, FilterWorkspace, SteadyStateOpts};
 use mic_statespace::structural::{StructuralParams, StructuralSpec};
 use mic_statespace::FitOptions;
-use mic_trend::{PipelineConfig, TrendPipeline};
+use mic_trend::{AnalysisSession, PipelineConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -135,17 +135,22 @@ fn bench_loglik_steady(c: &mut Criterion) {
         threads: 1,
         ..Default::default()
     };
-    let exact = TrendPipeline::new(config(SteadyStateOpts::DISABLED));
-    let fast = TrendPipeline::new(config(SteadyStateOpts::default()));
-    let panel = exact.reproduce_panel(&ds);
+    // Stage 2 alone: a cold re-analysis of a session whose Stage 1 ran
+    // once up front.
+    let session = |steady| AnalysisSession::from_dataset(&config(steady), &ds).unwrap();
 
     group.sample_size(10);
-    group.bench_function("detect_changes_exact", |b| {
-        b.iter(|| black_box(exact.detect_changes(&panel).len()));
-    });
-    group.bench_function("detect_changes_steady", |b| {
-        b.iter(|| black_box(fast.detect_changes(&panel).len()));
-    });
+    for (name, mut session) in [
+        ("stage2_analyze_exact", session(SteadyStateOpts::DISABLED)),
+        ("stage2_analyze_steady", session(SteadyStateOpts::default())),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                session.clear_cache();
+                black_box(session.analyze().series.len())
+            });
+        });
+    }
     group.finish();
 }
 

@@ -1,10 +1,12 @@
 //! End-to-end pipeline benchmark: simulate → EM panel → change detection,
-//! the full Fig. 1 flow at small scale.
+//! the full Fig. 1 flow at small scale, both stages driven through an
+//! `AnalysisSession`: Stage 1 is `AnalysisSession::from_dataset`, Stage 2 a
+//! cold re-analysis (`clear_cache` + `analyze`) of a warm session.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mic_claims::{Simulator, WorldSpec};
 use mic_statespace::FitOptions;
-use mic_trend::{PipelineConfig, TrendPipeline};
+use mic_trend::{AnalysisSession, PipelineConfig};
 use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -29,16 +31,19 @@ fn bench_pipeline(c: &mut Criterion) {
         threads: 1,
         ..Default::default()
     };
-    let pipeline = TrendPipeline::new(config);
+    let stage1 = || AnalysisSession::from_dataset(&config, &ds).unwrap();
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
-    group.bench_function("reproduce_panel", |b| {
-        b.iter(|| black_box(pipeline.reproduce_panel(&ds).n_prescription_series()));
+    group.bench_function("stage1_from_dataset", |b| {
+        b.iter(|| black_box(stage1().panel().n_prescription_series()));
     });
-    let panel = pipeline.reproduce_panel(&ds);
-    group.bench_function("detect_changes", |b| {
-        b.iter(|| black_box(pipeline.detect_changes(&panel).len()));
+    let mut session = stage1();
+    group.bench_function("stage2_cold_analyze", |b| {
+        b.iter(|| {
+            session.clear_cache();
+            black_box(session.analyze().series.len())
+        });
     });
     group.finish();
 }

@@ -143,6 +143,9 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<ClaimsDataset, StoreError> {
     let n_medicines: usize = parts[2]
         .parse()
         .map_err(|_| parse_err(ln, "bad n_medicines"))?;
+    if n_diseases == 0 || n_medicines == 0 {
+        return Err(parse_err(ln, "dims must be positive"));
+    }
 
     let mut months: Vec<MonthlyDataset> = Vec::new();
     let mut expected_records = 0usize;
@@ -179,7 +182,9 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<ClaimsDataset, StoreError> {
             if expected_records == 0 {
                 return Err(parse_err(ln, "more records than declared"));
             }
-            month.records.push(parse_record(rest, ln)?);
+            month
+                .records
+                .push(parse_record(rest, ln, n_diseases, n_medicines)?);
             expected_records -= 1;
         } else {
             return Err(parse_err(ln, format!("unrecognised line {line:?}")));
@@ -196,7 +201,26 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<ClaimsDataset, StoreError> {
     })
 }
 
-fn parse_record(rest: &str, ln: usize) -> Result<MicRecord, StoreError> {
+/// Parse one `r …` line; every disease, medicine and truth id must lie
+/// below the declared dims.
+fn parse_record(
+    rest: &str,
+    ln: usize,
+    n_diseases: usize,
+    n_medicines: usize,
+) -> Result<MicRecord, StoreError> {
+    let id = |tok: &str, what: &str, dim: usize| -> Result<u32, StoreError> {
+        let id: u32 = tok
+            .parse()
+            .map_err(|_| parse_err(ln, format!("bad {what} id")))?;
+        if id as usize >= dim {
+            return Err(parse_err(
+                ln,
+                format!("{what} id {id} out of range (dims allow < {dim})"),
+            ));
+        }
+        Ok(id)
+    };
     let sections: Vec<&str> = rest.split('|').collect();
     if sections.len() != 4 {
         return Err(parse_err(ln, "record needs 4 |-sections"));
@@ -221,22 +245,20 @@ fn parse_record(rest: &str, ln: usize) -> Result<MicRecord, StoreError> {
             .split_once(':')
             .ok_or_else(|| parse_err(ln, "bad disease token"))?;
         diseases.push((
-            DiseaseId(d.parse().map_err(|_| parse_err(ln, "bad disease id"))?),
+            DiseaseId(id(d, "disease", n_diseases)?),
             n.parse().map_err(|_| parse_err(ln, "bad disease count"))?,
         ));
     }
     let mut medicines = Vec::new();
     for tok in sections[2].split_whitespace() {
-        medicines.push(MedicineId(
-            tok.parse().map_err(|_| parse_err(ln, "bad medicine id"))?,
-        ));
+        medicines.push(MedicineId(id(tok, "medicine", n_medicines)?));
     }
     let mut truth_links = Vec::new();
     for tok in sections[3].split_whitespace() {
         truth_links.push(if tok == "?" {
             UNKNOWN_DISEASE
         } else {
-            DiseaseId(tok.parse().map_err(|_| parse_err(ln, "bad truth id"))?)
+            DiseaseId(id(tok, "truth", n_diseases)?)
         });
     }
     if truth_links.len() != medicines.len() {
@@ -329,6 +351,52 @@ mod tests {
         let input = "#mic-claims v1\nstart 2013 3\ndims 1 1\nmonth 1 0\n";
         let err = read_dataset(input.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of order"));
+    }
+
+    /// The error for a one-record month with the given dims and record line.
+    fn bad_record_error(dims: &str, record: &str) -> String {
+        let input = format!("#mic-claims v1\nstart 2013 3\ndims {dims}\nmonth 0 1\n{record}\n");
+        read_dataset(input.as_bytes()).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn rejects_disease_id_beyond_dims() {
+        let err = bad_record_error("2 2", "r 0 0|7:1|0|7");
+        assert_eq!(
+            err,
+            "parse error at line 5: disease id 7 out of range (dims allow < 2)"
+        );
+    }
+
+    #[test]
+    fn rejects_medicine_id_beyond_dims() {
+        let err = bad_record_error("2 2", "r 0 0|0:1|9|0");
+        assert_eq!(
+            err,
+            "parse error at line 5: medicine id 9 out of range (dims allow < 2)"
+        );
+    }
+
+    #[test]
+    fn rejects_truth_id_beyond_dims_but_keeps_unknown() {
+        let err = bad_record_error("2 2", "r 0 0|0:1|1|5");
+        assert_eq!(
+            err,
+            "parse error at line 5: truth id 5 out of range (dims allow < 2)"
+        );
+        let ok = "#mic-claims v1\nstart 2013 3\ndims 2 2\nmonth 0 1\nr 0 0|0:1|1|?\n";
+        assert!(read_dataset(ok.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn rejects_zero_dims() {
+        for dims in ["0 0", "0 3", "3 0"] {
+            let err = bad_record_error(dims, "r 0 0|0:1|0|0");
+            assert_eq!(
+                err, "parse error at line 3: dims must be positive",
+                "{dims}"
+            );
+        }
     }
 
     #[test]

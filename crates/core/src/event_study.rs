@@ -8,7 +8,10 @@
 //! read off with its smoothed confidence interval, and the AIC is compared
 //! against the no-intervention model.
 
-use mic_statespace::{FitOptions, InterventionSpec, StructuralSpec};
+use mic_statespace::{
+    comparable_skip, fit_structural_ws, FilterWorkspace, FitOptions, InterventionSpec,
+    StructuralSpec,
+};
 
 /// Result of an event study on one series.
 #[derive(Clone, Debug)]
@@ -66,17 +69,15 @@ pub fn event_study(
     } else {
         StructuralSpec::local_level()
     };
-    // Same-data comparison: both fits skip the base burn-in plus one
-    // equalising innovation (the intervention's identifying one / a neutral
-    // slot), exactly like the change-point search.
-    let lead = base_spec.state_dim();
-    let fit = if event_month >= lead {
-        mic_statespace::estimate::fit_structural_with_skip(ys, spec, opts, lead, &[event_month])
-    } else {
-        mic_statespace::estimate::fit_structural_with_skip(ys, spec, opts, lead + 1, &[])
+    // Same-data comparison: both fits skip exactly what the change-point
+    // search skips, so the AICs are comparable.
+    let fit_comparable = |spec: StructuralSpec| {
+        let (skip, extra) = comparable_skip(&spec);
+        let mut ws = FilterWorkspace::new(spec.state_dim());
+        fit_structural_ws(ys, spec, opts, skip, extra.as_slice(), None, &mut ws)
     };
-    let baseline =
-        mic_statespace::estimate::fit_structural_with_skip(ys, base_spec, opts, lead + 1, &[]);
+    let fit = fit_comparable(spec);
+    let baseline = fit_comparable(base_spec);
     let lambda_ci = fit
         .lambda_confidence(ys, 1.96)
         .expect("intervention model has λ");
@@ -153,6 +154,36 @@ mod tests {
         assert!(study.lambda < -1.0);
         assert!(study.lambda_ci.1 < 0.0);
         assert!(study.cumulative_effect < -20.0);
+    }
+
+    #[test]
+    fn aics_match_the_exact_search_bitwise() {
+        // The study and the search share one skip rule, so the study's two
+        // AICs are exactly the search's candidate and baseline scores. The
+        // seasonal case puts one event inside the 12-month lead, which takes
+        // the rule's other branch.
+        use mic_statespace::{search, SearchPlan};
+        let cases = [
+            (series_with_event(43, 18, 1.2, 1), false, [18, 30]),
+            (series_with_event(30, 20, 1.0, 5), true, [5, 20]),
+        ];
+        for (ys, seasonal, events) in cases {
+            let exact = search(&ys, seasonal, &opts(), &SearchPlan::default());
+            for event in events {
+                let study = event_study(&ys, event, seasonal, &opts());
+                let what = format!("seasonal={seasonal} event={event}");
+                assert_eq!(
+                    study.aic.to_bits(),
+                    exact.aic_by_candidate[&event].to_bits(),
+                    "{what}: aic"
+                );
+                assert_eq!(
+                    study.aic_baseline.to_bits(),
+                    exact.aic_no_change.to_bits(),
+                    "{what}: aic_baseline"
+                );
+            }
+        }
     }
 
     #[test]

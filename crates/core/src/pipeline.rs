@@ -7,10 +7,9 @@
 //! detected changes.
 
 use crate::classify::ChangeCause;
-use crate::parallel::parallel_map;
-use crate::session::{AnalysisSession, Stage1Reproduce, Stage2Detect};
+use crate::session::AnalysisSession;
 use mic_claims::{ClaimsDataset, FrequencyFilter};
-use mic_linkmodel::{EmOptions, PanelBuilder, PrescriptionPanel, SeriesKey};
+use mic_linkmodel::{EmOptions, PrescriptionPanel, SeriesKey};
 use mic_statespace::{ChangePoint, FitOptions};
 
 /// Pipeline configuration.
@@ -36,9 +35,10 @@ pub struct PipelineConfig {
     /// independent fits, so the panel is identical at any thread count.
     pub stage1_threads: usize,
     /// Candidate-parallel workers *inside* each exhaustive change-point
-    /// search (0 or 1 = serial). Only useful when the series fleet itself
-    /// is small (few, very long series); combining a large `threads` with
-    /// `search_threads > 1` oversubscribes the machine.
+    /// search (0 or 1 = inline). The decisions are the same at any value.
+    /// Only useful when the series fleet itself is small (few, very long
+    /// series); combining a large `threads` with `search_threads > 1`
+    /// oversubscribes the machine.
     pub search_threads: usize,
     /// Temporal-prior weight chaining consecutive months' medication
     /// models (Section IV-C): each month's EM fit is refined with the
@@ -157,7 +157,10 @@ impl TrendReport {
     }
 }
 
-/// The pipeline driver.
+/// The batch pipeline driver: one [`AnalysisSession`] fed every month and
+/// analysed once. Use a session directly for Stage 1 alone
+/// ([`AnalysisSession::from_dataset`]) or for one series
+/// ([`crate::Stage2Detect::analyze_series`]).
 pub struct TrendPipeline {
     pub config: PipelineConfig,
 }
@@ -167,91 +170,15 @@ impl TrendPipeline {
         TrendPipeline { config }
     }
 
-    /// Stage 1: fit monthly medication models and reproduce the panel.
-    ///
-    /// Months are independent EM fits, so filtering + fitting fans out over
-    /// `stage1_threads` workers, each reusing one [`EmWorkspace`] across its
-    /// share of the months; the panel accumulation stays serial and
-    /// in-month-order, so the result is identical at any thread count.
-    pub fn reproduce_panel(&self, ds: &ClaimsDataset) -> PrescriptionPanel {
-        let _span = mic_obs::span("pipeline.stage1");
-        let stage1 = Stage1Reproduce::from_config(&self.config);
-        let fitted = stage1.fit_months(&ds.months, ds.n_diseases, ds.n_medicines);
-        let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
-        let mut ws = mic_linkmodel::EmWorkspace::new();
-        let mut prev: Option<mic_linkmodel::MedicationModel> = None;
-        for (month, (filtered, vocab, mut model)) in ds.months.iter().zip(fitted) {
-            // Sequential continuity refinement (no-op at the default 0.0).
-            if let Some(p) = &prev {
-                model.refine_next(&filtered, p, stage1.continuity, &stage1.em, &mut ws);
-            }
-            // The frequency filter's silent drops, made visible: entities
-            // below the per-month threshold and the records they emptied.
-            mic_obs::counter(
-                "pipeline.diseases_dropped",
-                (ds.n_diseases - vocab.n_kept_diseases()) as u64,
-            );
-            mic_obs::counter(
-                "pipeline.medicines_dropped",
-                (ds.n_medicines - vocab.n_kept_medicines()) as u64,
-            );
-            mic_obs::counter(
-                "pipeline.records_dropped",
-                (month.records.len() - filtered.records.len()) as u64,
-            );
-            builder.add_month(&filtered, &model);
-            prev = Some(model);
-        }
-        builder.build()
-    }
-
-    /// Stage 2: change detection over every filtered series.
-    pub fn detect_changes(&self, panel: &PrescriptionPanel) -> Vec<SeriesReport> {
-        let _span = mic_obs::span("pipeline.stage2");
-        let keys = panel.filtered_keys(self.config.series_min_total);
-        mic_obs::counter("pipeline.series_admitted", keys.len() as u64);
-        mic_obs::counter(
-            "pipeline.series_dropped",
-            (panel.n_series() - keys.len()) as u64,
-        );
-        let stage2 = Stage2Detect::from_config(&self.config);
-        let reports = parallel_map(&keys, stage2.worker_threads(), |&key| {
-            let Some(ys) = panel.series(key) else {
-                // A filtered key without a backing series is a panel
-                // inconsistency; skip and count it rather than abort the
-                // whole fleet.
-                mic_obs::counter("pipeline.key_mismatch", 1);
-                mic_obs::flush();
-                return None;
-            };
-            let report = stage2.analyze_series(key, ys);
-            mic_obs::counter("pipeline.fits", report.fits_performed as u64);
-            mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);
-            // Publish this worker's collector so periodic `--progress`
-            // snapshots see work as it completes, not only at join.
-            mic_obs::flush();
-            Some(report)
-        });
-        reports.into_iter().flatten().collect()
-    }
-
-    /// Change-point analysis of one series.
-    pub fn analyze_series(&self, key: SeriesKey, ys: &[f64]) -> SeriesReport {
-        Stage2Detect::from_config(&self.config).analyze_series(key, ys)
-    }
-
     /// Run the full pipeline: reproduce, detect, categorise.
     ///
     /// Equivalent to feeding every month into a fresh [`AnalysisSession`]
     /// and analysing once — which is exactly how it is implemented.
     pub fn run(&self, ds: &ClaimsDataset) -> TrendReport {
         let _span = mic_obs::span("pipeline.total");
-        let mut session =
-            AnalysisSession::new(&self.config, ds.start, ds.n_diseases, ds.n_medicines);
-        session
-            .append_months(&ds.months)
-            .expect("dataset months must be sequentially labelled");
-        session.analyze()
+        AnalysisSession::from_dataset(&self.config, ds)
+            .expect("dataset months must be sequentially labelled")
+            .analyze()
     }
 }
 
@@ -325,7 +252,8 @@ mod tests {
     fn panel_mass_equals_prescriptions() {
         let (_world, ds) = small_ds();
         let pipeline = TrendPipeline::new(fast_config());
-        let panel = pipeline.reproduce_panel(&ds);
+        let session = AnalysisSession::from_dataset(&pipeline.config, &ds).unwrap();
+        let panel = session.panel();
         // Sum of all prescription series ≈ number of prescriptions that
         // survive frequency filtering.
         let mut filtered_rx = 0usize;

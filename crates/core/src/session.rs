@@ -33,17 +33,23 @@
 //! stale entry's fitted variances instead of the default simplex.
 
 use crate::classify::{classify_change, ChangeCause, MATCH_WINDOW};
-use crate::parallel::{default_threads, parallel_map, parallel_map_with};
 use crate::pipeline::{PipelineConfig, SeriesReport, TrendReport};
 use mic_claims::{
     ClaimsDataset, ClaimsError, FilteredVocabulary, FrequencyFilter, MonthlyDataset, YearMonth,
 };
 use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel, PrescriptionPanel, SeriesKey};
-use mic_statespace::{
-    approx_change_point_warm, exact_change_point_par_warm, exact_change_point_warm, ChangePoint,
-    ChangePointSearch, FitOptions, SelectionCriterion, WarmStart,
-};
+use mic_par::{default_threads, parallel_map, parallel_map_with};
+use mic_statespace::{search, Algorithm, ChangePoint, FitOptions, SearchPlan, WarmStart};
 use std::collections::HashMap;
+
+/// Worker count for a `threads` setting, where 0 means auto.
+fn worker_threads(threads: usize) -> usize {
+    if threads == 0 {
+        default_threads()
+    } else {
+        threads
+    }
+}
 
 /// Stage 1 of the pipeline as an explicit type: per-month frequency
 /// filtering and EM fitting of the medication model, with the optional
@@ -69,14 +75,6 @@ impl Stage1Reproduce {
         }
     }
 
-    fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// Parallel filter + *independent* EM fit of a batch of months — the
     /// cost-dominant half of Stage 1. One [`EmWorkspace`] per worker; the
     /// result is identical at any thread count. Continuity refinement is
@@ -90,7 +88,7 @@ impl Stage1Reproduce {
     ) -> Vec<(MonthlyDataset, FilteredVocabulary, MedicationModel)> {
         parallel_map_with(
             months,
-            self.worker_threads(),
+            worker_threads(self.threads),
             EmWorkspace::new,
             |ws, month| {
                 let (filtered, vocab) = self.filter.filter_month(month, n_diseases, n_medicines);
@@ -103,30 +101,6 @@ impl Stage1Reproduce {
                 (filtered, vocab, model)
             },
         )
-    }
-
-    /// Filter + fit one month as the next element of a tracked sequence:
-    /// cold fit plus the continuity refinement from `prev` when configured.
-    fn fit_month_next(
-        &self,
-        month: &MonthlyDataset,
-        n_diseases: usize,
-        n_medicines: usize,
-        prev: Option<&MedicationModel>,
-        ws: &mut EmWorkspace,
-    ) -> (MonthlyDataset, FilteredVocabulary, MedicationModel) {
-        let (filtered, vocab) = self.filter.filter_month(month, n_diseases, n_medicines);
-        let model = MedicationModel::fit_next(
-            &filtered,
-            prev,
-            n_diseases,
-            n_medicines,
-            &self.em,
-            self.continuity,
-            ws,
-        );
-        mic_obs::counter("pipeline.stage1_fits", 1);
-        (filtered, vocab, model)
     }
 }
 
@@ -158,31 +132,6 @@ impl Stage2Detect {
         }
     }
 
-    pub(crate) fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        }
-    }
-
-    fn search(&self, ys: &[f64], warm: Option<WarmStart>) -> ChangePointSearch {
-        if self.approximate {
-            approx_change_point_warm(ys, self.seasonal, &self.fit, SelectionCriterion::Aic, warm)
-        } else if self.search_threads > 1 {
-            exact_change_point_par_warm(
-                ys,
-                self.seasonal,
-                &self.fit,
-                SelectionCriterion::Aic,
-                self.search_threads,
-                warm,
-            )
-        } else {
-            exact_change_point_warm(ys, self.seasonal, &self.fit, SelectionCriterion::Aic, warm)
-        }
-    }
-
     /// Change-point analysis of one series (cold start).
     pub fn analyze_series(&self, key: SeriesKey, ys: &[f64]) -> SeriesReport {
         self.analyze_series_warm(key, ys, None).0
@@ -197,20 +146,32 @@ impl Stage2Detect {
         ys: &[f64],
         warm: Option<WarmStart>,
     ) -> (SeriesReport, WarmStart) {
-        let search = self.search(ys, warm);
-        let lambda = if search.change_point.is_some() {
-            search.fit.decompose(ys).lambda
+        let algorithm = if self.approximate {
+            Algorithm::Approximate
+        } else {
+            Algorithm::Exact {
+                threads: self.search_threads,
+            }
+        };
+        let plan = SearchPlan {
+            algorithm,
+            warm,
+            ..SearchPlan::default()
+        };
+        let found = search(ys, self.seasonal, &self.fit, &plan);
+        let lambda = if found.change_point.is_some() {
+            found.fit.decompose(ys).lambda
         } else {
             0.0
         };
-        let seeds = WarmStart::from_search(&search);
+        let seeds = WarmStart::from_search(&found);
         let report = SeriesReport {
             key,
-            change_point: search.change_point,
-            aic: search.aic,
-            aic_no_change: search.aic_no_change,
+            change_point: found.change_point,
+            aic: found.aic,
+            aic_no_change: found.aic_no_change,
             lambda,
-            fits_performed: search.fits_performed,
+            fits_performed: found.fits_performed,
         };
         (report, seeds)
     }
@@ -430,31 +391,20 @@ impl AnalysisSession {
         );
     }
 
-    /// Absorb one new month: filter, fit its EM model (warm-started from
-    /// the previous month's `Φ` when `continuity > 0`), and extend every
+    /// Absorb one new month: filter, fit its EM model (refined from the
+    /// previous month's `Φ` when `continuity > 0`), and extend every
     /// affected series by one point. The month must carry the next
     /// sequential label. Stage-2 refits are deferred to the next
     /// [`AnalysisSession::analyze`], which touches only changed series.
     pub fn append_month(&mut self, month: &MonthlyDataset) -> Result<(), ClaimsError> {
-        self.check_label(month, 0)?;
-        let _span = mic_obs::span("session.append");
-        let mut ws = EmWorkspace::new();
-        let (filtered, vocab, model) = self.stage1.fit_month_next(
-            month,
-            self.n_diseases,
-            self.n_medicines,
-            self.models.last(),
-            &mut ws,
-        );
-        self.absorb(month, &filtered, &vocab, model);
-        Ok(())
+        self.append_months(std::slice::from_ref(month))
     }
 
-    /// Absorb a batch of months: the independent EM fits fan out over
-    /// Stage 1's worker threads (exactly the batch pipeline's Stage 1),
-    /// then the sequential continuity refinement and panel extension chain
-    /// through the months serially. Element-wise identical to calling
-    /// [`AnalysisSession::append_month`] once per month.
+    /// Absorb a batch of months — Stage 1, the only Stage-1 driver: the
+    /// independent EM fits fan out over Stage 1's worker threads, then the
+    /// sequential continuity refinement and panel extension chain through
+    /// the months serially. The result does not depend on how the months
+    /// are split into calls.
     pub fn append_months(&mut self, months: &[MonthlyDataset]) -> Result<(), ClaimsError> {
         let _span = mic_obs::span("pipeline.stage1");
         for (i, month) in months.iter().enumerate() {
@@ -545,7 +495,8 @@ impl AnalysisSession {
                 }
             }
         }
-        let fitted = parallel_map(&jobs, stage2.worker_threads(), |&(key, ys, _, warm)| {
+        let threads = worker_threads(stage2.threads);
+        let fitted = parallel_map(&jobs, threads, |&(key, ys, _, warm)| {
             let (report, seeds) = stage2.analyze_series_warm(key, ys, warm);
             mic_obs::counter("pipeline.fits", report.fits_performed as u64);
             mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);

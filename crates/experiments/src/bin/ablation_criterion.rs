@@ -8,7 +8,7 @@
 
 use mic_experiments::comparison::build_evaluation_panel;
 use mic_experiments::output::{emit_table, section};
-use mic_statespace::{exact_change_point_with, FitOptions, SelectionCriterion};
+use mic_statespace::{search, FitOptions, SearchPlan, SelectionCriterion};
 use mic_trend::report::TextTable;
 
 fn main() {
@@ -45,8 +45,12 @@ fn main() {
         let mut subset = true;
         for &key in keys {
             let ys = eval.series(key);
-            let aic = exact_change_point_with(ys, true, &fit, SelectionCriterion::Aic);
-            let bic = exact_change_point_with(ys, true, &fit, SelectionCriterion::Bic);
+            let aic = search(ys, true, &fit, &SearchPlan::default());
+            let bic_plan = SearchPlan {
+                criterion: SelectionCriterion::Bic,
+                ..SearchPlan::default()
+            };
+            let bic = search(ys, true, &fit, &bic_plan);
             if aic.change_point.is_some() {
                 aic_hits += 1;
             }

@@ -5,7 +5,7 @@
 //! point — the observation that justifies the binary-search Algorithm 2.
 
 use mic_experiments::output::{emit_table, section};
-use mic_statespace::{exact_change_point, FitOptions};
+use mic_statespace::{search, FitOptions, SearchPlan};
 use mic_trend::report::TextTable;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -34,11 +34,11 @@ fn main() {
         n_starts: 1,
         ..FitOptions::default()
     };
-    let search = exact_change_point(&ys, false, &opts);
+    let found = search(&ys, false, &opts, &SearchPlan::default());
 
     section("Fig. 5b — AIC of models fitted with each intervention point");
     let mut table = TextTable::new(vec!["candidate t", "AIC"]);
-    let mut candidates: Vec<(usize, f64)> = search
+    let mut candidates: Vec<(usize, f64)> = found
         .aic_by_candidate
         .iter()
         .map(|(&t, &a)| (t, a))
@@ -49,16 +49,16 @@ fn main() {
     }
     emit_table("fig5_aic_by_candidate", &table);
 
-    let detected = search
+    let detected = found
         .change_point
         .month()
         .expect("clear break must be detected");
-    println!("no-intervention AIC: {:.2}", search.aic_no_change);
+    println!("no-intervention AIC: {:.2}", found.aic_no_change);
     println!("detected change point: t={detected} (true: t={true_cp})");
 
     // Shape check: the minimum is near the truth and the profile rises away
     // from it on both sides.
-    let aic_at = |t: usize| search.aic_by_candidate[&t];
+    let aic_at = |t: usize| found.aic_by_candidate[&t];
     let valley = aic_at(detected);
     let left_far = aic_at(5);
     let right_far = aic_at(40);

@@ -11,7 +11,7 @@ use mic_experiments::output::{print_series, section};
 use mic_experiments::{indication_world, simulate, PAPER_MONTHS};
 use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel, SeriesKey};
 use mic_statespace::FitOptions;
-use mic_trend::{classify_change, ChangeCause, PipelineConfig, TrendPipeline};
+use mic_trend::{classify_change, ChangeCause, PipelineConfig, Stage2Detect};
 
 fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
     let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
@@ -34,7 +34,7 @@ fn main() {
     let s = indication_world(700);
     let ds = simulate(&s.world, 9);
     section("Fig. 7a — new indication (asthma for an existing bronchodilator, t=21)");
-    let pipeline = TrendPipeline::new(PipelineConfig {
+    let stage2 = Stage2Detect::from_config(&PipelineConfig {
         seasonal: false,
         approximate_search: false,
         fit,
@@ -49,7 +49,7 @@ fn main() {
         .to_vec();
     print_series("asthma/bronchodilator", &pair_series);
     print_series("COPD/bronchodilator (sibling)", &copd_series);
-    let report = pipeline.analyze_series(key, &pair_series);
+    let report = stage2.analyze_series(key, &pair_series);
     println!(
         "pair change point: {} (true expansion at t={})",
         report.change_point,
@@ -66,12 +66,12 @@ fn main() {
 
     // Cause categorisation with sibling support.
     let d_report =
-        pipeline.analyze_series(SeriesKey::Disease(s.asthma), panel.disease_series(s.asthma));
-    let m_report = pipeline.analyze_series(
+        stage2.analyze_series(SeriesKey::Disease(s.asthma), panel.disease_series(s.asthma));
+    let m_report = stage2.analyze_series(
         SeriesKey::Medicine(s.bronchodilator),
         panel.medicine_series(s.bronchodilator),
     );
-    let sibling_report = pipeline.analyze_series(
+    let sibling_report = stage2.analyze_series(
         SeriesKey::Prescription(s.copd, s.bronchodilator),
         &copd_series,
     );
@@ -142,7 +142,7 @@ fn main() {
     print_series("oral feeding difficulty", &rising);
     print_series("dehydration (related1)", &falling);
 
-    let rise_report = pipeline.analyze_series(SeriesKey::Prescription(feeding, infusion), &rising);
+    let rise_report = stage2.analyze_series(SeriesKey::Prescription(feeding, infusion), &rising);
     println!(
         "rising pair change point: {} (lambda = {:+.2}, true shift at t={})",
         rise_report.change_point,

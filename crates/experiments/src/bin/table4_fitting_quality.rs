@@ -10,7 +10,7 @@ use mic_experiments::comparison::{build_evaluation_panel, EvaluationPanel};
 use mic_experiments::output::{emit_table, section};
 use mic_linkmodel::SeriesKey;
 use mic_statespace::arima::{select_arima, ArimaFitOptions};
-use mic_statespace::{approx_change_point, fit_structural, FitOptions, StructuralSpec};
+use mic_statespace::{fit_structural, search, FitOptions, SearchPlan, StructuralSpec};
 use mic_stats::{cohen_d_paired, paired_t_test, Summary};
 use mic_trend::report::TextTable;
 
@@ -40,9 +40,9 @@ fn analyse(eval: &EvaluationPanel, keys: &[SeriesKey], fit: &FitOptions) -> Grou
             .push(fit_structural(ys, StructuralSpec::with_seasonal(), fit).aic);
         // Intervention variants use the (approximate) automatic change-point
         // search, as the paper's pipeline does.
-        let ll_i = approx_change_point(ys, false, fit);
+        let ll_i = search(ys, false, fit, &SearchPlan::approximate());
         g.ll_i.push(ll_i.aic);
-        let full = approx_change_point(ys, true, fit);
+        let full = search(ys, true, fit, &SearchPlan::approximate());
         if full.change_point.is_some() {
             g.change_points += 1;
         }

@@ -6,7 +6,7 @@
 use crate::scenarios::{evaluation_spec, simulate};
 use mic_claims::ClaimsDataset;
 use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel, SeriesKey};
-use mic_statespace::{approx_change_point, exact_change_point, ChangePointSearch, FitOptions};
+use mic_statespace::{search, ChangePointSearch, FitOptions, SearchPlan};
 use std::time::Duration;
 
 /// The reproduced evaluation panel plus the series selected for analysis.
@@ -122,8 +122,8 @@ pub fn compare_searches(
     keys.iter()
         .map(|&key| {
             let ys = eval.series(key);
-            let exact = exact_change_point(ys, seasonal, fit);
-            let approx = approx_change_point(ys, seasonal, fit);
+            let exact = search(ys, seasonal, fit, &SearchPlan::default());
+            let approx = search(ys, seasonal, fit, &SearchPlan::approximate());
             SearchComparison { key, exact, approx }
         })
         .collect()

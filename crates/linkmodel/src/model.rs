@@ -217,34 +217,6 @@ impl MedicationModel {
         out
     }
 
-    /// Fit one month as the *next element* of a tracked sequence: an
-    /// independent fit exactly like [`MedicationModel::fit_with`], then —
-    /// when `continuity > 0` and a previous model exists — the same
-    /// temporal-prior refine pass [`MedicationModel::fit_tracked`] runs, with
-    /// `prev`'s `Φ` as the prior. Chaining `fit_next` month by month is
-    /// element-wise identical to one `fit_tracked` call over the whole
-    /// window, which is what makes an incremental analysis session
-    /// equivalent to the batch pipeline by construction.
-    pub fn fit_next(
-        month: &MonthlyDataset,
-        prev: Option<&MedicationModel>,
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-        continuity: f64,
-        ws: &mut EmWorkspace,
-    ) -> MedicationModel {
-        assert!(
-            (0.0..1.0).contains(&continuity),
-            "continuity must be in [0, 1)"
-        );
-        let mut model = MedicationModel::fit_with(month, n_diseases, n_medicines, opts, ws);
-        if let Some(prev) = prev {
-            model.refine_next(month, prev, continuity, opts, ws);
-        }
-        model
-    }
-
     /// Apply the tracked fit's temporal-prior refine pass to an
     /// independently fitted model: resume EM from this model's `Φ` with
     /// `prev`'s `Φ` as a pseudo-count prior of weight `continuity`. A no-op
@@ -252,6 +224,9 @@ impl MedicationModel {
     /// [`MedicationModel::fit_tracked_threaded`], exposed so callers that
     /// already hold the parallel independent fits (an incremental analysis
     /// session batch-loading months) can chain the refinement themselves.
+    /// Chaining `fit_with` + `refine_next` month by month is element-wise
+    /// identical to one [`MedicationModel::fit_tracked`] call over the
+    /// window.
     pub fn refine_next(
         &mut self,
         month: &MonthlyDataset,
@@ -772,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_next_chain_matches_fit_tracked() {
+    fn refine_next_chain_matches_fit_tracked() {
         let mut months = Vec::new();
         for t in 0..4u32 {
             let mut records = Vec::new();
@@ -793,15 +768,10 @@ mod tests {
             let mut ws = EmWorkspace::new();
             let mut chained: Vec<MedicationModel> = Vec::new();
             for month in &months {
-                let next = MedicationModel::fit_next(
-                    month,
-                    chained.last(),
-                    3,
-                    4,
-                    &opts,
-                    continuity,
-                    &mut ws,
-                );
+                let mut next = MedicationModel::fit_with(month, 3, 4, &opts, &mut ws);
+                if let Some(prev) = chained.last() {
+                    next.refine_next(month, prev, continuity, &opts, &mut ws);
+                }
                 chained.push(next);
             }
             for (a, b) in tracked.iter().zip(&chained) {

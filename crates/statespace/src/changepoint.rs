@@ -10,11 +10,9 @@
 //! Table VI: **the approximate search produces no false positives**, because
 //! its winning candidate is a member of the exhaustive candidate set.
 
-use crate::estimate::{
-    fit_structural_warm_ws, fit_structural_with_skip_ws, FitOptions, FittedStructural,
-};
+use crate::estimate::{comparable_skip, fit_structural_ws, FitOptions, FittedStructural};
 use crate::kalman::FilterWorkspace;
-use crate::structural::{StructuralParams, StructuralSpec};
+use crate::structural::{InterventionSpec, StructuralParams, StructuralSpec};
 use std::collections::HashMap;
 
 /// Model-selection criterion for the change-point search. The paper uses
@@ -122,139 +120,138 @@ pub struct ChangePointSearch {
     pub aic_by_candidate: HashMap<usize, f64>,
 }
 
-/// Shared fitting context that memoises per-candidate fits. One
-/// [`FilterWorkspace`] serves every candidate fit in the search, so the
-/// entire MLE path — dozens of fits, each hundreds of likelihood
-/// evaluations — runs without per-evaluation heap allocation.
-struct SearchContext<'a> {
+/// Which algorithm a [`search`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Algorithm {
+    /// Algorithm 1: fit every candidate. The `O(T)` candidate fits are
+    /// independent, so they fan out over `threads` workers (one
+    /// [`FilterWorkspace`] each; `threads <= 1` runs inline). Each fit is
+    /// deterministic and the winner is chosen by a serial scan in candidate
+    /// order, so the result is bit-identical at any thread count.
+    Exact { threads: usize },
+    /// Algorithm 2: AIC-guided binary search. Exploits the empirical
+    /// unimodality of AIC around the true change point (Fig. 5) to probe
+    /// only `O(log T)` candidates.
+    Approximate,
+}
+
+/// How to run a change-point [`search`]. The default is the serial
+/// exhaustive search under AIC, started cold.
+#[derive(Clone, Copy, Debug)]
+pub struct SearchPlan {
+    pub algorithm: Algorithm,
+    pub criterion: SelectionCriterion,
+    /// When set, every fit seeds Nelder–Mead from the matching
+    /// [`WarmStart`] field instead of the default multi-start simplex
+    /// (see [`fit_structural_ws`]). `None` is the cold search.
+    pub warm: Option<WarmStart>,
+}
+
+impl Default for SearchPlan {
+    fn default() -> Self {
+        SearchPlan {
+            algorithm: Algorithm::Exact { threads: 1 },
+            criterion: SelectionCriterion::Aic,
+            warm: None,
+        }
+    }
+}
+
+impl SearchPlan {
+    /// Algorithm 2 under AIC, started cold.
+    pub fn approximate() -> SearchPlan {
+        SearchPlan {
+            algorithm: Algorithm::Approximate,
+            ..SearchPlan::default()
+        }
+    }
+}
+
+/// The fixed inputs of one search: the series, the model family and how
+/// each fit starts. Shared read-only by every candidate-fit worker.
+struct Problem<'a> {
     ys: &'a [f64],
     seasonal: bool,
     opts: &'a FitOptions,
-    criterion: SelectionCriterion,
-    /// When set, every fit in the search is warm-started from the matching
-    /// seed (cached optima from a previous, slightly shorter version of the
-    /// series) instead of the default multi-start simplex.
     warm: Option<WarmStart>,
+}
+
+impl Problem<'_> {
+    /// The model with a slope shift at `cp`, or the no-change baseline.
+    fn spec(&self, cp: Option<usize>) -> StructuralSpec {
+        let base = if self.seasonal {
+            StructuralSpec::with_seasonal()
+        } else {
+            StructuralSpec::local_level()
+        };
+        match cp {
+            Some(change_point) => StructuralSpec {
+                intervention: InterventionSpec::SlopeShift { change_point },
+                ..base
+            },
+            None => base,
+        }
+    }
+
+    /// The base model's state dimension: the likelihood lead every fit in
+    /// the search skips (see [`comparable_skip`]).
+    fn lead_skip(&self) -> usize {
+        self.spec(None).state_dim()
+    }
+
+    /// One candidate (or baseline) fit, cold or warm-started from the seed
+    /// of its model class.
+    fn fit(&self, cp: Option<usize>, ws: &mut FilterWorkspace) -> FittedStructural {
+        let spec = self.spec(cp);
+        let (skip, extra) = comparable_skip(&spec);
+        let seed = self.warm.map(|w| match cp {
+            Some(_) => w.candidate,
+            None => w.baseline,
+        });
+        fit_structural_ws(
+            self.ys,
+            spec,
+            self.opts,
+            skip,
+            extra.as_slice(),
+            seed.as_ref(),
+            ws,
+        )
+    }
+}
+
+/// Shared fitting context that memoises per-candidate fits. One
+/// [`FilterWorkspace`] serves every fit the context makes itself, so the
+/// entire MLE path — dozens of fits, each hundreds of likelihood
+/// evaluations — runs without per-evaluation heap allocation.
+struct SearchContext<'a> {
+    problem: Problem<'a>,
+    criterion: SelectionCriterion,
     cache: HashMap<usize, FittedStructural>,
     fits: usize,
     ws: FilterWorkspace,
 }
 
-impl<'a> SearchContext<'a> {
-    fn new(
-        ys: &'a [f64],
-        seasonal: bool,
-        opts: &'a FitOptions,
-        criterion: SelectionCriterion,
-        warm: Option<WarmStart>,
-    ) -> Self {
-        let mut ctx = SearchContext {
-            ys,
-            seasonal,
-            opts,
-            criterion,
-            warm,
-            cache: HashMap::new(),
-            fits: 0,
-            ws: FilterWorkspace::default(),
-        };
-        // Candidate fits dominate the search; size for their state dim.
-        ctx.ws = FilterWorkspace::new(ctx.spec_at(1).state_dim());
-        ctx
-    }
-
-    /// Leading-innovation skip shared by every fit in this search: the base
-    /// model's state dimension. Each model additionally skips exactly one
-    /// more innovation — the candidate's λ-identifying innovation at the
-    /// change point (or a neutral equaliser for the no-change model and for
-    /// candidates inside the burn-in) — so every compared AIC scores the
-    /// same *number* of observations. Without this, the model that skips
-    /// fewer (or cheaper) points gets a spurious likelihood bump: true
-    /// change points get suppressed, or the search collapses to `t = 1`,
-    /// with a bias that depends on the series' scale.
-    fn lead_skip(&self) -> usize {
-        self.base_spec().state_dim()
-    }
-
-    fn base_spec(&self) -> StructuralSpec {
-        if self.seasonal {
-            StructuralSpec::with_seasonal()
-        } else {
-            StructuralSpec::local_level()
-        }
-    }
-
-    fn spec_at(&self, cp: usize) -> StructuralSpec {
-        if self.seasonal {
-            StructuralSpec::full(cp)
-        } else {
-            StructuralSpec::with_intervention(cp)
-        }
-    }
-
-    /// One candidate (or baseline) fit, cold or warm-started from `seed`.
-    fn fit_model(
-        &mut self,
-        spec: StructuralSpec,
-        skip: usize,
-        extra_skips: &[usize],
-        seed: Option<StructuralParams>,
-    ) -> FittedStructural {
-        match seed {
-            Some(w) => fit_structural_warm_ws(
-                self.ys,
-                spec,
-                self.opts,
-                skip,
-                extra_skips,
-                &w,
-                &mut self.ws,
-            ),
-            None => fit_structural_with_skip_ws(
-                self.ys,
-                spec,
-                self.opts,
-                skip,
-                extra_skips,
-                &mut self.ws,
-            ),
-        }
-    }
-
+impl SearchContext<'_> {
     /// Criterion score (AIC or BIC) of the model with change point `cp`
     /// (memoised).
     fn aic_at(&mut self, cp: usize) -> f64 {
         if let Some(fit) = self.cache.get(&cp) {
             return self.criterion.score(fit);
         }
-        let s = self.lead_skip();
-        let spec = self.spec_at(cp);
-        let seed = self.warm.map(|w| w.candidate);
-        let fit = if cp >= s {
-            self.fit_model(spec, s, &[cp], seed)
-        } else {
-            self.fit_model(spec, s + 1, &[], seed)
-        };
+        let fit = self.problem.fit(Some(cp), &mut self.ws);
         self.fits += 1;
         let score = self.criterion.score(&fit);
         self.cache.insert(cp, fit);
         score
     }
 
-    fn no_change_fit(&mut self) -> FittedStructural {
-        self.fits += 1;
-        let s = self.lead_skip();
-        let spec = self.base_spec();
-        let seed = self.warm.map(|w| w.baseline);
-        self.fit_model(spec, s + 1, &[], seed)
-    }
-
     /// `true` when `ys` is too short for any search: the likelihood skips
     /// leave fewer than two scored observations, or there is no interior
     /// candidate month at all.
     fn too_short(&self) -> bool {
-        let n = self.ys.len();
-        n < self.lead_skip() + 3 || candidates(n).is_empty()
+        let n = self.problem.ys.len();
+        n < self.problem.lead_skip() + 3 || candidates(n).is_empty()
     }
 
     /// Degenerate "no change" result for series the search cannot handle.
@@ -262,9 +259,8 @@ impl<'a> SearchContext<'a> {
     /// [`ChangePoint::None`] with an infinite criterion score (never ranked
     /// above a real fit, and NaN-free) instead of panicking.
     fn short_series_finish(self) -> ChangePointSearch {
-        let s = self.lead_skip();
         let fit = FittedStructural {
-            spec: self.base_spec(),
+            spec: self.problem.spec(None),
             params: StructuralParams {
                 var_eps: 0.0,
                 var_level: 0.0,
@@ -273,8 +269,8 @@ impl<'a> SearchContext<'a> {
             loglik: f64::NEG_INFINITY,
             aic: f64::INFINITY,
             bic: f64::INFINITY,
-            n: self.ys.len(),
-            skip: s + 1,
+            n: self.problem.ys.len(),
+            skip: self.problem.lead_skip() + 1,
             evals: 0,
         };
         ChangePointSearch {
@@ -286,10 +282,6 @@ impl<'a> SearchContext<'a> {
             fits_performed: 0,
             aic_by_candidate: HashMap::new(),
         }
-    }
-
-    fn take_fit(&mut self, cp: usize) -> FittedStructural {
-        self.cache.remove(&cp).expect("fit must be cached")
     }
 
     /// Best candidate probed so far (by the selection criterion); ties break
@@ -308,39 +300,124 @@ impl<'a> SearchContext<'a> {
     }
 
     fn finish(mut self, best_cp: usize, best_aic: f64) -> ChangePointSearch {
-        let no_change = self.no_change_fit();
+        self.fits += 1;
+        let no_change = self.problem.fit(None, &mut self.ws);
         let aic_no_change = self.criterion.score(&no_change);
-        let aic_by_candidate: HashMap<usize, f64> = {
-            let criterion = self.criterion;
-            self.cache
-                .iter()
-                .map(|(&cp, fit)| (cp, criterion.score(fit)))
-                .collect()
-        };
+        let criterion = self.criterion;
+        let aic_by_candidate: HashMap<usize, f64> = self
+            .cache
+            .iter()
+            .map(|(&cp, fit)| (cp, criterion.score(fit)))
+            .collect();
         let no_change_params = no_change.params;
         // Ties favour no change.
-        if best_aic < aic_no_change {
-            let fit = self.take_fit(best_cp);
-            ChangePointSearch {
-                change_point: ChangePoint::At(best_cp),
-                aic: best_aic,
-                fit,
-                aic_no_change,
-                no_change_params,
-                fits_performed: self.fits,
-                aic_by_candidate,
-            }
+        let (change_point, aic, fit) = if best_aic < aic_no_change {
+            let fit = self.cache.remove(&best_cp).expect("fit must be cached");
+            (ChangePoint::At(best_cp), best_aic, fit)
         } else {
-            ChangePointSearch {
-                change_point: ChangePoint::None,
-                aic: aic_no_change,
-                fit: no_change,
-                aic_no_change,
-                no_change_params,
-                fits_performed: self.fits,
-                aic_by_candidate,
+            (ChangePoint::None, aic_no_change, no_change)
+        };
+        ChangePointSearch {
+            change_point,
+            aic,
+            fit,
+            aic_no_change,
+            no_change_params,
+            fits_performed: self.fits,
+            aic_by_candidate,
+        }
+    }
+
+    /// Algorithm 1 (see [`Algorithm::Exact`]).
+    fn exact(mut self, threads: usize) -> ChangePointSearch {
+        let _span = mic_obs::span("kf.search.exact");
+        mic_obs::counter("kf.searches_exact", 1);
+        if self.too_short() {
+            return self.short_series_finish();
+        }
+        let cands: Vec<usize> = candidates(self.problem.ys.len()).collect();
+        let problem = &self.problem;
+        let state_dim = problem.spec(Some(1)).state_dim();
+        let fits = mic_par::parallel_map_with(
+            &cands,
+            threads,
+            || FilterWorkspace::new(state_dim),
+            |ws, &cp| problem.fit(Some(cp), ws),
+        );
+        // Serial selection in candidate order with Algorithm 1's `≤` (later
+        // candidates win ties) — deterministic regardless of fit completion
+        // order above.
+        let mut best_cp = cands[0];
+        let mut best_aic = f64::INFINITY;
+        for (&cp, fit) in cands.iter().zip(&fits) {
+            let score = self.criterion.score(fit);
+            if score <= best_aic {
+                best_aic = score;
+                best_cp = cp;
             }
         }
+        self.fits = fits.len();
+        self.cache.extend(cands.into_iter().zip(fits));
+        let r = self.finish(best_cp, best_aic);
+        mic_obs::counter("kf.candidates_exact", r.aic_by_candidate.len() as u64);
+        mic_obs::counter("kf.fits_exact", r.fits_performed as u64);
+        r
+    }
+
+    /// Algorithm 2 (see [`Algorithm::Approximate`]).
+    fn approximate(mut self) -> ChangePointSearch {
+        let _span = mic_obs::span("kf.search.approx");
+        mic_obs::counter("kf.searches_approx", 1);
+        if self.too_short() {
+            return self.short_series_finish();
+        }
+        let mut left = 1usize;
+        let right_end = candidates(self.problem.ys.len()).end;
+        let mut right = right_end - 1;
+        while right - left > 1 {
+            let middle = (left + right) / 2;
+            if self.aic_at(left) < self.aic_at(right) {
+                right = middle;
+            } else {
+                left = middle;
+            }
+        }
+        self.aic_at(left);
+        self.aic_at(right);
+        // Two cheap refinements over the plain Algorithm 2 (both preserve the
+        // no-false-positive property, since every candidate considered is a
+        // member of the exhaustive candidate set):
+        // 1. take the best of *all* probed candidates, not just the final
+        //    {left, right} pair — earlier probe levels often already touched a
+        //    point deeper in the AIC valley (free: results are memoised);
+        // 2. hill-descend ±1/±2 around that point (a handful of extra fits),
+        //    which recovers near-misses on gradual ramps whose AIC valley is
+        //    shallow and slightly off the probe grid.
+        let (mut best_cp, mut best_aic) = self
+            .best_cached()
+            .expect("search probed at least two candidates");
+        loop {
+            let mut improved = false;
+            for delta in [-2i64, -1, 1, 2] {
+                let cand = best_cp as i64 + delta;
+                if cand < 1 || cand as usize >= right_end {
+                    continue;
+                }
+                let score = self.aic_at(cand as usize);
+                if score < best_aic {
+                    best_aic = score;
+                    best_cp = cand as usize;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        let r = self.finish(best_cp, best_aic);
+        mic_obs::counter("kf.candidates_approx", r.aic_by_candidate.len() as u64);
+        mic_obs::counter("kf.fits_approx", r.fits_performed as u64);
+        r
     }
 }
 
@@ -353,229 +430,33 @@ fn candidates(n: usize) -> std::ops::Range<usize> {
     1..n.saturating_sub(2)
 }
 
-/// Algorithm 1: exhaustive search over all candidate change points.
-pub fn exact_change_point(ys: &[f64], seasonal: bool, opts: &FitOptions) -> ChangePointSearch {
-    exact_change_point_with(ys, seasonal, opts, SelectionCriterion::Aic)
-}
-
-/// [`exact_change_point`] under an explicit selection criterion.
-pub fn exact_change_point_with(
+/// Search `ys` for a change point as `plan` says: Algorithm 1 or 2, under
+/// its criterion, cold or warm-started.
+pub fn search(
     ys: &[f64],
     seasonal: bool,
     opts: &FitOptions,
-    criterion: SelectionCriterion,
+    plan: &SearchPlan,
 ) -> ChangePointSearch {
-    exact_change_point_warm(ys, seasonal, opts, criterion, None)
-}
-
-/// [`exact_change_point_with`] with an optional warm start: when `warm` is
-/// set, every fit seeds Nelder–Mead from the matching [`WarmStart`] field
-/// (see [`fit_structural_warm_ws`]) instead of the default multi-start
-/// simplex. `warm = None` is exactly the cold search.
-pub fn exact_change_point_warm(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    warm: Option<WarmStart>,
-) -> ChangePointSearch {
-    let _span = mic_obs::span("kf.search.exact");
-    mic_obs::counter("kf.searches_exact", 1);
-    let n = ys.len();
-    let mut ctx = SearchContext::new(ys, seasonal, opts, criterion, warm);
-    if ctx.too_short() {
-        return ctx.short_series_finish();
+    let problem = Problem {
+        ys,
+        seasonal,
+        opts,
+        warm: plan.warm,
+    };
+    // Candidate fits dominate the search; size for their state dim.
+    let ws = FilterWorkspace::new(problem.spec(Some(1)).state_dim());
+    let ctx = SearchContext {
+        problem,
+        criterion: plan.criterion,
+        cache: HashMap::new(),
+        fits: 0,
+        ws,
+    };
+    match plan.algorithm {
+        Algorithm::Exact { threads } => ctx.exact(threads),
+        Algorithm::Approximate => ctx.approximate(),
     }
-    let mut best_cp = 1;
-    let mut best_aic = f64::INFINITY;
-    for cp in candidates(n) {
-        let aic = ctx.aic_at(cp);
-        // Later candidates win ties, mirroring Algorithm 1's `≤`.
-        if aic <= best_aic {
-            best_aic = aic;
-            best_cp = cp;
-        }
-    }
-    let r = ctx.finish(best_cp, best_aic);
-    mic_obs::counter("kf.candidates_exact", r.aic_by_candidate.len() as u64);
-    mic_obs::counter("kf.fits_exact", r.fits_performed as u64);
-    r
-}
-
-/// [`exact_change_point`] with candidate-level parallelism: the `O(T)`
-/// candidate models are independent fits, so they fan out over `threads`
-/// workers (one [`FilterWorkspace`] each, claimed off an atomic work
-/// queue). Each candidate's fit is deterministic, and the winner is chosen
-/// by a serial scan in candidate order with the same `≤` tie-breaking as
-/// Algorithm 1, so the result is **bit-identical** to the serial search at
-/// any thread count. With `threads <= 1` this *is* the serial search.
-pub fn exact_change_point_par(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    threads: usize,
-) -> ChangePointSearch {
-    exact_change_point_par_with(ys, seasonal, opts, SelectionCriterion::Aic, threads)
-}
-
-/// [`exact_change_point_par`] under an explicit selection criterion.
-pub fn exact_change_point_par_with(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    threads: usize,
-) -> ChangePointSearch {
-    exact_change_point_par_warm(ys, seasonal, opts, criterion, threads, None)
-}
-
-/// [`exact_change_point_par_with`] with an optional warm start (see
-/// [`exact_change_point_warm`]); each parallel candidate fit is seeded from
-/// the same warm parameters.
-pub fn exact_change_point_par_warm(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    threads: usize,
-    warm: Option<WarmStart>,
-) -> ChangePointSearch {
-    if threads <= 1 {
-        return exact_change_point_warm(ys, seasonal, opts, criterion, warm);
-    }
-    let _span = mic_obs::span("kf.search.exact");
-    mic_obs::counter("kf.searches_exact", 1);
-    mic_obs::counter("kf.searches_exact_par", 1);
-    let n = ys.len();
-    let mut ctx = SearchContext::new(ys, seasonal, opts, criterion, warm);
-    if ctx.too_short() {
-        return ctx.short_series_finish();
-    }
-    let lead = ctx.lead_skip();
-    let state_dim = ctx.spec_at(1).state_dim();
-    let cands: Vec<usize> = candidates(n).collect();
-    let fits = mic_par::parallel_map_with(
-        &cands,
-        threads,
-        || FilterWorkspace::new(state_dim),
-        |ws, &cp| {
-            let spec = if seasonal {
-                StructuralSpec::full(cp)
-            } else {
-                StructuralSpec::with_intervention(cp)
-            };
-            let cp_skip = [cp];
-            let (skip, extra): (usize, &[usize]) = if cp >= lead {
-                (lead, &cp_skip)
-            } else {
-                (lead + 1, &[])
-            };
-            match warm {
-                Some(w) => fit_structural_warm_ws(ys, spec, opts, skip, extra, &w.candidate, ws),
-                None => fit_structural_with_skip_ws(ys, spec, opts, skip, extra, ws),
-            }
-        },
-    );
-    // Serial selection in candidate order with Algorithm 1's `≤` (later
-    // candidates win ties) — deterministic regardless of fit completion
-    // order above.
-    let mut best_cp = cands[0];
-    let mut best_aic = f64::INFINITY;
-    for (&cp, fit) in cands.iter().zip(&fits) {
-        let score = criterion.score(fit);
-        if score <= best_aic {
-            best_aic = score;
-            best_cp = cp;
-        }
-    }
-    ctx.fits = fits.len();
-    ctx.cache.extend(cands.iter().copied().zip(fits));
-    let r = ctx.finish(best_cp, best_aic);
-    mic_obs::counter("kf.candidates_exact", r.aic_by_candidate.len() as u64);
-    mic_obs::counter("kf.fits_exact", r.fits_performed as u64);
-    r
-}
-
-/// Algorithm 2: AIC-guided binary search. Exploits the empirical
-/// unimodality of AIC around the true change point (Fig. 5) to probe only
-/// `O(log T)` candidates.
-pub fn approx_change_point(ys: &[f64], seasonal: bool, opts: &FitOptions) -> ChangePointSearch {
-    approx_change_point_with(ys, seasonal, opts, SelectionCriterion::Aic)
-}
-
-/// [`approx_change_point`] under an explicit selection criterion.
-pub fn approx_change_point_with(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-) -> ChangePointSearch {
-    approx_change_point_warm(ys, seasonal, opts, criterion, None)
-}
-
-/// [`approx_change_point_with`] with an optional warm start (see
-/// [`exact_change_point_warm`]).
-pub fn approx_change_point_warm(
-    ys: &[f64],
-    seasonal: bool,
-    opts: &FitOptions,
-    criterion: SelectionCriterion,
-    warm: Option<WarmStart>,
-) -> ChangePointSearch {
-    let _span = mic_obs::span("kf.search.approx");
-    mic_obs::counter("kf.searches_approx", 1);
-    let n = ys.len();
-    let mut ctx = SearchContext::new(ys, seasonal, opts, criterion, warm);
-    if ctx.too_short() {
-        return ctx.short_series_finish();
-    }
-    let mut left = 1usize;
-    let right_end = candidates(n).end;
-    let mut right = right_end - 1;
-    while right - left > 1 {
-        let middle = (left + right) / 2;
-        if ctx.aic_at(left) < ctx.aic_at(right) {
-            right = middle;
-        } else {
-            left = middle;
-        }
-    }
-    ctx.aic_at(left);
-    ctx.aic_at(right);
-    // Two cheap refinements over the plain Algorithm 2 (both preserve the
-    // no-false-positive property, since every candidate considered is a
-    // member of the exhaustive candidate set):
-    // 1. take the best of *all* probed candidates, not just the final
-    //    {left, right} pair — earlier probe levels often already touched a
-    //    point deeper in the AIC valley (free: results are memoised);
-    // 2. hill-descend ±1/±2 around that point (a handful of extra fits),
-    //    which recovers near-misses on gradual ramps whose AIC valley is
-    //    shallow and slightly off the probe grid.
-    let (mut best_cp, mut best_aic) = ctx
-        .best_cached()
-        .expect("search probed at least two candidates");
-    loop {
-        let mut improved = false;
-        for delta in [-2i64, -1, 1, 2] {
-            let cand = best_cp as i64 + delta;
-            if cand < 1 || cand as usize >= right_end {
-                continue;
-            }
-            let score = ctx.aic_at(cand as usize);
-            if score < best_aic {
-                best_aic = score;
-                best_cp = cand as usize;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    let r = ctx.finish(best_cp, best_aic);
-    mic_obs::counter("kf.candidates_approx", r.aic_by_candidate.len() as u64);
-    mic_obs::counter("kf.fits_approx", r.fits_performed as u64);
-    r
 }
 
 #[cfg(test)]
@@ -609,10 +490,36 @@ mod tests {
         }
     }
 
+    /// Algorithm 1 on `threads` workers under `criterion`, started cold.
+    fn exact_plan(threads: usize, criterion: SelectionCriterion) -> SearchPlan {
+        SearchPlan {
+            algorithm: Algorithm::Exact { threads },
+            criterion,
+            warm: None,
+        }
+    }
+
+    fn exact(ys: &[f64], seasonal: bool) -> ChangePointSearch {
+        search(ys, seasonal, &fast_opts(), &SearchPlan::default())
+    }
+
+    fn approx(ys: &[f64], seasonal: bool) -> ChangePointSearch {
+        search(ys, seasonal, &fast_opts(), &SearchPlan::approximate())
+    }
+
+    fn exact_bic(ys: &[f64]) -> ChangePointSearch {
+        search(
+            ys,
+            false,
+            &fast_opts(),
+            &exact_plan(1, SelectionCriterion::Bic),
+        )
+    }
+
     #[test]
     fn exact_finds_planted_change_point() {
         let ys = slope_break_series(43, 25, 1.5, 11);
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         let cp = r.change_point.month().expect("should detect a change");
         assert!(
             (cp as i64 - 25).unsigned_abs() <= 2,
@@ -624,7 +531,7 @@ mod tests {
     #[test]
     fn exact_rejects_flat_series() {
         let ys = flat_series(43, 12);
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         assert_eq!(
             r.change_point,
             ChangePoint::None,
@@ -636,8 +543,8 @@ mod tests {
     #[test]
     fn approx_agrees_with_exact_on_clear_break() {
         let ys = slope_break_series(43, 20, 2.0, 13);
-        let exact = exact_change_point(&ys, false, &fast_opts());
-        let approx = approx_change_point(&ys, false, &fast_opts());
+        let exact = exact(&ys, false);
+        let approx = approx(&ys, false);
         assert!(exact.change_point.is_some());
         assert!(approx.change_point.is_some());
         let e = exact.change_point.month().unwrap() as i64;
@@ -654,8 +561,8 @@ mod tests {
             } else {
                 slope_break_series(40, 22, 0.15, seed) // weak break
             };
-            let exact = exact_change_point(&ys, false, &fast_opts());
-            let approx = approx_change_point(&ys, false, &fast_opts());
+            let exact = exact(&ys, false);
+            let approx = approx(&ys, false);
             if approx.change_point.is_some() {
                 assert!(
                     exact.change_point.is_some(),
@@ -668,8 +575,8 @@ mod tests {
     #[test]
     fn approx_uses_far_fewer_fits() {
         let ys = slope_break_series(43, 25, 1.5, 14);
-        let exact = exact_change_point(&ys, false, &fast_opts());
-        let approx = approx_change_point(&ys, false, &fast_opts());
+        let exact = exact(&ys, false);
+        let approx = approx(&ys, false);
         // Exhaustive: T−3 candidates + 1 base = 41; binary: ~2·log₂(T) for
         // the probes plus a handful of hill-descent refinement fits.
         assert_eq!(
@@ -694,7 +601,7 @@ mod tests {
     fn aic_by_candidate_has_valley_at_change_point() {
         // The Fig. 5 shape: AIC lower near the true change point.
         let ys = slope_break_series(43, 30, 1.5, 15);
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         let near = r.aic_by_candidate[&30];
         let far = r.aic_by_candidate[&5];
         assert!(near < far, "AIC near break {near} !< far {far}");
@@ -711,7 +618,7 @@ mod tests {
                 30.0 + seasonal + 1.2 * w + mic_stats::dist::sample_normal(&mut rng, 0.0, 0.7)
             })
             .collect();
-        let r = exact_change_point(&ys, true, &fast_opts());
+        let r = exact(&ys, true);
         let cp = r.change_point.month().expect("break under seasonality");
         assert!((cp as i64 - 30).unsigned_abs() <= 3, "detected {cp}");
     }
@@ -719,7 +626,7 @@ mod tests {
     #[test]
     fn bic_detects_strong_break() {
         let ys = slope_break_series(43, 25, 1.5, 11);
-        let r = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
+        let r = exact_bic(&ys);
         let cp = r.change_point.month().expect("strong break survives BIC");
         assert!((cp as i64 - 25).unsigned_abs() <= 2, "BIC detected {cp}");
     }
@@ -735,8 +642,8 @@ mod tests {
             } else {
                 slope_break_series(40, 20, 0.4, seed + 50)
             };
-            let aic = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Aic);
-            let bic = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
+            let aic = exact(&ys, false);
+            let bic = exact_bic(&ys);
             if bic.change_point.is_some() {
                 assert!(
                     aic.change_point.is_some(),
@@ -749,7 +656,7 @@ mod tests {
     #[test]
     fn bic_rejects_flat_series() {
         let ys = flat_series(43, 77);
-        let r = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
+        let r = exact_bic(&ys);
         assert_eq!(r.change_point, ChangePoint::None);
     }
 
@@ -760,8 +667,8 @@ mod tests {
         for n in 0..=4usize {
             let ys: Vec<f64> = (0..n).map(|t| t as f64).collect();
             for seasonal in [false, true] {
-                let a = approx_change_point(&ys, seasonal, &fast_opts());
-                let e = exact_change_point(&ys, seasonal, &fast_opts());
+                let a = approx(&ys, seasonal);
+                let e = exact(&ys, seasonal);
                 if seasonal || n < 4 {
                     assert_eq!(a.change_point, ChangePoint::None, "approx n={n}");
                     assert_eq!(e.change_point, ChangePoint::None, "exact n={n}");
@@ -778,7 +685,7 @@ mod tests {
         // but too few scored observations — previously an assert/panic path.
         for n in [5usize, 10, 14] {
             let ys: Vec<f64> = (0..n).map(|t| 1.0 + (t as f64) * 0.3).collect();
-            let r = approx_change_point(&ys, true, &fast_opts());
+            let r = approx(&ys, true);
             assert_eq!(r.change_point, ChangePoint::None, "n = {n}");
             assert!(r.aic_by_candidate.is_empty());
         }
@@ -789,15 +696,15 @@ mod tests {
         // n = 4 non-seasonal is the shortest series with a real search: one
         // candidate month and exactly two scored observations.
         let ys = [1.0, 2.0, 3.0, 4.0];
-        let r = exact_change_point(&ys, false, &fast_opts());
+        let r = exact(&ys, false);
         assert!(r.fits_performed > 0);
         assert!(r.aic.is_finite());
     }
 
     /// Every observable field of the search result must be *bit*-identical
-    /// between the serial and candidate-parallel paths — the parallel mode
-    /// only reorders who fits which candidate, never what is fitted or how
-    /// the winner is selected.
+    /// between the inline (`threads = 1`) and candidate-parallel runs of the
+    /// exact search — the worker count only reorders who fits which
+    /// candidate, never what is fitted or how the winner is selected.
     fn assert_searches_identical(a: &ChangePointSearch, b: &ChangePointSearch, what: &str) {
         assert_eq!(a.change_point, b.change_point, "{what}: change point");
         assert_eq!(a.aic.to_bits(), b.aic.to_bits(), "{what}: aic");
@@ -833,14 +740,34 @@ mod tests {
         }
     }
 
+    /// Run `plan` at one thread and at each of `threads`, and require every
+    /// parallel result to be bit-identical to the inline one.
+    fn assert_thread_invariant(
+        ys: &[f64],
+        seasonal: bool,
+        plan: SearchPlan,
+        threads: &[usize],
+        what: &str,
+    ) -> ChangePointSearch {
+        let at = |threads: usize| {
+            let plan = SearchPlan {
+                algorithm: Algorithm::Exact { threads },
+                ..plan
+            };
+            search(ys, seasonal, &fast_opts(), &plan)
+        };
+        let inline = at(1);
+        for &t in threads {
+            assert_searches_identical(&at(t), &inline, &format!("{what}, {t} threads"));
+        }
+        inline
+    }
+
     #[test]
     fn candidate_parallel_matches_serial_on_planted_break() {
         let ys = slope_break_series(43, 25, 1.5, 11);
-        let serial = exact_change_point(&ys, false, &fast_opts());
-        for threads in [2usize, 4, 8] {
-            let par = exact_change_point_par(&ys, false, &fast_opts(), threads);
-            assert_searches_identical(&par, &serial, &format!("{threads} threads"));
-        }
+        let plan = SearchPlan::default();
+        let serial = assert_thread_invariant(&ys, false, plan, &[2, 4, 8], "break");
         assert!(serial.change_point.is_some());
     }
 
@@ -858,18 +785,15 @@ mod tests {
             })
             .collect();
         for (ys, is_seasonal, what) in [(&flat, false, "flat"), (&seasonal, true, "seasonal")] {
-            let serial = exact_change_point(ys, is_seasonal, &fast_opts());
-            let par = exact_change_point_par(ys, is_seasonal, &fast_opts(), 4);
-            assert_searches_identical(&par, &serial, what);
+            assert_thread_invariant(ys, is_seasonal, SearchPlan::default(), &[2, 4, 8], what);
         }
     }
 
     #[test]
     fn candidate_parallel_matches_serial_under_bic() {
         let ys = slope_break_series(43, 25, 1.5, 11);
-        let serial = exact_change_point_with(&ys, false, &fast_opts(), SelectionCriterion::Bic);
-        let par = exact_change_point_par_with(&ys, false, &fast_opts(), SelectionCriterion::Bic, 3);
-        assert_searches_identical(&par, &serial, "bic");
+        let plan = exact_plan(1, SelectionCriterion::Bic);
+        assert_thread_invariant(&ys, false, plan, &[2, 3, 4, 8], "bic");
     }
 
     #[test]
@@ -877,9 +801,8 @@ mod tests {
         for n in 0..=4usize {
             let ys: Vec<f64> = (0..n).map(|t| t as f64).collect();
             for seasonal in [false, true] {
-                let serial = exact_change_point(&ys, seasonal, &fast_opts());
-                let par = exact_change_point_par(&ys, seasonal, &fast_opts(), 4);
-                assert_searches_identical(&par, &serial, &format!("n={n} seasonal={seasonal}"));
+                let what = format!("n={n} seasonal={seasonal}");
+                assert_thread_invariant(&ys, seasonal, SearchPlan::default(), &[2, 4, 8], &what);
             }
         }
     }
@@ -888,39 +811,26 @@ mod tests {
     fn warm_search_matches_cold_decisions() {
         // A warm-started search (seeded from the no-change optimum of the
         // series minus its last point — the incremental session's situation)
-        // must reach the same change-point decision as the cold search.
+        // must reach the same change-point decision as the cold search, and
+        // the warm exact search must stay thread-count invariant.
         for (ys, what) in [
             (slope_break_series(43, 25, 1.5, 11), "break"),
             (flat_series(43, 12), "flat"),
         ] {
-            let prev = exact_change_point(&ys[..ys.len() - 1], false, &fast_opts());
-            let seeds = WarmStart::from_search(&prev);
-            let cold = exact_change_point(&ys, false, &fast_opts());
-            let warm = exact_change_point_warm(
-                &ys,
-                false,
-                &fast_opts(),
-                SelectionCriterion::Aic,
-                Some(seeds),
-            );
-            assert_eq!(cold.change_point, warm.change_point, "{what}");
-            let warm_par = exact_change_point_par_warm(
-                &ys,
-                false,
-                &fast_opts(),
-                SelectionCriterion::Aic,
-                4,
-                Some(seeds),
-            );
-            assert_eq!(warm.change_point, warm_par.change_point, "{what} par");
-            assert_eq!(warm.aic.to_bits(), warm_par.aic.to_bits(), "{what} par aic");
-            let warm_approx = approx_change_point_warm(
-                &ys,
-                false,
-                &fast_opts(),
-                SelectionCriterion::Aic,
-                Some(seeds),
-            );
+            let prev = exact(&ys[..ys.len() - 1], false);
+            let warm = Some(WarmStart::from_search(&prev));
+            let cold = exact(&ys, false);
+            let plan = SearchPlan {
+                warm,
+                ..SearchPlan::default()
+            };
+            let warm_exact = assert_thread_invariant(&ys, false, plan, &[2, 4, 8], what);
+            assert_eq!(cold.change_point, warm_exact.change_point, "{what}");
+            let plan = SearchPlan {
+                warm,
+                ..SearchPlan::approximate()
+            };
+            let warm_approx = search(&ys, false, &fast_opts(), &plan);
             assert_eq!(cold.change_point, warm_approx.change_point, "{what} approx");
         }
     }

@@ -12,7 +12,7 @@
 use crate::kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts};
 use crate::model::Ssm;
 use crate::smoother::smooth;
-use crate::structural::{Components, StructuralParams, StructuralSpec};
+use crate::structural::{Components, InterventionSpec, StructuralParams, StructuralSpec};
 use mic_stats::optimize::{nelder_mead, NelderMeadOptions};
 use mic_stats::sample_variance;
 
@@ -139,83 +139,62 @@ impl FittedStructural {
 }
 
 /// Fit a structural spec to a series by maximum likelihood, excluding the
-/// model's own diffuse burn-in from the likelihood.
+/// model's own diffuse burn-in from the likelihood. An intervention model
+/// instead skips as [`comparable_skip`] says, so its AIC can be compared
+/// against the baseline of a change-point search.
 ///
 /// # Panics
 /// Panics if the series is shorter than the model's state dimension + 2
 /// (not enough observations past the diffuse burn-in to score).
 pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> FittedStructural {
-    // An intervention model's λ is identified at the change point, not in
-    // the leading burn-in: skip state_dim − 1 leading innovations plus the
-    // one at the change point (when it lies past the burn-in).
-    if let crate::structural::InterventionSpec::SlopeShift { change_point } = spec.intervention {
-        let lead = spec.state_dim() - 1;
-        if change_point >= lead {
-            return fit_structural_with_skip(ys, spec, opts, lead, &[change_point]);
-        }
-        return fit_structural_with_skip(ys, spec, opts, lead + 1, &[]);
-    }
-    fit_structural_with_skip(ys, spec, opts, spec.state_dim(), &[])
-}
-
-/// Like [`fit_structural`] but with explicit likelihood exclusions: the
-/// first `skip` innovations plus the innovations at `extra_skips` indices.
-/// Change-point searches use these so every compared model — any candidate
-/// change point and the no-change baseline — scores exactly the same number
-/// of observations, and so the intervention coefficient's identifying
-/// innovation (variance ≈ κ under the diffuse prior) is never charged to
-/// the likelihood.
-pub fn fit_structural_with_skip(
-    ys: &[f64],
-    spec: StructuralSpec,
-    opts: &FitOptions,
-    skip: usize,
-    extra_skips: &[usize],
-) -> FittedStructural {
+    let (skip, extra) = if spec.intervention.is_some() {
+        comparable_skip(&spec)
+    } else {
+        (spec.state_dim(), None)
+    };
     let mut ws = FilterWorkspace::new(spec.state_dim());
-    fit_structural_with_skip_ws(ys, spec, opts, skip, extra_skips, &mut ws)
+    fit_structural_ws(ys, spec, opts, skip, extra.as_slice(), None, &mut ws)
 }
 
-/// Like [`fit_structural_with_skip`] but threading a caller-owned
-/// [`FilterWorkspace`] through every likelihood evaluation, so a change-point
-/// search fitting dozens of candidate models reuses one set of filter
-/// buffers across all of them. The SSM is built once per fit and only its
-/// disturbance variances are overwritten per evaluation; combined with the
-/// allocation-free [`kalman_loglik`], the optimisation loop performs no heap
-/// allocation at all.
-pub fn fit_structural_with_skip_ws(
-    ys: &[f64],
-    spec: StructuralSpec,
-    opts: &FitOptions,
-    skip: usize,
-    extra_skips: &[usize],
-    ws: &mut FilterWorkspace,
-) -> FittedStructural {
-    fit_structural_impl(ys, spec, opts, skip, extra_skips, None, ws)
+/// The likelihood exclusions that make AICs comparable across a
+/// change-point search: `(skip, extra)` for [`fit_structural_ws`].
+///
+/// Every model skips the lead — the base (no-intervention) model's state
+/// dimension — plus exactly one more innovation: the change point's own,
+/// which identifies λ (its variance is ≈ κ under the diffuse prior), or
+/// for a change point inside the lead and for the no-change baseline the
+/// innovation right after the lead. Every candidate and the baseline thus
+/// score the same *number* of observations. Without this, the model that
+/// skips fewer (or cheaper) points gets a spurious likelihood bump: true
+/// change points get suppressed, or the search collapses to `t = 1`, with a
+/// bias that depends on the series' scale.
+pub fn comparable_skip(spec: &StructuralSpec) -> (usize, Option<usize>) {
+    let lead = spec.base().state_dim();
+    match spec.intervention {
+        InterventionSpec::SlopeShift { change_point } if change_point >= lead => {
+            (lead, Some(change_point))
+        }
+        _ => (lead + 1, None),
+    }
 }
 
-/// Warm-started [`fit_structural_with_skip_ws`]: instead of the default
-/// multi-start simplex, Nelder–Mead runs a single start seeded at `warm`'s
-/// log-variances with a tightened initial step. Intended for resumable fits —
-/// refitting a series that grew by one observation, where the previous
-/// optimum is an excellent initial guess. The optimum found may differ
-/// slightly from a cold fit (different simplex trajectory), so callers that
-/// need bit-reproducibility against the batch path must compare *decisions*,
-/// not likelihoods. Emits a `kf.warm_fits` counter alongside the usual
-/// `kf.fits`.
-pub fn fit_structural_warm_ws(
-    ys: &[f64],
-    spec: StructuralSpec,
-    opts: &FitOptions,
-    skip: usize,
-    extra_skips: &[usize],
-    warm: &StructuralParams,
-    ws: &mut FilterWorkspace,
-) -> FittedStructural {
-    fit_structural_impl(ys, spec, opts, skip, extra_skips, Some(warm), ws)
-}
-
-fn fit_structural_impl(
+/// Fit by maximum likelihood with explicit likelihood exclusions — the first
+/// `skip` innovations plus those at `extra_skips` — threading a caller-owned
+/// [`FilterWorkspace`] through every likelihood evaluation, so a search
+/// fitting dozens of candidate models reuses one set of filter buffers. The
+/// SSM is built once per fit and only its disturbance variances are
+/// overwritten per evaluation, so the optimisation loop performs no heap
+/// allocation.
+///
+/// With `warm` set, Nelder–Mead runs a single start seeded at `warm`'s
+/// log-variances with a tightened initial step instead of the default
+/// multi-start simplex. Intended for resumable fits — refitting a series
+/// that grew by one observation, where the previous optimum is an excellent
+/// initial guess. The optimum found may differ slightly from a cold fit
+/// (different simplex trajectory), so callers that need bit-reproducibility
+/// against the batch path must compare *decisions*, not likelihoods. Warm
+/// fits emit a `kf.warm_fits` counter alongside the usual `kf.fits`.
+pub fn fit_structural_ws(
     ys: &[f64],
     spec: StructuralSpec,
     opts: &FitOptions,
@@ -227,14 +206,12 @@ fn fit_structural_impl(
     let _fit_span = mic_obs::span("kf.fit");
     mic_obs::counter("kf.fits", 1);
     let n = ys.len();
-    let q = spec.state_dim();
     assert!(
         n >= skip + extra_skips.len() + 2,
         "series of length {n} too short for likelihood skip {skip}+{} (need ≥ {})",
         extra_skips.len(),
         skip + extra_skips.len() + 2
     );
-    let _ = q;
     let var_y = sample_variance(ys).max(1e-6);
     let n_var = spec.n_variance_params();
 
@@ -324,7 +301,7 @@ fn fit_structural_impl(
     let (x, neg_ll) = best.expect("at least one start");
     let params = params_from_log(&x, var_y);
     let loglik = -neg_ll;
-    let k = q + n_var;
+    let k = spec.state_dim() + n_var;
     let n_scored = (n - skip - extra_skips.len()) as f64;
     FittedStructural {
         spec,
@@ -360,7 +337,6 @@ fn params_from_log(x: &[f64], var_y: f64) -> StructuralParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structural::InterventionSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -605,13 +581,13 @@ mod tests {
         let prev = fit_structural(&ys[..59], spec, &opts);
         let cold = fit_structural(&ys, spec, &opts);
         let mut ws = crate::kalman::FilterWorkspace::new(spec.state_dim());
-        let warm = fit_structural_warm_ws(
+        let warm = fit_structural_ws(
             &ys,
             spec,
             &opts,
             spec.state_dim(),
             &[],
-            &prev.params,
+            Some(&prev.params),
             &mut ws,
         );
         assert!(

@@ -7,7 +7,7 @@
 //! destabilises on seasonal or freshly-broken series.
 
 use crate::arima::{select_arima, ArimaFitOptions};
-use crate::changepoint::exact_change_point;
+use crate::changepoint::{search, SearchPlan};
 use crate::estimate::FitOptions;
 use mic_stats::metrics::{min_max_normalize, rmse};
 
@@ -80,8 +80,8 @@ pub fn compare_forecasts(
 
     // Structural: detect the change point on the training window, then
     // forecast with the winning model.
-    let search = exact_change_point(train, opts.seasonal, &opts.fit);
-    let structural = search.fit.forecast(train, horizon);
+    let found = search(train, opts.seasonal, &opts.fit, &SearchPlan::default());
+    let structural = found.fit.forecast(train, horizon);
 
     // ARIMA with AIC-selected orders.
     let arima_fit = select_arima(train, opts.max_pq, opts.max_d, &opts.arima);

@@ -25,7 +25,8 @@
 //!   (LL / LL+S / LL+I / LL+S+I) and their component decomposition;
 //! - [`estimate`] — maximum-likelihood fitting (Nelder–Mead over
 //!   log-variances) and AIC;
-//! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate);
+//! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate), both
+//!   behind the single [`search`] entry point;
 //! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection (plus a
 //!   SARIMA extension);
 //! - [`forecast`] — out-of-sample forecasting for both model families;
@@ -38,16 +39,16 @@
 //! # Example: detect a slope shift
 //!
 //! ```
-//! use mic_statespace::{exact_change_point, FitOptions};
+//! use mic_statespace::{search, FitOptions, SearchPlan};
 //!
 //! // A monthly series that starts climbing at t = 20.
 //! let ys: Vec<f64> = (0..43)
 //!     .map(|t| if t >= 20 { 10.0 + 1.5 * (t - 19) as f64 } else { 10.0 })
 //!     .collect();
 //! let opts = FitOptions { max_evals: 150, n_starts: 1, ..FitOptions::default() };
-//! let search = exact_change_point(&ys, false, &opts);
-//! assert_eq!(search.change_point.month(), Some(20));
-//! assert!(search.aic < search.aic_no_change);
+//! let found = search(&ys, false, &opts, &SearchPlan::default());
+//! assert_eq!(found.change_point.month(), Some(20));
+//! assert!(found.aic < found.aic_no_change);
 //! ```
 
 pub mod arima;
@@ -66,13 +67,12 @@ pub use arima::{
     fit_arima, fit_sarima, select_arima, ArimaFit, ArimaOrder, SarimaFit, SarimaOrder,
 };
 pub use changepoint::{
-    approx_change_point, approx_change_point_warm, approx_change_point_with, exact_change_point,
-    exact_change_point_par, exact_change_point_par_warm, exact_change_point_par_with,
-    exact_change_point_warm, exact_change_point_with, ChangePoint, ChangePointSearch,
-    SelectionCriterion, WarmStart,
+    search, Algorithm, ChangePoint, ChangePointSearch, SearchPlan, SelectionCriterion, WarmStart,
 };
 pub use diagnostics::{diagnose_residuals, ResidualDiagnostics};
-pub use estimate::{fit_structural, fit_structural_warm_ws, FitOptions, FittedStructural};
+pub use estimate::{
+    comparable_skip, fit_structural, fit_structural_ws, FitOptions, FittedStructural,
+};
 pub use kalman::{
     kalman_filter, kalman_loglik, kalman_loglik_reference, FilterResult, FilterWorkspace,
     SteadyStateOpts,

@@ -154,7 +154,7 @@ mod tests {
         // model whose MLE makes the ridge-regularised predicted covariance
         // unsolvable inside the smoother, which used to panic the whole
         // `analyze` run. The decomposition must complete instead.
-        use crate::changepoint::approx_change_point;
+        use crate::changepoint::{search, SearchPlan};
         use crate::estimate::FitOptions;
         let ys = [
             4.1566590253032825,
@@ -187,8 +187,8 @@ mod tests {
             n_starts: 1,
             ..FitOptions::default()
         };
-        let search = approx_change_point(&ys, true, &opts);
-        let c = search.fit.decompose(&ys);
+        let found = search(&ys, true, &opts, &SearchPlan::approximate());
+        let c = found.fit.decompose(&ys);
         assert!(c.lambda.is_finite(), "lambda = {}", c.lambda);
     }
 

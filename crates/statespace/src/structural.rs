@@ -93,6 +93,14 @@ impl StructuralSpec {
         }
     }
 
+    /// The same model without its intervention component.
+    pub fn base(&self) -> StructuralSpec {
+        StructuralSpec {
+            intervention: InterventionSpec::None,
+            ..*self
+        }
+    }
+
     /// State dimension: level + (period−1) seasonal states + λ.
     pub fn state_dim(&self) -> usize {
         1 + if self.seasonal { self.period - 1 } else { 0 }

@@ -6,7 +6,7 @@
 //! This lives in its own integration-test binary (own process) so no other
 //! test's recording can leak into the global recorder.
 
-use mic_statespace::{approx_change_point, exact_change_point, FitOptions};
+use mic_statespace::{search, FitOptions, SearchPlan};
 
 /// 43 months (the paper's horizon) with a clear level shift at month 25
 /// plus a small deterministic wiggle so fits are non-degenerate.
@@ -30,8 +30,8 @@ fn search_counters_match_fits_and_complexity() {
         ..FitOptions::default()
     };
     let ys = series();
-    let exact = exact_change_point(&ys, false, &opts);
-    let approx = approx_change_point(&ys, false, &opts);
+    let exact = search(&ys, false, &opts, &SearchPlan::default());
+    let approx = search(&ys, false, &opts, &SearchPlan::approximate());
     let snap = mic_obs::snapshot();
     mic_obs::disable();
 

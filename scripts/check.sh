@@ -32,6 +32,22 @@ for key in em.iterations em.cost_unit_ns kf.loglik_evals kf.cost_unit_ns \
         || { echo "metrics smoke gate: missing $key in snapshot"; exit 1; }
 done
 
+echo "==> malformed-input gate (typed errors, never a panic)"
+# Ids beyond the declared dims and empty dims must be rejected by the
+# parser: `analyze` exits 1 with `error:` on stderr, never 101 (a panic).
+printf '#mic-claims v1\nstart 2013 3\ndims 2 2\nmonth 0 1\nr 0 0|7:1|0|7\n' \
+    > "$tmp/bad_disease.mic"
+printf '#mic-claims v1\nstart 2013 3\ndims 2 2\nmonth 0 1\nr 0 0|0:1|9|0\n' \
+    > "$tmp/bad_medicine.mic"
+printf '#mic-claims v1\nstart 2013 3\ndims 0 0\nmonth 0 0\n' > "$tmp/bad_dims.mic"
+for bad in bad_disease bad_medicine bad_dims; do
+    status=0
+    cargo run --release -q --bin mictrend -- analyze --data "$tmp/$bad.mic" \
+        > /dev/null 2> "$tmp/$bad.err" || status=$?
+    [[ "$status" -eq 1 ]] && grep -q '^error:' "$tmp/$bad.err" \
+        || { echo "malformed-input gate: $bad.mic exited $status"; cat "$tmp/$bad.err"; exit 1; }
+done
+
 echo "==> allocation-free EM gate (em.resp_buffer_allocs == 0)"
 # The workspace engine must never allocate responsibility buffers inside
 # em_step; any non-zero count means the hot path regressed to per-record

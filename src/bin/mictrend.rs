@@ -20,7 +20,7 @@ use prescription_trends::claims::store::{read_dataset, write_dataset};
 use prescription_trends::claims::{DatasetStats, DiseaseId, MedicineId, Simulator, WorldSpec};
 use prescription_trends::statespace::{FitOptions, SteadyStateOpts};
 use prescription_trends::trend::report::{detected_changes_table, sparkline};
-use prescription_trends::trend::{AnalysisSession, PipelineConfig, TrendPipeline};
+use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect, TrendPipeline};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -470,8 +470,8 @@ fn series(flags: &Flags) -> Result<(), String> {
         seasonal: dataset.horizon() >= 16,
         ..Default::default()
     };
-    let pipeline = TrendPipeline::new(config);
-    let panel = pipeline.reproduce_panel(&dataset);
+    let session = AnalysisSession::from_dataset(&config, &dataset).map_err(|e| e.to_string())?;
+    let panel = session.panel();
     let (key, ys) = match kind {
         "disease" => {
             if id as usize >= dataset.n_diseases {
@@ -501,7 +501,7 @@ fn series(flags: &Flags) -> Result<(), String> {
         );
     }
     if ys.iter().sum::<f64>() >= 10.0 {
-        let report = pipeline.analyze_series(key, &ys);
+        let report = Stage2Detect::from_config(&config).analyze_series(key, &ys);
         println!(
             "change point: {} (AIC gain {:.2}, lambda {:+.3})",
             report.change_point,

@@ -6,7 +6,7 @@ use prescription_trends::claims::{
 };
 use prescription_trends::linkmodel::{EmOptions, MedicationModel, PanelBuilder};
 use prescription_trends::statespace::{
-    exact_change_point, fit_structural, FitOptions, StructuralSpec,
+    fit_structural, search, FitOptions, SearchPlan, StructuralSpec,
 };
 
 fn record(diseases: Vec<(u32, u32)>, meds: Vec<u32>) -> MicRecord {
@@ -128,7 +128,7 @@ fn structural_fit_on_all_zero_series() {
     // Sparse prescription pairs are zero for long stretches; an all-zero
     // window must not produce NaNs or spurious change points.
     let ys = vec![0.0; 43];
-    let search = exact_change_point(
+    let found = search(
         &ys,
         false,
         &FitOptions {
@@ -136,12 +136,13 @@ fn structural_fit_on_all_zero_series() {
             n_starts: 1,
             ..FitOptions::default()
         },
+        &SearchPlan::default(),
     );
-    assert!(search.aic.is_finite());
+    assert!(found.aic.is_finite());
     assert!(
-        search.change_point.month().is_none(),
+        found.change_point.month().is_none(),
         "all-zero series has no change point: {:?}",
-        search.change_point
+        found.change_point
     );
 }
 
@@ -177,7 +178,7 @@ fn change_point_search_on_minimum_length_series() {
     // Shortest series the seasonal-free search accepts: skip 2 + 2 → n ≥ 5
     // plus candidate room.
     let ys = vec![1.0, 2.0, 1.5, 2.5, 1.0, 2.0, 3.0, 2.0];
-    let search = exact_change_point(
+    let found = search(
         &ys,
         false,
         &FitOptions {
@@ -185,6 +186,7 @@ fn change_point_search_on_minimum_length_series() {
             n_starts: 1,
             ..FitOptions::default()
         },
+        &SearchPlan::default(),
     );
-    assert!(search.aic.is_finite());
+    assert!(found.aic.is_finite());
 }
