@@ -616,13 +616,33 @@ impl WorldSpec {
         }
     }
 
+    /// Check the size rule [`WorldSpec::generate`] needs: at least 4
+    /// diseases and 6 medicines, and more than a year of months so the
+    /// seasonal model sees a full cycle.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_diseases < 4 || self.n_medicines < 6 {
+            return Err(format!(
+                "world too small to be interesting: need at least 4 diseases and 6 medicines, got {} and {}",
+                self.n_diseases, self.n_medicines
+            ));
+        }
+        if self.months < 13 {
+            return Err(format!(
+                "need more than a year for seasonality: at least 13 months, got {}",
+                self.months
+            ));
+        }
+        Ok(())
+    }
+
     /// Generate the world.
+    ///
+    /// # Panics
+    /// Panics if the spec fails [`WorldSpec::validate`].
     pub fn generate(&self) -> World {
-        assert!(
-            self.n_diseases >= 4 && self.n_medicines >= 6,
-            "world too small to be interesting"
-        );
-        assert!(self.months >= 13, "need more than a year for seasonality");
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut b = WorldBuilder::new(self.start, self.months);
 
@@ -1198,6 +1218,37 @@ mod tests {
         );
         assert_eq!(weights.len(), 1);
         assert_eq!(weights[0].0, drug);
+    }
+
+    #[test]
+    fn validate_rejects_small_specs() {
+        assert!(WorldSpec::tiny().validate().is_ok());
+        for spec in [
+            WorldSpec {
+                months: 12,
+                ..WorldSpec::tiny()
+            },
+            WorldSpec {
+                n_diseases: 3,
+                ..WorldSpec::tiny()
+            },
+            WorldSpec {
+                n_medicines: 5,
+                ..WorldSpec::tiny()
+            },
+        ] {
+            assert!(spec.validate().is_err(), "{spec:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need more than a year")]
+    fn generate_panics_on_invalid_spec() {
+        WorldSpec {
+            months: 12,
+            ..WorldSpec::tiny()
+        }
+        .generate();
     }
 
     #[test]

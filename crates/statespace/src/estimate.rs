@@ -9,7 +9,9 @@
 //! variances — so adding the intervention costs exactly one penalty unit,
 //! which is what makes the AIC change-point comparison meaningful.
 
-use crate::kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts};
+use crate::kalman::{
+    forecast_moments, kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts,
+};
 use crate::model::Ssm;
 use crate::smoother::smooth;
 use crate::structural::{Components, InterventionSpec, StructuralParams, StructuralSpec};
@@ -111,30 +113,7 @@ impl FittedStructural {
     /// noise. Useful for prediction intervals
     /// (`mean ± z·sqrt(var)`).
     pub fn forecast_with_variance(&self, ys: &[f64], h: usize) -> Vec<(f64, f64)> {
-        let n = ys.len();
-        let ssm = self.ssm(n + h);
-        let f = kalman_filter(&ssm, ys);
-        let mut alpha = f.filtered_means[n - 1].clone();
-        let mut p = f.filtered_covs[n - 1].clone();
-        let tt = ssm.transition.transpose();
-        let mut out = Vec::with_capacity(h);
-        for j in 0..h {
-            alpha = ssm.transition.mul_vec(&alpha);
-            let tp = &ssm.transition * &p;
-            let mut next_p = &tp * &tt;
-            for r in 0..next_p.rows() {
-                for c in 0..next_p.cols() {
-                    next_p[(r, c)] += ssm.state_cov[(r, c)];
-                }
-            }
-            next_p.symmetrize();
-            p = next_p;
-            let z = ssm.loading.at(n + j);
-            let mean: f64 = z.iter().zip(&alpha).map(|(zi, ai)| zi * ai).sum();
-            let var = p.quad_form(z) + ssm.obs_var;
-            out.push((mean, var));
-        }
-        out
+        forecast_moments(&self.ssm(ys.len() + h), ys, h)
     }
 }
 
@@ -203,8 +182,6 @@ pub fn fit_structural_ws(
     warm: Option<&StructuralParams>,
     ws: &mut FilterWorkspace,
 ) -> FittedStructural {
-    let _fit_span = mic_obs::span("kf.fit");
-    mic_obs::counter("kf.fits", 1);
     let n = ys.len();
     assert!(
         n >= skip + extra_skips.len() + 2,
@@ -212,23 +189,49 @@ pub fn fit_structural_ws(
         extra_skips.len(),
         skip + extra_skips.len() + 2
     );
-    let var_y = sample_variance(ys).max(1e-6);
-    let n_var = spec.n_variance_params();
-
-    // Build the model once; each evaluation only rewrites the variances.
-    let mut ssm = spec.build(&params_from_log(&[], var_y), n);
+    let mut ssm = spec.build(&StructuralParams::ZERO, n);
     ssm.n_diffuse = skip;
     ssm.extra_skips = extra_skips.to_vec();
+    let (params, loglik, evals) = maximize_loglik(ys, &mut ssm, spec.seasonal, opts, warm, ws);
+    let k = spec.state_dim() + spec.n_variance_params();
+    let n_scored = (n - skip - extra_skips.len()) as f64;
+    FittedStructural {
+        spec,
+        params,
+        loglik,
+        aic: -2.0 * loglik + 2.0 * k as f64,
+        bic: -2.0 * loglik + k as f64 * n_scored.max(1.0).ln(),
+        n,
+        skip,
+        evals,
+    }
+}
 
-    // Objective over log-variances [ln σ²_ε, ln σ²_ξ, (ln σ²_ω)].
+/// The one maximum-likelihood loop: Nelder–Mead over the log-variances
+/// `[ln σ²_ε, ln σ²_ξ, (ln σ²_ω)]` of a built structural `ssm`, each
+/// evaluation rewriting only the variances (see [`fit_structural_ws`] for
+/// the starts). Returns the optimum's parameters, log-likelihood and the
+/// evaluations spent, and leaves the optimum's variances in `ssm`.
+pub(crate) fn maximize_loglik(
+    ys: &[f64],
+    ssm: &mut Ssm,
+    seasonal: bool,
+    opts: &FitOptions,
+    warm: Option<&StructuralParams>,
+    ws: &mut FilterWorkspace,
+) -> (StructuralParams, f64, usize) {
+    let _fit_span = mic_obs::span("kf.fit");
+    mic_obs::counter("kf.fits", 1);
+    let var_y = sample_variance(ys).max(1e-6);
+    let n_var = 2 + usize::from(seasonal);
+
     let steady = opts.steady;
     let mut objective = |x: &[f64]| -> f64 {
-        let params = params_from_log(x, var_y);
-        spec.apply_params(&params, &mut ssm);
+        params_from_log(x, var_y).write_into(seasonal, ssm);
         // The mean of the `kf.loglik` timer is the measured C_KF (Table V).
         mic_obs::counter("kf.loglik_evals", 1);
         let eval_span = mic_obs::span("kf.loglik");
-        let loglik = kalman_loglik(&ssm, ys, ws, &steady);
+        let loglik = kalman_loglik(ssm, ys, ws, &steady);
         eval_span.end();
         if loglik.is_finite() {
             -loglik
@@ -300,19 +303,8 @@ pub fn fit_structural_ws(
     }
     let (x, neg_ll) = best.expect("at least one start");
     let params = params_from_log(&x, var_y);
-    let loglik = -neg_ll;
-    let k = spec.state_dim() + n_var;
-    let n_scored = (n - skip - extra_skips.len()) as f64;
-    FittedStructural {
-        spec,
-        params,
-        loglik,
-        aic: -2.0 * loglik + 2.0 * k as f64,
-        bic: -2.0 * loglik + k as f64 * n_scored.max(1.0).ln(),
-        n,
-        skip,
-        evals: total_evals,
-    }
+    params.write_into(seasonal, ssm);
+    (params, -neg_ll, total_evals)
 }
 
 /// Map unconstrained log-variances to positive variances, clamped to keep
@@ -568,6 +560,40 @@ mod tests {
         for (a, (b, _)) in plain.iter().zip(&with_var) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn seasonal_forecast_is_pinned_bit_for_bit() {
+        // Means and variances are pinned to the bit: the sparse predict
+        // step must match the dense `T P Tᵀ` products exactly.
+        let mut rng = SmallRng::seed_from_u64(9);
+        let ys: Vec<f64> = (0..36)
+            .map(|t| {
+                60.0 + 15.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin()
+                    + mic_stats::dist::sample_normal(&mut rng, 0.0, 2.0)
+            })
+            .collect();
+        let fit = fit_structural(&ys, StructuralSpec::with_seasonal(), &FitOptions::default());
+        let got: Vec<(u64, u64)> = fit
+            .forecast_with_variance(&ys, 12)
+            .iter()
+            .map(|&(m, v)| (m.to_bits(), v.to_bits()))
+            .collect();
+        let expected: [(u64, u64); 12] = [
+            (4633860934408765000, 4618039072831443195),
+            (4634499737250063096, 4618059770678817134),
+            (4634871466544664273, 4618059746859537108),
+            (4634831771469576099, 4618059746733379992),
+            (4634827428022517364, 4618059746732637336),
+            (4634360879833946946, 4618059746732808866),
+            (4633693156888020354, 4618059746732689370),
+            (4632416838895264137, 4618059746732708621),
+            (4631934779884983345, 4618059746733297550),
+            (4631603037603009376, 4618059746874297858),
+            (4631405425162552835, 4618059778236479658),
+            (4632759032000710540, 4618067596646468336),
+        ];
+        assert_eq!(got, expected);
     }
 
     #[test]

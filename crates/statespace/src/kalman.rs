@@ -40,7 +40,7 @@ const LN_2PI: f64 = 1.837_877_066_409_345_5;
 ///
 /// `rel_tol = 0` (or `hold = 0`) disables detection: `kalman_loglik` then
 /// runs the exact recursion at every step, bit-identical to
-/// [`kalman_loglik_reference`].
+/// `kalman_filter(..).loglik`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SteadyStateOpts {
     /// Per-element relative tolerance on `|ΔP|`; `0` disables the fast path.
@@ -150,12 +150,6 @@ impl SparseTransition {
         }
     }
 
-    fn from_mat(t: &Mat) -> SparseTransition {
-        let mut s = SparseTransition::default();
-        s.load(t);
-        s
-    }
-
     #[inline]
     fn row(&self, r: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
@@ -219,22 +213,21 @@ impl SparseTransition {
     }
 }
 
+/// Log-likelihood contribution `ln N(v; 0, F)` of one scored innovation.
+#[inline]
+fn loglik_term(v: f64, f: f64) -> f64 {
+    -0.5 * (LN_2PI + f.ln() + v * v / f)
+}
+
 /// Run the Kalman filter on `ys`.
 ///
 /// # Panics
-/// Panics if the model fails validation or `ys` is empty.
+/// Panics if `ys` is empty, and in debug builds if the model fails
+/// validation.
 pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
-    debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
-    assert!(
-        !ys.is_empty(),
-        "kalman_filter requires at least one observation"
-    );
-    let m = ssm.state_dim();
     let n = ys.len();
-
-    let mut a_pred = ssm.a0.clone();
-    let mut p_pred = ssm.p0.clone();
-
+    let mut ws = FilterWorkspace::default();
+    ws.start(ssm, ys);
     let mut out = FilterResult {
         loglik: 0.0,
         innovations: Vec::with_capacity(n),
@@ -244,87 +237,61 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
         filtered_means: Vec::with_capacity(n),
         filtered_covs: Vec::with_capacity(n),
     };
-
-    let mut tp = Mat::zeros(m, m); // T * P_filt scratch
-    let st = SparseTransition::from_mat(&ssm.transition); // loop-invariant
     for (t, &y) in ys.iter().enumerate() {
-        let z = ssm.loading.at(t);
-
-        // Innovation.
-        let mut zy = 0.0;
-        for i in 0..m {
-            zy += z[i] * a_pred[i];
+        out.predicted_means.push(ws.a_pred.clone());
+        out.predicted_covs.push(ws.p_pred.clone());
+        let (v, f) = ws.update(ssm.loading.at(t), ssm.obs_var, y);
+        if ssm.scores(t) {
+            out.loglik += loglik_term(v, f);
         }
-        let v = y - zy;
-        // F = Z P Z' + H.
-        let pz: Vec<f64> = (0..m)
-            .map(|i| (0..m).map(|j| p_pred[(i, j)] * z[j]).sum::<f64>())
-            .collect();
-        let mut f = ssm.obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
-        }
-        // Guard: F = Z P Z' + H is bounded below by the observation
-        // variance H for any PSD P, but degenerate parameter vectors can
-        // drive the subtract-and-symmetrize recursion indefinite and push
-        // Z P Z' below −H. Clamp to the documented floor (H, or 1e-12 for
-        // all-zero-variance models) so the likelihood stays finite and an
-        // optimiser sees an ordinary bad objective value instead of
-        // NaN/−inf.
-        let f = f.max(ssm.obs_var.max(1e-12));
-
-        if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
-            out.loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
-        }
-
-        // Update: K = P Z' / F.
-        let k: Vec<f64> = pz.iter().map(|&p| p / f).collect();
-        let mut a_filt = a_pred.clone();
-        for i in 0..m {
-            a_filt[i] += k[i] * v;
-        }
-        // P_filt = P − K (P Z')'.
-        let mut p_filt = p_pred.clone();
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
-            }
-        }
-        p_filt.symmetrize();
-
         out.innovations.push(v);
         out.innovation_vars.push(f);
-        out.predicted_means.push(a_pred.clone());
-        out.predicted_covs.push(p_pred.clone());
-        out.filtered_means.push(a_filt.clone());
-        out.filtered_covs.push(p_filt.clone());
-
-        // Predict next: a = T a_filt; P = T P_filt T' + Q.
-        let mut next_a = vec![0.0; m];
-        st.mul_vec_into(&a_filt, &mut next_a);
-        a_pred = next_a;
-        st.mul_into(&p_filt, &mut tp);
-        let mut next_p = Mat::zeros(m, m);
-        st.mul_transpose_into(&tp, &mut next_p);
-        for i in 0..m {
-            for j in 0..m {
-                next_p[(i, j)] += ssm.state_cov[(i, j)];
-            }
-        }
-        next_p.symmetrize();
-        p_pred = next_p;
+        out.filtered_means.push(ws.a_filt.clone());
+        out.filtered_covs.push(ws.p_filt.clone());
+        ws.predict(&ssm.state_cov);
     }
     out
 }
 
-/// Pre-allocated buffers for [`kalman_loglik`], reusable across filter runs.
+/// Mean and variance forecasts of `y_{n+1}, …, y_{n+h}` past the end of
+/// `ys` (`n = ys.len()`): the filter runs over `ys`, then the predict step
+/// alone carries the state `h − 1` steps further. `ssm` must span at least
+/// `n + h` steps.
+///
+/// # Panics
+/// Panics if `ys` is empty, and in debug builds if the model fails
+/// validation.
+pub(crate) fn forecast_moments(ssm: &Ssm, ys: &[f64], h: usize) -> Vec<(f64, f64)> {
+    let mut ws = FilterWorkspace::default();
+    ws.start(ssm, ys);
+    for (t, &y) in ys.iter().enumerate() {
+        ws.update(ssm.loading.at(t), ssm.obs_var, y);
+        ws.predict(&ssm.state_cov);
+    }
+    let n = ys.len();
+    (0..h)
+        .map(|j| {
+            if j > 0 {
+                std::mem::swap(&mut ws.a_pred, &mut ws.a_filt);
+                std::mem::swap(&mut ws.p_pred, &mut ws.p_filt);
+                ws.predict(&ssm.state_cov);
+            }
+            let z = ssm.loading.at(n + j);
+            let mean: f64 = z.iter().zip(&ws.a_pred).map(|(zi, ai)| zi * ai).sum();
+            (mean, ws.p_pred.quad_form(z) + ssm.obs_var)
+        })
+        .collect()
+}
+
+/// Pre-allocated buffers for the Kalman recursion, reusable across filter
+/// runs.
 ///
 /// Maximum-likelihood fitting evaluates the likelihood hundreds of times per
 /// series (Nelder–Mead restarts × evaluations), and a change-point search
 /// performs dozens of such fits — every evaluation needing only the scalar
 /// log-likelihood, not the full [`FilterResult`]. One workspace, created
-/// once per search and threaded through every evaluation, removes all per-run
-/// and per-timestep heap allocation from that path.
+/// once per search and threaded through every [`kalman_loglik`] call,
+/// removes all per-run and per-timestep heap allocation from that path.
 ///
 /// Buffers are sized lazily for whatever state dimension the next run needs,
 /// so one workspace can serve models of different dimensions. Resizing
@@ -379,39 +346,54 @@ impl FilterWorkspace {
         self.p_prev.resize(m, m);
         self.tp.resize(m, m);
     }
-}
 
-/// Polish a near-converged predicted covariance to the Riccati fixed point
-/// by iterating the data-free covariance recursion
-/// `P ← T (P − P z z' P / F) T' + Q`. On success, returns the fixed-point
-/// innovation variance `F_∞` with the matching gain `K_∞` left in `k` and
-/// the fixed-point covariance left in `p`; returns `None` (caller stays on
-/// the exact path) if `K`/`F` fail to become stationary within the
-/// iteration cap — the signature of algebraic, rather than geometric,
-/// covariance decay.
-#[allow(clippy::too_many_arguments)]
-fn refine_fixed_point(
-    z: &[f64],
-    obs_var: f64,
-    state_cov: &Mat,
-    st: &SparseTransition,
-    p: &mut Mat,
-    p_filt: &mut Mat,
-    tp: &mut Mat,
-    pz: &mut [f64],
-    k: &mut [f64],
-    k_prev: &mut [f64],
-) -> Option<f64> {
-    const REFINE_TOL: f64 = 1e-13;
-    const MAX_ITERS: usize = 64;
-    let m = z.len();
-    let mut f_prev = f64::NAN;
-    k_prev.fill(f64::NAN);
-    for _ in 0..MAX_ITERS {
+    /// Start a run of `ssm` over `ys` from the prior `(a0, P0)`.
+    fn start(&mut self, ssm: &Ssm, ys: &[f64]) {
+        debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
+        assert!(
+            !ys.is_empty(),
+            "the Kalman filter requires at least one observation"
+        );
+        self.ensure_dim(ssm.state_dim());
+        self.a_pred.copy_from_slice(&ssm.a0);
+        self.p_pred.copy_from(&ssm.p0);
+        // O(m²) scan reusing the workspace's capacity — no allocation once the
+        // workspace has seen a transition of this density.
+        self.st.load(&ssm.transition);
+    }
+
+    /// Measurement update of `(a_pred, p_pred)` by observation `y` under
+    /// loading `z` into `(a_filt, p_filt)`. Returns the innovation
+    /// `v = y − z·a_pred` and its variance `F`.
+    fn update(&mut self, z: &[f64], obs_var: f64, y: f64) -> (f64, f64) {
+        let mut zy = 0.0;
+        for (zi, ai) in z.iter().zip(&self.a_pred) {
+            zy += zi * ai;
+        }
+        let v = y - zy;
+        let f = self.update_cov(z, obs_var);
+        for ((af, ap), ki) in self.a_filt.iter_mut().zip(&self.a_pred).zip(&self.k) {
+            *af = ap + ki * v;
+        }
+        (v, f)
+    }
+
+    /// The covariance half of [`FilterWorkspace::update`], which needs no
+    /// data: `pz = P zᵀ`, `F = z P zᵀ + H`, the gain `k = pz / F` and
+    /// `p_filt = P − k pzᵀ` (symmetrized), all from `p_pred`. Returns `F`.
+    fn update_cov(&mut self, z: &[f64], obs_var: f64) -> f64 {
+        let FilterWorkspace {
+            pz,
+            k,
+            p_pred,
+            p_filt,
+            ..
+        } = self;
+        let m = z.len();
         for i in 0..m {
             let mut acc = 0.0;
             for j in 0..m {
-                acc += p[(i, j)] * z[j];
+                acc += p_pred[(i, j)] * z[j];
             }
             pz[i] = acc;
         }
@@ -419,36 +401,80 @@ fn refine_fixed_point(
         for i in 0..m {
             f += z[i] * pz[i];
         }
+        // Guard: F = Z P Z' + H is bounded below by the observation
+        // variance H for any PSD P, but degenerate parameter vectors can
+        // drive the subtract-and-symmetrize recursion indefinite and push
+        // Z P Z' below −H. Clamp to the documented floor (H, or 1e-12 for
+        // all-zero-variance models) so the likelihood stays finite and an
+        // optimiser sees an ordinary bad objective value instead of
+        // NaN/−inf.
         let f = f.max(obs_var.max(1e-12));
         for i in 0..m {
             k[i] = pz[i] / f;
         }
-        let settled = (f - f_prev).abs() <= REFINE_TOL * f
-            && k.iter()
-                .zip(k_prev.iter())
-                .all(|(&a, &b)| (a - b).abs() <= REFINE_TOL * (1.0 + a.abs()));
-        if settled {
-            return Some(f);
-        }
-        f_prev = f;
-        k_prev.copy_from_slice(k);
-        p_filt.copy_from(p);
+        p_filt.copy_from(p_pred);
         for i in 0..m {
             for j in 0..m {
                 p_filt[(i, j)] -= k[i] * pz[j];
             }
         }
         p_filt.symmetrize();
-        st.mul_into(p_filt, tp);
-        st.mul_transpose_into(tp, p);
+        f
+    }
+
+    /// Predict step: `a_pred = T a_filt`, then
+    /// [`FilterWorkspace::predict_cov`].
+    fn predict(&mut self, state_cov: &Mat) {
+        self.st.mul_vec_into(&self.a_filt, &mut self.a_pred);
+        self.predict_cov(state_cov);
+    }
+
+    /// The covariance half of [`FilterWorkspace::predict`]:
+    /// `p_pred = T p_filt Tᵀ + Q`, symmetrized.
+    fn predict_cov(&mut self, state_cov: &Mat) {
+        self.st.mul_into(&self.p_filt, &mut self.tp);
+        self.st.mul_transpose_into(&self.tp, &mut self.p_pred);
+        let m = state_cov.rows();
         for i in 0..m {
             for j in 0..m {
-                p[(i, j)] += state_cov[(i, j)];
+                self.p_pred[(i, j)] += state_cov[(i, j)];
             }
         }
-        p.symmetrize();
+        self.p_pred.symmetrize();
     }
-    None
+
+    /// Polish a near-converged `p_pred` to the Riccati fixed point by
+    /// iterating the data-free covariance recursion
+    /// `P ← T (P − P z z' P / F) T' + Q`. On success, returns the
+    /// fixed-point innovation variance `F_∞` with the matching gain `K_∞`
+    /// left in `k` and the fixed-point covariance in `p_pred`; returns
+    /// `None` with `p_pred` unchanged (caller stays on the exact path) if
+    /// `K`/`F` fail to become stationary within the iteration cap — the
+    /// signature of algebraic, rather than geometric, covariance decay.
+    fn refine_fixed_point(&mut self, z: &[f64], obs_var: f64, state_cov: &Mat) -> Option<f64> {
+        const REFINE_TOL: f64 = 1e-13;
+        const MAX_ITERS: usize = 64;
+        self.p_prev.copy_from(&self.p_pred);
+        let mut f_prev = f64::NAN;
+        self.k_prev.fill(f64::NAN);
+        for _ in 0..MAX_ITERS {
+            let f = self.update_cov(z, obs_var);
+            let settled = (f - f_prev).abs() <= REFINE_TOL * f
+                && self
+                    .k
+                    .iter()
+                    .zip(&self.k_prev)
+                    .all(|(&a, &b)| (a - b).abs() <= REFINE_TOL * (1.0 + a.abs()));
+            if settled {
+                return Some(f);
+            }
+            f_prev = f;
+            self.k_prev.copy_from_slice(&self.k);
+            self.predict_cov(state_cov);
+        }
+        std::mem::swap(&mut self.p_pred, &mut self.p_prev);
+        None
+    }
 }
 
 /// Log-likelihood of `ys` under `ssm` — the same recursion and arithmetic
@@ -463,7 +489,7 @@ fn refine_fixed_point(
 /// accumulated in the same order). With detection enabled, the prefix up to
 /// the entry step is still bit-identical and the tail drifts by at most the
 /// tolerance-tier difference between `F_t` and the frozen `F_∞`
-/// (`kalman_loglik_reference` is the oracle; the parity suite bounds the
+/// (`kalman_filter(..).loglik` is the oracle; the parity suite bounds the
 /// drift at 1e-9 relative). Use this in optimisation loops; use
 /// [`kalman_filter`] when the smoother or forecaster needs the full state
 /// trajectory.
@@ -472,39 +498,16 @@ fn refine_fixed_point(
 /// through `mic-obs` whenever the steady phase is entered.
 ///
 /// # Panics
-/// Panics if the model fails validation or `ys` is empty.
+/// Panics if `ys` is empty, and in debug builds if the model fails
+/// validation.
 pub fn kalman_loglik(
     ssm: &Ssm,
     ys: &[f64],
     ws: &mut FilterWorkspace,
     steady: &SteadyStateOpts,
 ) -> f64 {
-    debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
-    assert!(
-        !ys.is_empty(),
-        "kalman_loglik requires at least one observation"
-    );
+    ws.start(ssm, ys);
     let m = ssm.state_dim();
-    ws.ensure_dim(m);
-    let FilterWorkspace {
-        a_pred,
-        a_filt,
-        pz,
-        k,
-        k_prev,
-        p_pred,
-        p_filt,
-        p_prev,
-        tp,
-        st,
-        ..
-    } = ws;
-
-    a_pred.copy_from_slice(&ssm.a0);
-    p_pred.copy_from(&ssm.p0);
-    // O(m²) scan reusing the workspace's capacity — no allocation once the
-    // workspace has seen a transition of this density.
-    st.load(&ssm.transition);
 
     let mut detect = steady.enabled();
     let mut consec = 0usize; // consecutive sub-tolerance steps
@@ -537,6 +540,13 @@ pub fn kalman_loglik(
             if stop > t {
                 // Steady phase: mean recursion only, constant ln F hoisted,
                 // loading and skip checks lifted out of the loop.
+                let FilterWorkspace {
+                    a_pred,
+                    a_filt,
+                    k,
+                    st,
+                    ..
+                } = &mut *ws;
                 let z = ssm.loading.at(frozen_t);
                 steady_steps += (stop - t) as u64;
                 if t >= ssm.n_diffuse && ssm.extra_skips.is_empty() {
@@ -559,7 +569,7 @@ pub fn kalman_loglik(
                             zy += z[i] * a_pred[i];
                         }
                         let v = y - zy;
-                        if tt >= ssm.n_diffuse && !ssm.extra_skips.contains(&tt) {
+                        if ssm.scores(tt) {
                             loglik += c_star - 0.5 * v * v / f_star;
                         }
                         for i in 0..m {
@@ -578,124 +588,56 @@ pub fn kalman_loglik(
             consec = 0;
         }
 
-        let y = ys[t];
         let z = ssm.loading.at(t);
-
-        // Innovation.
-        let mut zy = 0.0;
-        for i in 0..m {
-            zy += z[i] * a_pred[i];
+        let (v, f) = ws.update(z, ssm.obs_var, ys[t]);
+        if ssm.scores(t) {
+            loglik += loglik_term(v, f);
         }
-        let v = y - zy;
-        // F = Z P Z' + H.
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..m {
-                acc += p_pred[(i, j)] * z[j];
-            }
-            pz[i] = acc;
+        if !detect {
+            ws.predict(&ssm.state_cov);
+            t += 1;
+            continue;
         }
-        let mut f = ssm.obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
-        }
-        // Guard: F ≥ H for any PSD P; clamp indefinite blips to the
-        // observation-variance floor (see `kalman_filter`).
-        let f = f.max(ssm.obs_var.max(1e-12));
-
-        if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
-            loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
-        }
-
-        // Update: K = P Z' / F.
-        for i in 0..m {
-            k[i] = pz[i] / f;
-        }
-        for i in 0..m {
-            a_filt[i] = a_pred[i] + k[i] * v;
-        }
-        // P_filt = P − K (P Z')'.
-        p_filt.copy_from(p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
-            }
-        }
-        p_filt.symmetrize();
-
-        // Predict next: a = T a_filt; P = T P_filt T' + Q.
-        st.mul_vec_into(a_filt, a_pred);
-        st.mul_into(p_filt, tp);
-        if detect {
-            // Materialise the next predicted covariance beside the current
-            // one (same arithmetic, different buffer), compare, then swap.
-            st.mul_transpose_into(tp, p_prev);
-            for i in 0..m {
-                for j in 0..m {
-                    p_prev[(i, j)] += ssm.state_cov[(i, j)];
-                }
-            }
-            p_prev.symmetrize();
-            let settled = p_prev
-                .as_slice()
-                .iter()
-                .zip(p_pred.as_slice())
-                .all(|(&next, &cur)| (next - cur).abs() <= steady.rel_tol * (1.0 + next.abs()));
-            std::mem::swap(p_pred, p_prev);
-            consec = if settled { consec + 1 } else { 0 };
-            if consec >= steady.hold {
-                // A frozen gain is only usable while the loading stays put,
-                // so never freeze right at a loading transition (post-break
-                // intervention weights move every step and simply keep the
-                // exact path).
-                let z_stable = match &ssm.loading {
-                    ObsLoading::Constant(_) => true,
-                    ObsLoading::TimeVarying(zs) => t + 1 < zs.len() && zs[t + 1] == zs[t],
-                };
-                if z_stable {
-                    mic_obs::counter("kf.steady_trigger", 1);
-                    p_prev.copy_from(p_pred);
-                    match refine_fixed_point(
-                        z,
-                        ssm.obs_var,
-                        &ssm.state_cov,
-                        st,
-                        p_prev,
-                        p_filt,
-                        tp,
-                        pz,
-                        k,
-                        k_prev,
-                    ) {
-                        Some(f_inf) => {
-                            frozen = true;
-                            frozen_t = t;
-                            f_star = f_inf;
-                            c_star = -0.5 * (LN_2PI + f_star.ln());
-                            // Resume-from point for a later loading change:
-                            // the polished fixed point, not the snapshot.
-                            std::mem::swap(p_pred, p_prev);
-                            if entry_step == 0 {
-                                entry_step = t + 1;
-                            }
-                        }
-                        // No geometric fixed point in reach — stop paying
-                        // the detection overhead for this call.
-                        None => {
-                            mic_obs::counter("kf.steady_polish_fail", 1);
-                            detect = false;
-                        }
+        // Keep the current predicted covariance in `p_prev`, predict the
+        // next one into `p_pred`, and compare.
+        std::mem::swap(&mut ws.p_pred, &mut ws.p_prev);
+        ws.predict(&ssm.state_cov);
+        let settled = ws
+            .p_pred
+            .as_slice()
+            .iter()
+            .zip(ws.p_prev.as_slice())
+            .all(|(&next, &cur)| (next - cur).abs() <= steady.rel_tol * (1.0 + next.abs()));
+        consec = if settled { consec + 1 } else { 0 };
+        // A frozen gain is only usable while the loading stays put, so
+        // never freeze right at a loading transition (post-break
+        // intervention weights move every step and simply keep the exact
+        // path).
+        let z_stable = || match &ssm.loading {
+            ObsLoading::Constant(_) => true,
+            ObsLoading::TimeVarying(zs) => t + 1 < zs.len() && zs[t + 1] == zs[t],
+        };
+        if consec >= steady.hold && z_stable() {
+            mic_obs::counter("kf.steady_trigger", 1);
+            match ws.refine_fixed_point(z, ssm.obs_var, &ssm.state_cov) {
+                // The polished fixed point, not the snapshot, is also the
+                // resume-from point for a later loading change.
+                Some(f_inf) => {
+                    frozen = true;
+                    frozen_t = t;
+                    f_star = f_inf;
+                    c_star = -0.5 * (LN_2PI + f_star.ln());
+                    if entry_step == 0 {
+                        entry_step = t + 1;
                     }
                 }
-            }
-        } else {
-            st.mul_transpose_into(tp, p_pred);
-            for i in 0..m {
-                for j in 0..m {
-                    p_pred[(i, j)] += ssm.state_cov[(i, j)];
+                // No geometric fixed point in reach — stop paying the
+                // detection overhead for this call.
+                None => {
+                    mic_obs::counter("kf.steady_polish_fail", 1);
+                    detect = false;
                 }
             }
-            p_pred.symmetrize();
         }
         t += 1;
     }
@@ -703,96 +645,6 @@ pub fn kalman_loglik(
         mic_obs::counter("kf.steady_entered", 1);
         mic_obs::counter("kf.steady_steps", steady_steps);
         mic_obs::value("kf.steady_entry_step", entry_step as f64);
-    }
-    loglik
-}
-
-/// Reference likelihood: the exact recursion at every step, kept verbatim
-/// as the oracle for the steady-state fast path. Identical to
-/// `kalman_loglik(…, &SteadyStateOpts::DISABLED)` and to
-/// `kalman_filter(ssm, ys).loglik`, bit for bit; the parity suite and the
-/// steady-state proptests compare against this function.
-///
-/// # Panics
-/// Panics if the model fails validation or `ys` is empty.
-pub fn kalman_loglik_reference(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
-    debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
-    assert!(
-        !ys.is_empty(),
-        "kalman_loglik_reference requires at least one observation"
-    );
-    let m = ssm.state_dim();
-    ws.ensure_dim(m);
-    let FilterWorkspace {
-        a_pred,
-        a_filt,
-        pz,
-        k,
-        p_pred,
-        p_filt,
-        tp,
-        st,
-        ..
-    } = ws;
-
-    a_pred.copy_from_slice(&ssm.a0);
-    p_pred.copy_from(&ssm.p0);
-    st.load(&ssm.transition);
-
-    let mut loglik = 0.0;
-    for (t, &y) in ys.iter().enumerate() {
-        let z = ssm.loading.at(t);
-
-        // Innovation.
-        let mut zy = 0.0;
-        for i in 0..m {
-            zy += z[i] * a_pred[i];
-        }
-        let v = y - zy;
-        // F = Z P Z' + H.
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..m {
-                acc += p_pred[(i, j)] * z[j];
-            }
-            pz[i] = acc;
-        }
-        let mut f = ssm.obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
-        }
-        let f = f.max(ssm.obs_var.max(1e-12));
-
-        if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
-            loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
-        }
-
-        // Update: K = P Z' / F.
-        for i in 0..m {
-            k[i] = pz[i] / f;
-        }
-        for i in 0..m {
-            a_filt[i] = a_pred[i] + k[i] * v;
-        }
-        // P_filt = P − K (P Z')'.
-        p_filt.copy_from(p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
-            }
-        }
-        p_filt.symmetrize();
-
-        // Predict next: a = T a_filt; P = T P_filt T' + Q.
-        st.mul_vec_into(a_filt, a_pred);
-        st.mul_into(p_filt, tp);
-        st.mul_transpose_into(tp, p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_pred[(i, j)] += ssm.state_cov[(i, j)];
-            }
-        }
-        p_pred.symmetrize();
     }
     loglik
 }
@@ -926,8 +778,6 @@ mod tests {
             let full = kalman_filter(&ssm, &ys).loglik;
             let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
             assert_eq!(full.to_bits(), fast.to_bits(), "{full} vs {fast}");
-            let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
-            assert_eq!(full.to_bits(), reference.to_bits());
         }
     }
 
@@ -1003,8 +853,6 @@ mod tests {
             let ll = kalman_loglik(&ssm, &ys, &mut ws, &steady);
             assert!(ll.is_finite(), "loglik must stay finite, got {ll}");
         }
-        let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
-        assert!(reference.is_finite());
         let full = kalman_filter(&ssm, &ys);
         assert!(full.loglik.is_finite());
         // The clamp floors F at H = 1.0.
@@ -1028,7 +876,7 @@ mod tests {
             StructuralSpec::with_seasonal(),
         ] {
             let ssm = spec.build(&params, ys.len());
-            let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
+            let reference = kalman_filter(&ssm, &ys).loglik;
             let steady = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
             let rel = ((steady - reference) / reference).abs();
             assert!(
@@ -1066,7 +914,7 @@ mod tests {
         let ssm = StructuralSpec::full(cp).build(&params, t);
         assert!(matches!(ssm.loading, ObsLoading::TimeVarying(_)));
         let mut ws = FilterWorkspace::new(ssm.state_dim());
-        let reference = kalman_loglik_reference(&ssm, &ys, &mut ws);
+        let reference = kalman_filter(&ssm, &ys).loglik;
         let steady = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
         let rel = ((steady - reference) / reference).abs();
         assert!(
@@ -1086,7 +934,7 @@ mod tests {
         let ssm = local_level(1.0, 0.1);
         let mut ws = FilterWorkspace::new(1);
         let a = kalman_loglik(&ssm, &ys, &mut ws, &opts);
-        let b = kalman_loglik_reference(&ssm, &ys, &mut ws);
+        let b = kalman_filter(&ssm, &ys).loglik;
         assert_eq!(a.to_bits(), b.to_bits());
     }
 

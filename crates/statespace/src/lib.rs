@@ -73,10 +73,7 @@ pub use diagnostics::{diagnose_residuals, ResidualDiagnostics};
 pub use estimate::{
     comparable_skip, fit_structural, fit_structural_ws, FitOptions, FittedStructural,
 };
-pub use kalman::{
-    kalman_filter, kalman_loglik, kalman_loglik_reference, FilterResult, FilterWorkspace,
-    SteadyStateOpts,
-};
+pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts};
 pub use model::Ssm;
 pub use multi::{detect_multiple, MultiChangePoints, MultiStructuralSpec};
 pub use smoother::{smooth, SmoothResult};

@@ -82,6 +82,12 @@ impl Ssm {
         self.transition.rows()
     }
 
+    /// Whether innovation `t` enters the log-likelihood: it is past the
+    /// first `n_diffuse` and not one of the `extra_skips`.
+    pub(crate) fn scores(&self, t: usize) -> bool {
+        t >= self.n_diffuse && !self.extra_skips.contains(&t)
+    }
+
     /// Structural sanity checks; call from tests and builders.
     pub fn validate(&self) -> Result<(), String> {
         let m = self.state_dim();

@@ -10,12 +10,11 @@
 //! convention as the single-point search, extended to one skipped
 //! identifying innovation per intervention).
 
-use crate::estimate::FitOptions;
-use crate::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
+use crate::estimate::{maximize_loglik, FitOptions};
+use crate::kalman::{kalman_filter, FilterWorkspace};
 use crate::model::{ObsLoading, Ssm, DIFFUSE_KAPPA};
 use crate::structural::{InterventionSpec, StructuralParams};
-use mic_stats::optimize::{nelder_mead, NelderMeadOptions};
-use mic_stats::{sample_variance, Mat};
+use mic_stats::Mat;
 
 /// A structural model with level, optional seasonal, and `K ≥ 0` slope-shift
 /// interventions.
@@ -95,19 +94,6 @@ impl MultiStructuralSpec {
             extra_skips: Vec::new(),
         }
     }
-
-    /// Overwrite the disturbance variances of an SSM built by
-    /// [`MultiStructuralSpec::build`] for this spec (the λ states are
-    /// noise-free, so only the level/seasonal/observation variances depend
-    /// on the parameters). Lets the MLE loop reuse one built model.
-    pub fn apply_params(&self, params: &StructuralParams, ssm: &mut Ssm) {
-        debug_assert_eq!(ssm.state_dim(), self.state_dim());
-        ssm.obs_var = params.var_eps;
-        ssm.state_cov[(0, 0)] = params.var_level;
-        if self.seasonal {
-            ssm.state_cov[(1, 1)] = params.var_seasonal;
-        }
-    }
 }
 
 /// A fitted multi-intervention model.
@@ -135,8 +121,7 @@ fn fit_multi(
     ws: &mut FilterWorkspace,
 ) -> FittedMulti {
     let n = ys.len();
-    let base_dim = spec.lambda_base();
-    let lead = base_dim;
+    let lead = spec.lambda_base();
     // Identifying innovations: each change point past `lead` skips itself;
     // the rest (and padding up to budget_k) skip neutral leading slots.
     let mut extra: Vec<usize> = Vec::new();
@@ -165,44 +150,22 @@ fn fit_multi(
         budget_k
     );
 
-    let var_y = sample_variance(ys).max(1e-6);
-    let n_var = spec.n_variance_params();
-    // One model built per fit; evaluations rewrite only the variances and
-    // run the allocation-free likelihood path.
-    let mut ssm = spec.build(&log_params(&[], var_y), n);
+    let mut ssm = spec.build(&StructuralParams::ZERO, n);
     ssm.n_diffuse = lead;
-    ssm.extra_skips = extra.clone();
-    let steady = opts.steady;
-    let mut objective = |x: &[f64]| -> f64 {
-        let params = log_params(x, var_y);
-        spec.apply_params(&params, &mut ssm);
-        let loglik = kalman_loglik(&ssm, ys, ws, &steady);
-        if loglik.is_finite() {
-            -loglik
-        } else {
-            f64::INFINITY
-        }
+    ssm.extra_skips = extra;
+    let single_start = FitOptions {
+        n_starts: 1,
+        ..*opts
     };
-    let base = var_y.ln();
-    let x0: Vec<f64> = [base - 0.5, base - 2.0, base - 4.0][..n_var].to_vec();
-    let nm = NelderMeadOptions {
-        max_evals: opts.max_evals,
-        f_tol: 1e-8,
-        x_tol: 1e-6,
-        initial_step: 1.0,
-    };
-    let r = nelder_mead(&mut objective, &x0, &nm);
-    let params = log_params(&r.x, var_y);
-    let loglik = -r.fx;
+    let (params, loglik, _) = maximize_loglik(ys, &mut ssm, spec.seasonal, &single_start, None, ws);
     // AIC: q = state_dim (every state diffuse), w = variances.
-    let k = spec.state_dim() + n_var;
-    // Smoothed λs (full filter pass — only for the winning parameters).
-    spec.apply_params(&params, &mut ssm);
+    let k = spec.state_dim() + spec.n_variance_params();
+    // Smoothed λs (full filter pass — only for the winning parameters,
+    // which the MLE left in `ssm`).
     let f = kalman_filter(&ssm, ys);
     let smoothed = crate::smoother::smooth(&ssm, &f);
-    let lb = spec.lambda_base();
     let lambdas: Vec<f64> = (0..spec.change_points.len())
-        .map(|j| smoothed.means[n - 1][lb + j])
+        .map(|j| smoothed.means[n - 1][lead + j])
         .collect();
     FittedMulti {
         spec: spec.clone(),
@@ -210,23 +173,6 @@ fn fit_multi(
         loglik,
         aic: -2.0 * loglik + 2.0 * k as f64,
         lambdas,
-    }
-}
-
-fn log_params(x: &[f64], var_y: f64) -> StructuralParams {
-    let lo = (var_y * 1e-10).ln();
-    let hi = (var_y * 1e4).ln().max(lo + 1.0);
-    let v = |i: usize| {
-        if i < x.len() {
-            x[i].clamp(lo, hi).exp()
-        } else {
-            0.0
-        }
-    };
-    StructuralParams {
-        var_eps: v(0),
-        var_level: v(1),
-        var_seasonal: v(2),
     }
 }
 
@@ -249,14 +195,21 @@ pub struct MultiChangePoints {
 /// more round is tried — a pair of opposing slope shifts (up then down) can
 /// improve the fit even though neither alone does; the provisional chain is
 /// kept only if it ends below the incumbent AIC.
+///
+/// Returns `None` when the series is too short to score even the
+/// no-change model (`ys.len() ≤ lead + 2`, where the lead is the base
+/// model's state dimension: 12 seasonal, 1 otherwise).
 pub fn detect_multiple(
     ys: &[f64],
     seasonal: bool,
     max_points: usize,
     opts: &FitOptions,
-) -> MultiChangePoints {
+) -> Option<MultiChangePoints> {
     let n = ys.len();
     let lead = if seasonal { 12 } else { 1 };
+    if n <= lead + 2 {
+        return None;
+    }
     // Budget the skip count by the max interventions so all rounds compare
     // the same scored set.
     let budget = max_points.min((n.saturating_sub(lead + 3)) / 2);
@@ -323,12 +276,12 @@ pub fn detect_multiple(
         .copied()
         .zip(best_fit.lambdas.iter().copied())
         .collect();
-    MultiChangePoints {
+    Some(MultiChangePoints {
         points,
         aic: best_aic,
         aic_trace,
         fit: best_fit,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -376,7 +329,7 @@ mod tests {
     fn detects_two_planted_breaks() {
         // Up-shift at 12, additional up-shift at 30.
         let ys = double_break(48, 12, 1.0, 30, 1.5, 5);
-        let r = detect_multiple(&ys, false, 3, &opts());
+        let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert!(r.points.len() >= 2, "found only {:?}", r.points);
         let mut months: Vec<usize> = r.points.iter().map(|&(t, _)| t).collect();
         months.sort_unstable();
@@ -397,7 +350,7 @@ mod tests {
     #[test]
     fn single_break_stays_single() {
         let ys = double_break(43, 20, 1.5, 43, 0.0, 6); // second break never fires
-        let r = detect_multiple(&ys, false, 3, &opts());
+        let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert_eq!(r.points.len(), 1, "found {:?}", r.points);
         assert!((r.points[0].0 as i64 - 20).abs() <= 2);
         assert!(r.points[0].1 > 0.5, "lambda = {}", r.points[0].1);
@@ -409,16 +362,88 @@ mod tests {
         let ys: Vec<f64> = (0..43)
             .map(|_| 10.0 + mic_stats::dist::sample_normal(&mut rng, 0.0, 1.0))
             .collect();
-        let r = detect_multiple(&ys, false, 3, &opts());
+        let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert!(r.points.is_empty(), "found {:?}", r.points);
         assert_eq!(r.aic_trace.len(), 1);
+    }
+
+    #[test]
+    fn detect_multiple_outputs_are_pinned_bit_for_bit() {
+        // Points, λs and the AIC trace are pinned to the bit, so any change
+        // to the arithmetic order of the MLE loop or the Kalman steps shows
+        // here. First the `multi_breaks` example's series (+2 slope at 10,
+        // −3 slope at 30), then a seasonal series with one slope shift.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let planted: Vec<f64> = (0..48)
+            .map(|t| {
+                let w1 = if t >= 10 { (t - 10 + 1) as f64 } else { 0.0 };
+                let w2 = if t >= 30 { (t - 30 + 1) as f64 } else { 0.0 };
+                30.0 + 2.0 * w1 - 3.0 * w2 + mic_stats::dist::sample_normal(&mut rng, 0.0, 1.0)
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(17);
+        let seasonal: Vec<f64> = (0..40)
+            .map(|t| {
+                let w = if t >= 24 { (t - 24 + 1) as f64 } else { 0.0 };
+                20.0 + 1.5 * w
+                    + 6.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin()
+                    + mic_stats::dist::sample_normal(&mut rng, 0.0, 0.8)
+            })
+            .collect();
+        let bits = |ys: &[f64], seasonal: bool, max_points: usize| {
+            let r = detect_multiple(ys, seasonal, max_points, &opts()).expect("long enough");
+            let points: Vec<(usize, u64)> =
+                r.points.iter().map(|&(t, l)| (t, l.to_bits())).collect();
+            let trace: Vec<u64> = r.aic_trace.iter().map(|a| a.to_bits()).collect();
+            (points, trace)
+        };
+        assert_eq!(
+            bits(&planted, false, 3),
+            (
+                vec![
+                    (10, 4611758712943774640),
+                    (27, 13829543555561801682),
+                    (31, 13835416436932314784),
+                ],
+                vec![
+                    4641143167941969626,
+                    4639959339722001283,
+                    4639844321787917432,
+                ],
+            )
+        );
+        assert_eq!(
+            bits(&seasonal, true, 2),
+            (
+                vec![(25, 4609700276200032546)],
+                vec![4639042189125690078, 4637418076124413755],
+            )
+        );
+    }
+
+    #[test]
+    fn too_short_series_finds_none() {
+        // At and below `lead + 2` observations not even the no-change model
+        // has a point left to score; one more and the search runs.
+        for (seasonal, lead) in [(false, 1), (true, 12)] {
+            for n in 1..=lead + 2 {
+                let ys: Vec<f64> = (0..n).map(|t| t as f64).collect();
+                assert!(
+                    detect_multiple(&ys, seasonal, 3, &opts()).is_none(),
+                    "n = {n}"
+                );
+            }
+            let ys: Vec<f64> = (0..lead + 3).map(|t| (t % 5) as f64).collect();
+            let r = detect_multiple(&ys, seasonal, 3, &opts()).expect("long enough");
+            assert!(r.points.is_empty());
+        }
     }
 
     #[test]
     fn up_then_down_recovered_with_signs() {
         // Slope up at 10, slope *reversal* at 28 (net decline).
         let ys = double_break(48, 10, 1.2, 28, -2.0, 8);
-        let r = detect_multiple(&ys, false, 3, &opts());
+        let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert!(r.points.len() >= 2, "found {:?}", r.points);
         let up = r.points.iter().find(|&&(t, _)| (t as i64 - 10).abs() <= 3);
         let down = r.points.iter().find(|&&(t, _)| (t as i64 - 28).abs() <= 3);

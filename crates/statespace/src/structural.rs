@@ -190,11 +190,7 @@ impl StructuralSpec {
     /// instead of rebuilding (and reallocating) it per likelihood call.
     pub fn apply_params(&self, params: &StructuralParams, ssm: &mut Ssm) {
         debug_assert_eq!(ssm.state_dim(), self.state_dim());
-        ssm.obs_var = params.var_eps;
-        ssm.state_cov[(0, 0)] = params.var_level;
-        if let Some(s0) = self.seasonal_index() {
-            ssm.state_cov[(s0, s0)] = params.var_seasonal;
-        }
+        params.write_into(self.seasonal, ssm);
     }
 }
 
@@ -207,6 +203,25 @@ pub struct StructuralParams {
     pub var_level: f64,
     /// Seasonal disturbance variance `σ²_ω` (ignored without seasonality).
     pub var_seasonal: f64,
+}
+
+impl StructuralParams {
+    /// All variances zero: a placeholder until an MLE loop writes its own.
+    pub(crate) const ZERO: StructuralParams = StructuralParams {
+        var_eps: 0.0,
+        var_level: 0.0,
+        var_seasonal: 0.0,
+    };
+
+    /// Write the variances into a built structural SSM: level at state 0,
+    /// the seasonal block (if any) from state 1, noise-free λ states after.
+    pub(crate) fn write_into(&self, seasonal: bool, ssm: &mut Ssm) {
+        ssm.obs_var = self.var_eps;
+        ssm.state_cov[(0, 0)] = self.var_level;
+        if seasonal {
+            ssm.state_cov[(1, 1)] = self.var_seasonal;
+        }
+    }
 }
 
 /// Smoothed component decomposition of a fitted series — what the paper

@@ -107,7 +107,7 @@ proptest! {
         let params = StructuralParams { var_eps, var_level, var_seasonal };
         let ssm = spec.build(&params, ys.len());
         let mut ws = FilterWorkspace::new(spec.state_dim());
-        let reference = mic_statespace::kalman::kalman_loglik_reference(&ssm, &ys, &mut ws);
+        let reference = kalman_filter(&ssm, &ys).loglik;
         let opts = SteadyStateOpts { rel_tol: 10f64.powi(-(rel_tol_exp as i32)), hold };
         let steady = kalman_loglik(&ssm, &ys, &mut ws, &opts);
         let drift = ((steady - reference) / reference.abs().max(1.0)).abs();

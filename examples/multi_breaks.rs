@@ -39,7 +39,7 @@ fn main() {
         n_starts: 1,
         ..FitOptions::default()
     };
-    let multi = detect_multiple(&ys, false, 3, &opts);
+    let multi = detect_multiple(&ys, false, 3, &opts).expect("48 months is long enough");
     for (t, lambda) in &multi.points {
         println!("detected change at t={t} with slope shift λ = {lambda:+.2}");
     }

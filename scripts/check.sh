@@ -47,6 +47,12 @@ for bad in bad_disease bad_medicine bad_dims; do
     [[ "$status" -eq 1 ]] && grep -q '^error:' "$tmp/$bad.err" \
         || { echo "malformed-input gate: $bad.mic exited $status"; cat "$tmp/$bad.err"; exit 1; }
 done
+# A world too small for `WorldSpec::generate` is a usage error as well.
+status=0
+cargo run --release -q --bin mictrend -- simulate --out "$tmp/small.mic" --months 12 \
+    > /dev/null 2> "$tmp/small.err" || status=$?
+[[ "$status" -eq 1 ]] && grep -q '^error:' "$tmp/small.err" \
+    || { echo "malformed-input gate: simulate --months 12 exited $status"; cat "$tmp/small.err"; exit 1; }
 
 echo "==> allocation-free EM gate (em.resp_buffer_allocs == 0)"
 # The workspace engine must never allocate responsibility buffers inside
@@ -86,6 +92,14 @@ cargo run --release -q --bin mictrend -- analyze --data "$tmp/long.mic" \
     --no-seasonal --no-steady > "$tmp/report_exact.txt"
 diff -u "$tmp/report_exact.txt" "$tmp/report_steady.txt" \
     || { echo "steady smoke gate: report differs with --no-steady"; exit 1; }
+
+echo "==> examples gate (multi_breaks, forecasting run to completion)"
+# The only runtime callers of `detect_multiple` and
+# `forecast_with_variance`; clippy alone only compiles them.
+for example in multi_breaks forecasting; do
+    cargo run --release -q --example "$example" > /dev/null \
+        || { echo "examples gate: $example failed"; exit 1; }
+done
 
 if [[ "${RUN_BENCHES:-0}" == "1" ]]; then
     echo "==> criterion benches (JSON -> results/bench/)"

@@ -154,6 +154,7 @@ fn simulate(flags: &Flags) -> Result<(), String> {
         n_medicines: flags.get_num("medicines", 90usize)?,
         ..WorldSpec::default()
     };
+    spec.validate()?;
     let world = spec.generate();
     let dataset = Simulator::new(&world, spec.seed ^ 0x51d).run();
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;

@@ -168,3 +168,24 @@ fn bad_usage_fails_gracefully() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
     let _ = std::fs::remove_file(&data);
 }
+
+#[test]
+fn simulate_rejects_too_small_world() {
+    // Worlds `WorldSpec::generate` cannot build are a usage error (exit 1,
+    // `error:` on stderr), not a panic (exit 101).
+    let data = temp_path("small.mic");
+    for (flag, value) in [
+        ("--months", "12"),
+        ("--diseases", "3"),
+        ("--medicines", "5"),
+    ] {
+        let out = mictrend()
+            .args(["simulate", "--out", data.to_str().unwrap(), flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error:"), "{flag} {value}: {stderr}");
+    }
+    assert!(!data.exists());
+}
