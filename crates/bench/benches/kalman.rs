@@ -42,71 +42,11 @@ fn bench_filter(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pre-optimisation likelihood evaluation, kept verbatim for
-/// comparison: dense `T·P·Tᵀ` with a fresh `Tᵀ` transpose every step, and
-/// every per-step intermediate heap-allocated (the shape of the seed's
-/// `kalman_filter`, which additionally materialised the full
-/// `FilterResult`).
-fn dense_materialising_loglik(ssm: &mic_statespace::Ssm, ys: &[f64]) -> f64 {
-    const LN_2PI: f64 = 1.837_877_066_409_345_5;
-    let m = ssm.state_dim();
-    let mut a_pred = ssm.a0.clone();
-    let mut p_pred = ssm.p0.clone();
-    let mut trajectory: Vec<(Vec<f64>, mic_stats::Mat)> = Vec::with_capacity(ys.len());
-    let mut loglik = 0.0;
-    for (t, &y) in ys.iter().enumerate() {
-        let z = ssm.loading.at(t);
-        let mut zy = 0.0;
-        for i in 0..m {
-            zy += z[i] * a_pred[i];
-        }
-        let v = y - zy;
-        let pz: Vec<f64> = (0..m)
-            .map(|i| (0..m).map(|j| p_pred[(i, j)] * z[j]).sum::<f64>())
-            .collect();
-        let mut f = ssm.obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
-        }
-        let f = f.max(1e-12);
-        if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
-            loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
-        }
-        let k: Vec<f64> = pz.iter().map(|&p| p / f).collect();
-        let mut a_filt = a_pred.clone();
-        for i in 0..m {
-            a_filt[i] += k[i] * v;
-        }
-        let mut p_filt = p_pred.clone();
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
-            }
-        }
-        p_filt.symmetrize();
-        trajectory.push((a_filt.clone(), p_filt.clone()));
-        a_pred = ssm.transition.mul_vec(&a_filt);
-        let tt = ssm.transition.transpose();
-        let mut next_p = &(&ssm.transition * &p_filt) * &tt;
-        for i in 0..m {
-            for j in 0..m {
-                next_p[(i, j)] += ssm.state_cov[(i, j)];
-            }
-        }
-        next_p.symmetrize();
-        p_pred = next_p;
-    }
-    black_box(trajectory);
-    loglik
-}
-
 /// The MLE hot loop evaluates only the log-likelihood, thousands of times
-/// per search. This group measures one objective evaluation three ways:
-/// the seed's dense materialising implementation (rebuild the SSM from the
-/// spec, dense products, per-step allocation), the current full filter
-/// (sparse transition but still materialising a `FilterResult`), and the
-/// fast path (`apply_params` pokes the variances into a prebuilt SSM,
-/// `kalman_loglik` reuses one `FilterWorkspace`).
+/// per search. This group measures one objective evaluation two ways: the
+/// full filter (rebuild the SSM from the spec and materialise a
+/// `FilterResult`) and the fast path (`apply_params` pokes the variances
+/// into a prebuilt SSM, `kalman_loglik` reuses one `FilterWorkspace`).
 fn bench_loglik_path(c: &mut Criterion) {
     let params = StructuralParams {
         var_eps: 1.0,
@@ -117,12 +57,6 @@ fn bench_loglik_path(c: &mut Criterion) {
     for &t in &[43usize, 86, 172] {
         let ys = series(t, 1);
         let spec = StructuralSpec::full(t / 2);
-        group.bench_with_input(BenchmarkId::new("seed_dense_baseline", t), &t, |b, _| {
-            b.iter(|| {
-                let ssm = spec.build(black_box(&params), t);
-                black_box(dense_materialising_loglik(&ssm, &ys))
-            });
-        });
         group.bench_with_input(BenchmarkId::new("build_filter", t), &t, |b, _| {
             b.iter(|| {
                 let ssm = spec.build(black_box(&params), t);

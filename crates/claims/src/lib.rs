@@ -44,7 +44,6 @@ pub mod catalog;
 pub mod error;
 pub mod filter;
 pub mod ids;
-pub mod query;
 pub mod record;
 pub mod seasonality;
 pub mod simulate;
@@ -59,7 +58,6 @@ pub use catalog::{
 pub use error::ClaimsError;
 pub use filter::{FilteredVocabulary, FrequencyFilter};
 pub use ids::{CityId, DiseaseId, HospitalId, MedicineId, Month, PatientId, YearMonth};
-pub use query::DatasetIndex;
 pub use record::{ClaimsDataset, MicRecord, MonthlyDataset};
 pub use seasonality::{OutbreakEvent, SeasonalProfile};
 pub use simulate::Simulator;

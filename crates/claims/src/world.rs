@@ -500,11 +500,6 @@ impl WorldBuilder {
         &mut self.world.medicines
     }
 
-    /// Mutable access to the diseases added so far.
-    pub fn diseases_mut(&mut self) -> &mut [Disease] {
-        &mut self.world.diseases
-    }
-
     /// Tune the simulator intensity knobs.
     pub fn rates(&mut self, meds_per_diagnosis: f64, acute_rate: f64) -> &mut Self {
         self.world.meds_per_diagnosis = meds_per_diagnosis;

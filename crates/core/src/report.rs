@@ -111,14 +111,6 @@ pub fn detected_changes_table(reports: &[&SeriesReport], k: usize) -> TextTable 
     t
 }
 
-/// Format a float series compactly for console plots ("12.3 14.1 …").
-pub fn series_line(xs: &[f64]) -> String {
-    xs.iter()
-        .map(|x| format!("{x:.1}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// A crude ASCII sparkline for eyeballing a series in the terminal.
 pub fn sparkline(xs: &[f64]) -> String {
     const LEVELS: &[char] = &['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -134,58 +126,6 @@ pub fn sparkline(xs: &[f64]) -> String {
             LEVELS[idx.min(LEVELS.len() - 1)]
         })
         .collect()
-}
-
-/// A multi-row ASCII line chart for terminal output: each series is drawn
-/// with its own glyph on a shared y-scale, with a labelled y-axis. More
-/// readable than a sparkline when comparing components (the Figs. 6–7
-/// panels).
-pub fn ascii_chart(series: &[(&str, &[f64])], height: usize) -> String {
-    assert!(height >= 2, "chart needs at least 2 rows");
-    let width = series.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
-    if width == 0 {
-        return String::new();
-    }
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for (_, s) in series {
-        for &v in *s {
-            min = min.min(v);
-            max = max.max(v);
-        }
-    }
-    let range = (max - min).max(1e-12);
-    const GLYPHS: &[char] = &['*', 'o', '+', 'x', '#', '@'];
-    let mut grid = vec![vec![' '; width]; height];
-    for (si, (_, s)) in series.iter().enumerate() {
-        let glyph = GLYPHS[si % GLYPHS.len()];
-        for (t, &v) in s.iter().enumerate() {
-            let row = ((v - min) / range * (height - 1) as f64).round() as usize;
-            let row = height - 1 - row.min(height - 1);
-            grid[row][t] = glyph;
-        }
-    }
-    let mut out = String::new();
-    for (i, row) in grid.iter().enumerate() {
-        let y = max - range * i as f64 / (height - 1) as f64;
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{y:>10.1} |"));
-        out.extend(row.iter());
-        out.push('\n');
-    }
-    let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{:>10} +", ""));
-    for _ in 0..width {
-        out.push('-');
-    }
-    out.push('\n');
-    // Legend.
-    let legend: Vec<String> = series
-        .iter()
-        .enumerate()
-        .map(|(si, (name, _))| format!("{} {name}", GLYPHS[si % GLYPHS.len()]))
-        .collect();
-    let _ =
-        std::fmt::Write::write_fmt(&mut out, format_args!("{:>12}{}\n", "", legend.join("   ")));
-    out
 }
 
 #[cfg(test)]
@@ -251,42 +191,5 @@ mod tests {
         assert_eq!(sparkline(&[]), "");
         // Constant series doesn't panic.
         assert_eq!(sparkline(&[2.0, 2.0]).chars().count(), 2);
-    }
-
-    #[test]
-    fn series_line_format() {
-        assert_eq!(series_line(&[1.0, 2.25]), "1.0 2.2");
-    }
-
-    #[test]
-    fn ascii_chart_layout() {
-        let a = [0.0, 5.0, 10.0];
-        let b = [10.0, 5.0, 0.0];
-        let chart = ascii_chart(&[("up", &a), ("down", &b)], 5);
-        let lines: Vec<&str> = chart.lines().collect();
-        // 5 grid rows + axis + legend.
-        assert_eq!(lines.len(), 7);
-        // Top row holds the max of the up series ('*' at col 2) and of the
-        // down series ('o' at col 0).
-        assert!(lines[0].contains('*'));
-        assert!(lines[0].contains('o'));
-        // y labels descend.
-        assert!(lines[0].trim_start().starts_with("10.0"));
-        assert!(lines[4].trim_start().starts_with("0.0"));
-        // Legend names both series.
-        assert!(lines[6].contains("* up"));
-        assert!(lines[6].contains("o down"));
-    }
-
-    #[test]
-    fn ascii_chart_constant_series() {
-        let a = [3.0, 3.0, 3.0];
-        let chart = ascii_chart(&[("flat", &a)], 3);
-        assert!(chart.contains('*'));
-    }
-
-    #[test]
-    fn ascii_chart_empty() {
-        assert_eq!(ascii_chart(&[("none", &[])], 4), "");
     }
 }

@@ -47,7 +47,9 @@ fn analyse(eval: &EvaluationPanel, keys: &[SeriesKey], fit: &FitOptions) -> Grou
             g.change_points += 1;
         }
         g.full.push(full.aic);
-        g.arima.push(select_arima(ys, 3, 1, &arima_opts).aic);
+        if let Some(arima) = select_arima(ys, 3, 1, &arima_opts) {
+            g.arima.push(arima.aic);
+        }
     }
     g
 }

@@ -20,14 +20,6 @@ pub struct EvaluationPanel {
 }
 
 impl EvaluationPanel {
-    /// All selected keys in one list.
-    pub fn all_keys(&self) -> Vec<SeriesKey> {
-        let mut v = self.diseases.clone();
-        v.extend(self.medicines.iter().copied());
-        v.extend(self.prescriptions.iter().copied());
-        v
-    }
-
     pub fn series(&self, key: SeriesKey) -> &[f64] {
         self.panel.series(key).expect("selected key has a series")
     }

@@ -361,7 +361,6 @@ impl MedicationModel {
         month: &MonthlyDataset,
         prior: Option<(&[PhiRow], f64)>,
     ) -> (Vec<PhiRow>, f64) {
-        let mut resp_allocs = 0u64;
         let mut new_phi: Vec<PhiRow> = match prior {
             Some((prev, weight)) => prev
                 .iter()
@@ -382,11 +381,6 @@ impl MedicationModel {
             for &m in &r.medicines {
                 // q_rld ∝ θ_rd · φ_dm over the diseases present in r (Eq. 6).
                 q_buf.clear();
-                if q_buf.capacity() < r.diseases.len() {
-                    // Responsibility-buffer growth: the reallocation pressure
-                    // an EmWorkspace (ROADMAP) would eliminate.
-                    resp_allocs += 1;
-                }
                 let mut denom = 0.0;
                 for &(d, n_rd) in &r.diseases {
                     let theta = n_rd as f64 / n_r;
@@ -409,7 +403,6 @@ impl MedicationModel {
                 }
             }
         }
-        mic_obs::counter("em.resp_buffer_allocs", resp_allocs);
         (new_phi, ll)
     }
 

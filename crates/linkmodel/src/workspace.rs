@@ -2,10 +2,9 @@
 //! one [`MonthlyDataset`] into a CSR-style flat layout and runs the E+M
 //! step (Eqs. 5–6) as pure dense-array arithmetic.
 //!
-//! The seed implementation rebuilt a `HashMap` per `Φ` row on every EM
-//! iteration and grew a fresh responsibility buffer per prescription — the
-//! `em.resp_buffer_allocs` pressure the ROADMAP flagged. The workspace
-//! eliminates both:
+//! The reference implementation rebuilds a `HashMap` per `Φ` row on every
+//! EM iteration and grows its responsibility buffer as records widen. The
+//! workspace eliminates both:
 //!
 //! - **compile once**: per-record disease/medicine index slices, the
 //!   record-local `θ` weights (Eq. 2), and a month-local vocabulary remap
@@ -254,13 +253,11 @@ impl EmWorkspace {
     /// the log-likelihood of the data under the *pre-step* `Φ` (Eqs. 5–6).
     ///
     /// The loop body indexes pre-sized flat arrays only — no hashing, no
-    /// allocation. `em.resp_buffer_allocs` is reported as a hard zero
-    /// because the responsibility scratch is sized at compile time.
+    /// allocation; the responsibility scratch is sized at compile time.
     pub fn em_step(&mut self, smoothing: f64) -> f64 {
         // The mean of the `em.step` timer is the measured C_EM (Table V).
         let _step = mic_obs::span("em.step");
         mic_obs::counter("em.iterations", 1);
-        mic_obs::counter("em.resp_buffer_allocs", 0);
         let nm = self.n_m_local();
         let nxt = 1 - self.cur;
         let smooth_denom = smoothing * self.n_medicines_global as f64;
@@ -370,5 +367,82 @@ impl EmWorkspace {
             }
         }
         phi
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mic_claims::{DiseaseId, HospitalId, MedicineId, MicRecord, Month, PatientId};
+
+    fn record(diseases: &[(u32, u32)], meds: &[u32]) -> MicRecord {
+        MicRecord {
+            patient: PatientId(0),
+            hospital: HospitalId(0),
+            diseases: diseases.iter().map(|&(d, n)| (DiseaseId(d), n)).collect(),
+            medicines: meds.iter().map(|&m| MedicineId(m)).collect(),
+            truth_links: meds.iter().map(|_| DiseaseId(diseases[0].0)).collect(),
+        }
+    }
+
+    /// `(pointer, capacity)` of every heap buffer the workspace owns.
+    fn buffers(ws: &EmWorkspace) -> Vec<(usize, usize)> {
+        macro_rules! at {
+            ($($v:expr),* $(,)?) => { vec![$(($v.as_ptr() as usize, $v.capacity())),*] };
+        }
+        at![
+            ws.rec_d_off,
+            ws.rec_m_off,
+            ws.d_local,
+            ws.theta,
+            ws.meds,
+            ws.d_local_to_global,
+            ws.m_local_to_global,
+            ws.d_global_to_local,
+            ws.m_global_to_local,
+            ws.counts[0],
+            ws.counts[1],
+            ws.totals[0],
+            ws.totals[1],
+            ws.prior_counts,
+            ws.prior_totals,
+            ws.oov,
+            ws.oov_off,
+            ws.q,
+        ]
+    }
+
+    /// After the first step no buffer is reallocated, grown or moved, with
+    /// and without a temporal prior.
+    #[test]
+    fn em_steps_never_reallocate() {
+        let month = MonthlyDataset {
+            month: Month(0),
+            records: vec![
+                record(&[(0, 1), (1, 2)], &[0, 2]),
+                record(&[(1, 1)], &[1]),
+                record(&[(2, 1), (0, 1), (1, 1)], &[2, 2, 0]),
+                record(&[(0, 3)], &[0]),
+            ],
+        };
+        let prev: Vec<PhiRow> = (0..4)
+            .map(|d| PhiRow {
+                counts: [(d, 2.0), (3, 1.0)].into_iter().collect(),
+                total: 3.0,
+            })
+            .collect();
+        let mut ws = EmWorkspace::new();
+        for prior in [false, true] {
+            ws.compile(&month, 4, 4);
+            if prior {
+                ws.set_prior(&prev, 0.5);
+            }
+            ws.em_step(1e-9);
+            let before = buffers(&ws);
+            for _ in 0..20 {
+                ws.em_step(1e-9);
+            }
+            assert_eq!(buffers(&ws), before, "prior = {prior}");
+        }
     }
 }

@@ -10,8 +10,11 @@
 //! thread's private collector, so the parallel Kalman fleet pays no
 //! cross-thread contention on the hot path. Collectors are published to a
 //! global lock-free (Treiber) stack when a thread exits, or explicitly via
-//! [`flush`] — the pipeline's workers flush at join. [`snapshot`] drains the
-//! stack and merges everything into one cumulative [`Snapshot`].
+//! [`flush`]. An explicit `JoinHandle::join` waits for that exit, but the
+//! implicit join at the end of `std::thread::scope` does not, so scoped
+//! workers call [`flush`] before returning, as `AnalysisSession`'s do.
+//! [`snapshot`] drains the stack and merges everything into one cumulative
+//! [`Snapshot`].
 //!
 //! The recorder is **disabled by default** and every recording entry point
 //! starts with a single relaxed atomic load, so instrumented code compiled
@@ -23,7 +26,7 @@
 //! Names are dot-separated, grouped by layer:
 //!
 //! - `em.*` — medication-model EM (`em.iterations`, `em.step` timer whose
-//!   mean is the measured `C_EM`, `em.loglik_delta`, `em.resp_buffer_allocs`);
+//!   mean is the measured `C_EM`, `em.loglik_delta`);
 //! - `kf.*` — state-space fitting (`kf.loglik_evals`, `kf.loglik` timer
 //!   whose mean is the measured `C_KF`, `kf.fits_exact` / `kf.fits_approx`,
 //!   smoother ridge events);
@@ -80,8 +83,9 @@ pub fn disable() {
 // ---------------------------------------------------------------------------
 // Thread-local collection.
 
-/// Wrapper whose drop publishes whatever the thread accumulated, so worker
-/// threads merge their metrics at join without any explicit call.
+/// Wrapper whose drop publishes whatever the thread accumulated, so a worker
+/// thread's metrics merge once an explicit `join()` on its handle returns.
+/// A scope's implicit join can return before this drop runs.
 struct LocalCell(LocalCollector);
 
 impl Drop for LocalCell {

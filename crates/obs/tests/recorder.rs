@@ -65,11 +65,17 @@ fn worker_threads_merge_without_explicit_flush() {
     let _guard = mic_obs::exclusive();
     mic_obs::reset();
     mic_obs::enable();
-    // Mimic the pipeline worker pattern: scoped threads that record and
-    // exit; the coordinating thread snapshots after the scope.
+    // Workers record and exit without flushing; the coordinating thread
+    // joins each handle, then snapshots. A handle's `join()` waits for the
+    // worker's thread-local destructors, which publish its collector. The
+    // scope's implicit join does not wait for them, so the handles are
+    // joined explicitly.
     std::thread::scope(|s| {
-        for _ in 0..N_THREADS {
-            s.spawn(|| mic_obs::counter("scoped.done", 1));
+        let handles: Vec<_> = (0..N_THREADS)
+            .map(|_| s.spawn(|| mic_obs::counter("scoped.done", 1)))
+            .collect();
+        for h in handles {
+            h.join().expect("worker panicked");
         }
     });
     let snap = mic_obs::snapshot();

@@ -273,8 +273,14 @@ pub fn fit_arima(ys: &[f64], order: ArimaOrder, opts: &ArimaFitOptions) -> Optio
 
 /// AIC order selection: choose `d` by successive KPSS level-stationarity
 /// tests (difference while the test rejects, the auto.arima approach), then
-/// grid-search `p, q ∈ 0..=max_pq` by AIC.
-pub fn select_arima(ys: &[f64], max_pq: usize, max_d: usize, opts: &ArimaFitOptions) -> ArimaFit {
+/// grid-search `p, q ∈ 0..=max_pq` by AIC. Returns `None` when no order
+/// fits, as for any series shorter than 4 months.
+pub fn select_arima(
+    ys: &[f64],
+    max_pq: usize,
+    max_d: usize,
+    opts: &ArimaFitOptions,
+) -> Option<ArimaFit> {
     // Pick d: smallest differencing degree that passes KPSS.
     let mut d = 0;
     let mut w = ys.to_vec();
@@ -294,7 +300,7 @@ pub fn select_arima(ys: &[f64], max_pq: usize, max_d: usize, opts: &ArimaFitOpti
             }
         }
     }
-    best.expect("at least ARIMA(0,d,0) must fit")
+    best
 }
 
 impl ArimaFit {
@@ -326,250 +332,6 @@ impl ArimaFit {
             cur = difference(&cur, 1);
         }
         let mut fc = w_fc;
-        for level in levels.iter().rev() {
-            let mut acc = *level;
-            for v in &mut fc {
-                acc += *v;
-                *v = acc;
-            }
-        }
-        fc
-    }
-}
-
-// --------------------------------------------------------------------------
-// Seasonal ARIMA (SARIMA) extension
-// --------------------------------------------------------------------------
-
-/// Seasonal ARIMA order `(p,d,q)(P,D,Q)_s`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SarimaOrder {
-    pub p: usize,
-    pub d: usize,
-    pub q: usize,
-    pub sp: usize,
-    pub sd: usize,
-    pub sq: usize,
-    /// Seasonal period (12 for monthly data).
-    pub s: usize,
-}
-
-impl std::fmt::Display for SarimaOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SARIMA({},{},{})({},{},{})_{}",
-            self.p, self.d, self.q, self.sp, self.sd, self.sq, self.s
-        )
-    }
-}
-
-/// Seasonal differencing at lag `s`, applied `d` times.
-pub fn seasonal_difference(ys: &[f64], s: usize, d: usize) -> Vec<f64> {
-    let mut v = ys.to_vec();
-    for _ in 0..d {
-        if v.len() <= s {
-            return Vec::new();
-        }
-        v = (s..v.len()).map(|i| v[i] - v[i - s]).collect();
-    }
-    v
-}
-
-/// Multiply the polynomial `(1 − Σ a_i B^i)` by `(1 − Σ b_j B^{s·j})` and
-/// return the combined lag coefficients (without the leading 1, with the
-/// convention that AR coefficients enter positively: the returned `c` gives
-/// `(1 − Σ c_k B^k)`).
-fn combine_poly(regular: &[f64], seasonal: &[f64], s: usize) -> Vec<f64> {
-    let deg = regular.len() + seasonal.len() * s;
-    if deg == 0 {
-        return Vec::new();
-    }
-    // Work with full polynomials including the constant term; AR/MA sign
-    // conventions match: poly(B) = 1 − Σ coef_k B^k.
-    let mut full = vec![0.0; deg + 1];
-    full[0] = 1.0;
-    let mut reg_poly = vec![0.0; regular.len() + 1];
-    reg_poly[0] = 1.0;
-    for (i, &a) in regular.iter().enumerate() {
-        reg_poly[i + 1] = -a;
-    }
-    let mut sea_poly = vec![0.0; seasonal.len() * s + 1];
-    sea_poly[0] = 1.0;
-    for (j, &b) in seasonal.iter().enumerate() {
-        sea_poly[(j + 1) * s] = -b;
-    }
-    full.fill(0.0);
-    for (i, &a) in reg_poly.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        for (j, &b) in sea_poly.iter().enumerate() {
-            full[i + j] += a * b;
-        }
-    }
-    // Back to "coefficients" convention: c_k = −full_k for k ≥ 1.
-    full.iter().skip(1).map(|&v| -v).collect()
-}
-
-/// A fitted SARIMA model.
-#[derive(Clone, Debug)]
-pub struct SarimaFit {
-    pub order: SarimaOrder,
-    /// Combined AR lag coefficients (regular × seasonal polynomials).
-    pub phi_full: Vec<f64>,
-    /// Combined MA lag coefficients.
-    pub theta_full: Vec<f64>,
-    pub sigma2: f64,
-    pub mean: f64,
-    pub loglik: f64,
-    pub aic: f64,
-    pub aicc: f64,
-    pub n: usize,
-}
-
-/// Fit a SARIMA of fixed order by exact maximum likelihood (stationarity and
-/// invertibility enforced separately on the regular and seasonal factors via
-/// the PACF transform). Returns `None` when the differenced series is too
-/// short or the likelihood cannot be evaluated.
-pub fn fit_sarima(ys: &[f64], order: SarimaOrder, opts: &ArimaFitOptions) -> Option<SarimaFit> {
-    let SarimaOrder {
-        p,
-        d,
-        q,
-        sp,
-        sd,
-        sq,
-        s,
-    } = order;
-    assert!(s >= 2, "seasonal period must be ≥ 2");
-    assert!(
-        sd <= 1,
-        "only seasonal differencing degrees 0 and 1 are supported"
-    );
-    let w_raw = seasonal_difference(&difference(ys, d), s, sd);
-    let full_p = p + sp * s;
-    let full_q = q + sq * s;
-    let r = full_p.max(full_q + 1);
-    if w_raw.len() < r + p + q + sp + sq + 3 {
-        return None;
-    }
-    let mean = if d + sd == 0 {
-        w_raw.iter().sum::<f64>() / w_raw.len() as f64
-    } else {
-        0.0
-    };
-    let w: Vec<f64> = w_raw.iter().map(|x| x - mean).collect();
-
-    let dim = p + q + sp + sq;
-    let split = |x: &[f64]| -> (Vec<f64>, Vec<f64>) {
-        let phi_reg = pacf_to_coeffs(&x[..p]);
-        let phi_sea = pacf_to_coeffs(&x[p..p + sp]);
-        let theta_reg = pacf_to_coeffs(&x[p + sp..p + sp + q]);
-        let theta_sea = pacf_to_coeffs(&x[p + sp + q..]);
-        (
-            combine_poly(&phi_reg, &phi_sea, s),
-            combine_poly(&theta_reg, &theta_sea, s),
-        )
-    };
-    // MA convention: our state-space uses θ coefficients with a positive
-    // sign in R = [1, θ…]; combine_poly returns the "(1 − Σ c B^k)" form, so
-    // negate for MA.
-    let to_ma = |c: Vec<f64>| -> Vec<f64> { c.into_iter().map(|v| -v).collect() };
-
-    let objective = |x: &[f64]| -> f64 {
-        let (phi, theta_c) = split(x);
-        let theta = to_ma(theta_c);
-        match arma_neg_loglik(&phi, &theta, &w) {
-            Some((nll, _)) => nll,
-            None => f64::INFINITY,
-        }
-    };
-
-    let (phi_full, theta_full, neg_ll, sigma2) = if dim == 0 {
-        let (nll, s2) = arma_neg_loglik(&[], &[], &w)?;
-        (Vec::new(), Vec::new(), nll, s2)
-    } else {
-        let nm = NelderMeadOptions {
-            max_evals: opts.max_evals,
-            f_tol: 1e-9,
-            x_tol: 1e-7,
-            initial_step: 0.5,
-        };
-        let res = nelder_mead(objective, &vec![0.1; dim], &nm);
-        if !res.fx.is_finite() {
-            return None;
-        }
-        let (phi, theta_c) = split(&res.x);
-        let theta = to_ma(theta_c);
-        let (nll, s2) = arma_neg_loglik(&phi, &theta, &w)?;
-        (phi, theta, nll, s2)
-    };
-
-    let loglik = -neg_ll;
-    let k = dim + 1 + usize::from(d + sd == 0);
-    let aic = -2.0 * loglik + 2.0 * k as f64;
-    let n_eff = w.len() as f64;
-    let kf = k as f64;
-    let aicc = if n_eff - kf - 1.0 > 0.0 {
-        aic + 2.0 * kf * (kf + 1.0) / (n_eff - kf - 1.0)
-    } else {
-        f64::INFINITY
-    };
-    Some(SarimaFit {
-        order,
-        phi_full,
-        theta_full,
-        sigma2,
-        mean,
-        loglik,
-        aic,
-        aicc,
-        n: ys.len(),
-    })
-}
-
-impl SarimaFit {
-    /// Mean forecasts for `h` steps past the end of `ys`.
-    pub fn forecast(&self, ys: &[f64], h: usize) -> Vec<f64> {
-        let SarimaOrder { d, sd, s, .. } = self.order;
-        let w_raw = seasonal_difference(&difference(ys, d), s, sd);
-        let w: Vec<f64> = w_raw.iter().map(|x| x - self.mean).collect();
-        let ssm = arma_ssm(&self.phi_full, &self.theta_full).expect("fitted model rebuilds");
-        let mut alpha = if w.is_empty() {
-            vec![0.0; ssm.state_dim()]
-        } else {
-            kalman_filter(&ssm, &w)
-                .filtered_means
-                .last()
-                .expect("non-empty")
-                .clone()
-        };
-        let mut w_fc = Vec::with_capacity(h);
-        for _ in 0..h {
-            alpha = ssm.transition.mul_vec(&alpha);
-            w_fc.push(alpha[0] + self.mean);
-        }
-        // Undo seasonal differencing: x_t = w_t + x_{t−s}, working on the
-        // regular-differenced level.
-        let reg = difference(ys, d);
-        let mut reg_ext = reg.clone();
-        for (j, &wv) in w_fc.iter().enumerate() {
-            let idx = reg.len() + j;
-            let mut v = wv;
-            if sd > 0 {
-                v += reg_ext[idx - s];
-            }
-            reg_ext.push(v);
-        }
-        let mut fc: Vec<f64> = reg_ext[reg.len()..].to_vec();
-        // Undo regular differencing.
-        let mut levels: Vec<f64> = Vec::with_capacity(d);
-        let mut cur = ys.to_vec();
-        for _ in 0..d {
-            levels.push(*cur.last().expect("non-empty"));
-            cur = difference(&cur, 1);
-        }
         for level in levels.iter().rev() {
             let mut acc = *level;
             for v in &mut fc {
@@ -674,7 +436,7 @@ mod tests {
         // reject stationarity), so use a seed whose sample is clearly
         // stationary rather than asserting on a coin-flip draw.
         let ys = ar1_series(200, 0.8, 5);
-        let fit = select_arima(&ys, 2, 1, &ArimaFitOptions::default());
+        let fit = select_arima(&ys, 2, 1, &ArimaFitOptions::default()).expect("fit");
         // White noise must lose; some AR structure must be selected.
         assert!(
             fit.order.p >= 1 || fit.order.q >= 1,
@@ -694,7 +456,7 @@ mod tests {
                 x
             })
             .collect();
-        let fit = select_arima(&ys, 2, 2, &ArimaFitOptions::default());
+        let fit = select_arima(&ys, 2, 2, &ArimaFitOptions::default()).expect("fit");
         assert!(
             fit.order.d >= 1,
             "random walk should be differenced, got {}",
@@ -711,7 +473,7 @@ mod tests {
         let ys: Vec<f64> = (0..200)
             .map(|_| mic_stats::dist::sample_normal(&mut rng, 3.0, 1.0))
             .collect();
-        let fit = select_arima(&ys, 2, 1, &ArimaFitOptions::default());
+        let fit = select_arima(&ys, 2, 1, &ArimaFitOptions::default()).expect("fit");
         assert_eq!(fit.order.d, 0, "white noise must not be differenced");
         assert!((fit.sigma2 - 1.0).abs() < 0.3, "σ² = {}", fit.sigma2);
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
@@ -770,115 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn seasonal_difference_basics() {
-        let ys: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let sd = seasonal_difference(&ys, 4, 1);
-        assert_eq!(sd, vec![4.0; 6]);
-        assert_eq!(seasonal_difference(&ys, 4, 0), ys);
-        assert!(seasonal_difference(&[1.0, 2.0], 4, 1).is_empty());
-    }
-
-    #[test]
-    fn combine_poly_expands_products() {
-        // (1 − 0.5B)(1 − 0.3B⁴) = 1 − 0.5B − 0.3B⁴ + 0.15B⁵
-        // → coefficients [0.5, 0, 0, 0.3, −0.15].
-        let c = combine_poly(&[0.5], &[0.3], 4);
-        assert_eq!(c.len(), 5);
-        assert!((c[0] - 0.5).abs() < 1e-12);
-        assert!(c[1].abs() < 1e-12);
-        assert!((c[3] - 0.3).abs() < 1e-12);
-        assert!((c[4] + 0.15).abs() < 1e-12);
-        // Degenerate factors.
-        assert_eq!(combine_poly(&[], &[], 12), Vec::<f64>::new());
-        assert_eq!(combine_poly(&[0.7], &[], 12), vec![0.7]);
-    }
-
-    #[test]
-    fn sarima_beats_arima_on_seasonal_forecasts() {
-        // Strongly seasonal monthly data with trend: the airline-style
-        // SARIMA(0,1,1)(0,1,1)_12 must forecast the seasonal pattern that a
-        // non-seasonal ARIMA misses.
-        let mut rng = SmallRng::seed_from_u64(21);
-        let ys: Vec<f64> = (0..72)
-            .map(|t| {
-                50.0 + 0.3 * t as f64
-                    + 20.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin()
-                    + mic_stats::dist::sample_normal(&mut rng, 0.0, 1.5)
-            })
-            .collect();
-        let train = &ys[..60];
-        let actual = &ys[60..];
-        let opts = ArimaFitOptions::default();
-        let sarima = fit_sarima(
-            train,
-            SarimaOrder {
-                p: 0,
-                d: 1,
-                q: 1,
-                sp: 0,
-                sd: 1,
-                sq: 1,
-                s: 12,
-            },
-            &opts,
-        )
-        .expect("sarima fit");
-        let sarima_fc = sarima.forecast(train, 12);
-        let arima = select_arima(train, 2, 1, &opts);
-        let arima_fc = arima.forecast(train, 12);
-        let sarima_rmse = mic_stats::rmse(actual, &sarima_fc);
-        let arima_rmse = mic_stats::rmse(actual, &arima_fc);
-        assert!(
-            sarima_rmse < 0.5 * arima_rmse,
-            "SARIMA {sarima_rmse:.2} should crush ARIMA {arima_rmse:.2} here"
-        );
-        assert!(sarima_rmse < 4.0, "absolute accuracy: {sarima_rmse:.2}");
-    }
-
-    #[test]
-    fn sarima_with_no_seasonal_terms_matches_arima_likelihood() {
-        let ys = ar1_series(120, 0.6, 22);
-        let opts = ArimaFitOptions::default();
-        let a = fit_arima(&ys, ArimaOrder { p: 1, d: 0, q: 0 }, &opts).unwrap();
-        let s = fit_sarima(
-            &ys,
-            SarimaOrder {
-                p: 1,
-                d: 0,
-                q: 0,
-                sp: 0,
-                sd: 0,
-                sq: 0,
-                s: 12,
-            },
-            &opts,
-        )
-        .unwrap();
-        assert!(
-            (a.loglik - s.loglik).abs() < 1e-6,
-            "{} vs {}",
-            a.loglik,
-            s.loglik
-        );
-        assert!((a.phi[0] - s.phi_full[0]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sarima_display_and_short_series() {
-        let order = SarimaOrder {
-            p: 1,
-            d: 1,
-            q: 1,
-            sp: 0,
-            sd: 1,
-            sq: 1,
-            s: 12,
-        };
-        assert_eq!(order.to_string(), "SARIMA(1,1,1)(0,1,1)_12");
-        assert!(fit_sarima(&[1.0; 15], order, &ArimaFitOptions::default()).is_none());
-    }
-
-    #[test]
     fn too_short_series_returns_none() {
         assert!(fit_arima(
             &[1.0, 2.0],
@@ -886,6 +539,16 @@ mod tests {
             &ArimaFitOptions::default()
         )
         .is_none());
+    }
+
+    #[test]
+    fn selection_on_short_series() {
+        let opts = ArimaFitOptions::default();
+        for n in 0..4 {
+            let ys: Vec<f64> = (0..n).map(|t| t as f64).collect();
+            assert!(select_arima(&ys, 2, 1, &opts).is_none(), "n = {n}");
+        }
+        assert!(select_arima(&[1.0, 3.0, 2.0, 4.0], 2, 1, &opts).is_some());
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl Default for ForecastOptions {
 /// Train on `ys[..train_len]`, forecast the rest with both model families.
 ///
 /// # Panics
-/// Panics when `train_len` leaves no test data or is too short to fit.
+/// Panics when `train_len` leaves no test data or is too short for any
+/// ARIMA order to fit (fewer than 4 months).
 pub fn compare_forecasts(
     ys: &[f64],
     train_len: usize,
@@ -84,7 +85,10 @@ pub fn compare_forecasts(
     let structural = found.fit.forecast(train, horizon);
 
     // ARIMA with AIC-selected orders.
-    let arima_fit = select_arima(train, opts.max_pq, opts.max_d, &opts.arima);
+    let arima_fit =
+        select_arima(train, opts.max_pq, opts.max_d, &opts.arima).unwrap_or_else(|| {
+            panic!("training window of {train_len} months is too short for any ARIMA order")
+        });
     let arima = arima_fit.forecast(train, horizon);
 
     let structural_rmse = rmse(&actual, &structural);
@@ -173,6 +177,13 @@ mod tests {
         assert!(raw.actual.iter().any(|&v| v > 10.0));
         let norm = compare_forecasts(&ys, 31, &ForecastOptions::default());
         assert!(norm.actual.iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+
+    #[test]
+    #[should_panic(expected = "training window of 3 months is too short")]
+    fn short_train_panics() {
+        let ys = seasonal_series(43, 35);
+        compare_forecasts(&ys, 3, &ForecastOptions::default());
     }
 
     #[test]

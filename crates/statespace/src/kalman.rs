@@ -102,15 +102,6 @@ impl FilterResult {
     pub fn is_empty(&self) -> bool {
         self.innovations.is_empty()
     }
-
-    /// One-step-ahead fitted values `ŷ_t = Z_t a_{t|t−1}` reconstructed from
-    /// innovations: `ŷ_t = y_t − v_t`.
-    pub fn one_step_fitted(&self, ys: &[f64]) -> Vec<f64> {
-        ys.iter()
-            .zip(&self.innovations)
-            .map(|(y, v)| y - v)
-            .collect()
-    }
 }
 
 /// Row-compressed view of the transition matrix `T`.
@@ -745,17 +736,6 @@ mod tests {
         let good = kalman_filter(&local_level(0.1, 0.01), &smooth_ys);
         let bad = kalman_filter(&local_level(100.0, 0.01), &smooth_ys);
         assert!(good.loglik > bad.loglik);
-    }
-
-    #[test]
-    fn one_step_fitted_reconstruction() {
-        let ssm = local_level(1.0, 0.1);
-        let ys = vec![1.0, 2.0, 3.0];
-        let r = kalman_filter(&ssm, &ys);
-        let fitted = r.one_step_fitted(&ys);
-        for (i, f) in fitted.iter().enumerate() {
-            assert!((f - (ys[i] - r.innovations[i])).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //!   log-variances) and AIC;
 //! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate), both
 //!   behind the single [`search`] entry point;
-//! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection (plus a
-//!   SARIMA extension);
+//! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection;
 //! - [`forecast`] — out-of-sample forecasting for both model families;
 //! - [`multi`] — greedy multi-change-point detection (the paper's §IX
 //!   extension);
@@ -63,9 +62,7 @@ pub mod multi;
 pub mod smoother;
 pub mod structural;
 
-pub use arima::{
-    fit_arima, fit_sarima, select_arima, ArimaFit, ArimaOrder, SarimaFit, SarimaOrder,
-};
+pub use arima::{fit_arima, select_arima, ArimaFit, ArimaOrder};
 pub use changepoint::{
     search, Algorithm, ChangePoint, ChangePointSearch, SearchPlan, SelectionCriterion, WarmStart,
 };

@@ -82,15 +82,6 @@ impl Confusion2 {
         }
     }
 
-    /// Observed agreement (accuracy).
-    pub fn observed_agreement(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return f64::NAN;
-        }
-        (self.tp + self.tn) as f64 / total as f64
-    }
-
     /// Cohen's kappa for this 2×2 table.
     pub fn kappa(&self) -> f64 {
         cohen_kappa(&[[self.tp, self.fn_], [self.fp, self.tn]])

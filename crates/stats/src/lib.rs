@@ -13,11 +13,11 @@
 //! - [`effect`] — Cohen's d and Cohen's kappa effect/agreement sizes;
 //! - [`metrics`] — RMSE / MAE / MAPE forecast-error metrics;
 //! - [`ranking`] — AP@K and NDCG@K ranking-quality metrics;
+//! - [`tsa`] — autocorrelation, Ljung–Box and the KPSS stationarity test;
 //! - [`optimize`] — Nelder–Mead simplex and golden-section search;
 //! - [`linalg`] — small dense matrices with Cholesky solves, sized for
 //!   Kalman-filter state dimensions (≈ 4–16).
 
-pub mod bootstrap;
 pub mod descriptive;
 pub mod dist;
 pub mod effect;

@@ -95,15 +95,6 @@ impl Mat {
         Mat { rows, cols, data }
     }
 
-    /// Column vector from a slice.
-    pub fn col_vec(values: &[f64]) -> Self {
-        Mat {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -185,13 +176,6 @@ impl Mat {
         assert_eq!(self.rows, other.rows, "dim mismatch in copy_from");
         assert_eq!(self.cols, other.cols, "dim mismatch in copy_from");
         self.data.copy_from_slice(&other.data);
-    }
-
-    /// Scale every element by `s` in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
     }
 
     /// Symmetrise in place: `A = (A + Aᵀ)/2`. Keeps covariance matrices
@@ -326,11 +310,6 @@ impl Mat {
             x[col] = sum / a[col * n + col];
         }
         Some(x)
-    }
-
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute element.

@@ -54,13 +54,6 @@ cargo run --release -q --bin mictrend -- simulate --out "$tmp/small.mic" --month
 [[ "$status" -eq 1 ]] && grep -q '^error:' "$tmp/small.err" \
     || { echo "malformed-input gate: simulate --months 12 exited $status"; cat "$tmp/small.err"; exit 1; }
 
-echo "==> allocation-free EM gate (em.resp_buffer_allocs == 0)"
-# The workspace engine must never allocate responsibility buffers inside
-# em_step; any non-zero count means the hot path regressed to per-record
-# allocation.
-grep -q '"type":"counter","name":"em.resp_buffer_allocs","value":0' "$tmp/metrics.jsonl" \
-    || { echo "allocation-free EM gate: em.resp_buffer_allocs != 0 (or missing)"; exit 1; }
-
 echo "==> incremental session smoke gate (mictrend append --check-batch)"
 # Absorb the last 3 months one by one through an AnalysisSession, then
 # require (a) a cold re-analysis of the session to match a fresh batch run
