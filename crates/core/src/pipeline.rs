@@ -385,20 +385,25 @@ mod tests {
     fn stage1_thread_count_does_not_change_the_panel() {
         // Stage 1's per-worker EmWorkspace fan-out must be invisible in the
         // output: any worker count builds the same panel and report as the
-        // serial pass, bit for bit.
+        // serial pass, bit for bit — also when the serial continuity refine
+        // chains the parallel independent fits.
         let (_world, ds) = small_ds();
-        let base = TrendPipeline::new(PipelineConfig {
-            stage1_threads: 1,
-            ..fast_config()
-        })
-        .run(&ds);
-        for stage1_threads in [2usize, 4, 8] {
-            let report = TrendPipeline::new(PipelineConfig {
-                stage1_threads,
+        for continuity in [0.0, 0.5] {
+            let base = TrendPipeline::new(PipelineConfig {
+                stage1_threads: 1,
+                continuity,
                 ..fast_config()
             })
             .run(&ds);
-            assert_reports_identical(&report, &base);
+            for stage1_threads in [2usize, 4, 8] {
+                let report = TrendPipeline::new(PipelineConfig {
+                    stage1_threads,
+                    continuity,
+                    ..fast_config()
+                })
+                .run(&ds);
+                assert_reports_identical(&report, &base);
+            }
         }
     }
 

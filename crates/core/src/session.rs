@@ -59,7 +59,7 @@ pub struct Stage1Reproduce {
     pub filter: FrequencyFilter,
     pub em: EmOptions,
     /// Temporal-prior weight for chaining consecutive months' `Φ`
-    /// (see [`MedicationModel::fit_tracked`]); 0 = independent fits.
+    /// (see [`MedicationModel::refine_next`]); 0 = independent fits.
     pub continuity: f64,
     /// Worker threads for batch month fits (0 = auto).
     pub threads: usize,

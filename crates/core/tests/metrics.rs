@@ -1,13 +1,14 @@
 //! Instrumentation contract of the full pipeline: `pipeline.*` counters
 //! must agree with the `TrendReport`'s own coverage bookkeeping and with the
-//! per-series fit counts, and the stage spans must all fire.
+//! per-series fit counts, and the stage spans must all fire. The `kf.*`
+//! evaluation counter also bounds what an incremental append costs.
 //!
 //! Own integration-test binary (own process): the recorder is global and no
 //! other test's metrics may leak in.
 
 use mic_claims::{Simulator, WorldSpec};
 use mic_statespace::FitOptions;
-use mic_trend::{PipelineConfig, TrendPipeline};
+use mic_trend::{AnalysisSession, PipelineConfig, TrendPipeline};
 
 fn small_dataset() -> mic_claims::ClaimsDataset {
     let spec = WorldSpec {
@@ -113,5 +114,64 @@ fn disabled_pipeline_records_nothing() {
     assert!(
         mic_obs::snapshot().is_empty(),
         "instrumented pipeline must record nothing while disabled"
+    );
+}
+
+#[test]
+fn append_costs_under_half_of_a_batch_rerun() {
+    // Appending month T+1 to a warm session (one EM fit plus warm-started
+    // refits) must cost at most half the likelihood evaluations of a cold
+    // batch analysis of all T+1 months. Counting evaluations instead of
+    // timing keeps the bound deterministic.
+    let _guard = mic_obs::exclusive();
+    mic_obs::disable();
+    let spec = WorldSpec {
+        n_diseases: 10,
+        n_medicines: 14,
+        n_patients: 120,
+        n_hospitals: 4,
+        n_cities: 2,
+        months: 18,
+        ..WorldSpec::default()
+    };
+    let ds = Simulator::new(&spec.generate(), 42).run();
+    let config = PipelineConfig {
+        seasonal: false,
+        fit: FitOptions {
+            max_evals: 120,
+            n_starts: 1,
+            ..FitOptions::default()
+        },
+        threads: 1,
+        ..Default::default()
+    };
+    let (head, tail) = ds.months.split_at(ds.months.len() - 1);
+    let mut warm = AnalysisSession::new(&config, ds.start, ds.n_diseases, ds.n_medicines);
+    warm.append_months(head)
+        .expect("simulated months are sequential");
+    warm.analyze();
+
+    let evals = |run: &mut dyn FnMut()| {
+        mic_obs::reset();
+        mic_obs::enable();
+        run();
+        let snap = mic_obs::snapshot();
+        mic_obs::disable();
+        snap.counter("kf.loglik_evals")
+    };
+    let append = evals(&mut || {
+        warm.append_month(&tail[0])
+            .expect("month T+1 is in sequence");
+        warm.analyze();
+    });
+    let batch = evals(&mut || {
+        AnalysisSession::from_dataset(&config, &ds)
+            .expect("simulated months are sequential")
+            .analyze();
+    });
+    assert!(batch > 0);
+    assert!(
+        2 * append <= batch,
+        "append {append} vs batch {batch} likelihood evaluations"
     );
 }

@@ -16,7 +16,6 @@
 
 use crate::workspace::EmWorkspace;
 use mic_claims::{DiseaseId, MedicineId, MonthlyDataset};
-use mic_par::parallel_map_with;
 use std::collections::HashMap;
 
 /// EM hyperparameters.
@@ -169,64 +168,13 @@ impl MedicationModel {
         }
     }
 
-    /// Fit a *tracked* sequence of monthly models: each month's `Φ` M-step
-    /// receives the previous month's expected counts as pseudo-counts with
-    /// weight `continuity ∈ [0, 1)` — the Topic-Tracking-Model-style
-    /// evolution the paper's discussion proposes as an extension. With
-    /// `continuity = 0` this reduces to independent monthly fits.
-    pub fn fit_tracked(
-        months: &[MonthlyDataset],
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-        continuity: f64,
-    ) -> Vec<MedicationModel> {
-        MedicationModel::fit_tracked_threaded(months, n_diseases, n_medicines, opts, continuity, 1)
-    }
-
-    /// [`MedicationModel::fit_tracked`] with a pipelined refine pass: the
-    /// independent monthly fits (the bulk of the cost) run in parallel on
-    /// `threads` workers with one [`EmWorkspace`] each, then the sequential
-    /// temporal-prior refinement — which must see month `t−1`'s refined `Φ`
-    /// — re-imports each fit and chains through the months serially.
-    /// Results are identical for every thread count.
-    pub fn fit_tracked_threaded(
-        months: &[MonthlyDataset],
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-        continuity: f64,
-        threads: usize,
-    ) -> Vec<MedicationModel> {
-        assert!(
-            (0.0..1.0).contains(&continuity),
-            "continuity must be in [0, 1)"
-        );
-        let mut out: Vec<MedicationModel> =
-            parallel_map_with(months, threads, EmWorkspace::new, |ws, month| {
-                MedicationModel::fit_with(month, n_diseases, n_medicines, opts, ws)
-            });
-        if continuity > 0.0 {
-            let mut ws = EmWorkspace::new();
-            for t in 1..out.len() {
-                let (done, rest) = out.split_at_mut(t);
-                let prev = &done[t - 1];
-                rest[0].refine_with(&months[t], &prev.phi, continuity, opts, &mut ws);
-            }
-        }
-        out
-    }
-
-    /// Apply the tracked fit's temporal-prior refine pass to an
-    /// independently fitted model: resume EM from this model's `Φ` with
-    /// `prev`'s `Φ` as a pseudo-count prior of weight `continuity`. A no-op
-    /// when `continuity` is zero. This is the serial half of
-    /// [`MedicationModel::fit_tracked_threaded`], exposed so callers that
-    /// already hold the parallel independent fits (an incremental analysis
-    /// session batch-loading months) can chain the refinement themselves.
-    /// Chaining `fit_with` + `refine_next` month by month is element-wise
-    /// identical to one [`MedicationModel::fit_tracked`] call over the
-    /// window.
+    /// Temporal-prior refinement of an independently fitted model — the
+    /// *tracked* fit, the Topic-Tracking-Model-style evolution the paper's
+    /// discussion proposes as an extension: resume EM from this model's `Φ`
+    /// with `prev`'s `Φ` as a pseudo-count prior of weight `continuity`. A
+    /// no-op when `continuity` is zero. Chaining `fit_with` + `refine_next`
+    /// month by month yields the tracked sequence; the independent fits can
+    /// run in parallel, the refinement must see month `t−1`'s refined `Φ`.
     pub fn refine_next(
         &mut self,
         month: &MonthlyDataset,
@@ -267,7 +215,7 @@ impl MedicationModel {
 
     /// Reference (pre-workspace) fit: the seed's per-iteration `HashMap`
     /// implementation, kept as the golden model for the workspace parity
-    /// tests and the before/after `C_EM` benchmark. Not for production use.
+    /// tests. Not for production use.
     #[doc(hidden)]
     pub fn fit_reference(
         month: &MonthlyDataset,
@@ -505,6 +453,26 @@ mod tests {
         }
     }
 
+    /// The tracked sequence: independent fits chained by `refine_next`.
+    fn tracked_chain(
+        months: &[MonthlyDataset],
+        n_diseases: usize,
+        n_medicines: usize,
+        opts: &EmOptions,
+        continuity: f64,
+    ) -> Vec<MedicationModel> {
+        let mut ws = EmWorkspace::new();
+        let mut out: Vec<MedicationModel> = Vec::new();
+        for month in months {
+            let mut next = MedicationModel::fit_with(month, n_diseases, n_medicines, opts, &mut ws);
+            if let Some(prev) = out.last() {
+                next.refine_next(month, prev, continuity, opts, &mut ws);
+            }
+            out.push(next);
+        }
+        out
+    }
+
     /// Two diseases that never co-occur: the model must learn disjoint φ.
     #[test]
     fn separable_diseases_learn_disjoint_phi() {
@@ -697,7 +665,7 @@ mod tests {
         ];
         let opts = EmOptions::default();
         let independent = MedicationModel::fit(&months[1], 2, 2, &opts);
-        let tracked = MedicationModel::fit_tracked(&months, 2, 2, &opts, 0.5);
+        let tracked = tracked_chain(&months, 2, 2, &opts, 0.5);
         // Which disease caused the sparse month's prescription? The
         // independent fit cannot tell (responsibility ≈ 0.5 each); the
         // tracked fit carries month-0 knowledge that medicine 0 belongs to
@@ -711,7 +679,7 @@ mod tests {
             "tracked q ({q_trk:.3}) should exceed independent ({q_ind:.3})"
         );
         // Zero continuity reproduces independent fits.
-        let zero = MedicationModel::fit_tracked(&months, 2, 2, &opts, 0.0);
+        let zero = tracked_chain(&months, 2, 2, &opts, 0.0);
         let q_zero = zero[1].responsibilities(&bag, MedicineId(0))[0].1;
         assert!((q_zero - q_ind).abs() < 1e-9);
     }
@@ -728,55 +696,13 @@ mod tests {
                 records: vec![record(vec![(1, 2)], vec![1])],
             },
         ];
-        let tracked = MedicationModel::fit_tracked(&months, 2, 2, &EmOptions::default(), 0.8);
+        let tracked = tracked_chain(&months, 2, 2, &EmOptions::default(), 0.8);
         for model in &tracked {
             for d in 0..2 {
                 let total: f64 = (0..2)
                     .map(|m| model.phi_prob(DiseaseId(d), MedicineId(m)))
                     .sum();
                 assert!((total - 1.0).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn refine_next_chain_matches_fit_tracked() {
-        let mut months = Vec::new();
-        for t in 0..4u32 {
-            let mut records = Vec::new();
-            for i in 0..12 {
-                records.push(record(
-                    vec![((i + t) % 3, 1 + i % 2), ((i + 1) % 3, 1)],
-                    vec![i % 4, (i * 2 + t) % 4],
-                ));
-            }
-            months.push(MonthlyDataset {
-                month: Month(t),
-                records,
-            });
-        }
-        let opts = EmOptions::default();
-        for continuity in [0.0, 0.4] {
-            let tracked = MedicationModel::fit_tracked(&months, 3, 4, &opts, continuity);
-            let mut ws = EmWorkspace::new();
-            let mut chained: Vec<MedicationModel> = Vec::new();
-            for month in &months {
-                let mut next = MedicationModel::fit_with(month, 3, 4, &opts, &mut ws);
-                if let Some(prev) = chained.last() {
-                    next.refine_next(month, prev, continuity, &opts, &mut ws);
-                }
-                chained.push(next);
-            }
-            for (a, b) in tracked.iter().zip(&chained) {
-                assert_eq!(a.log_likelihood.to_bits(), b.log_likelihood.to_bits());
-                assert_eq!(a.iterations, b.iterations);
-                for d in 0..3 {
-                    for m in 0..4 {
-                        let pa = a.phi_prob(DiseaseId(d), MedicineId(m));
-                        let pb = b.phi_prob(DiseaseId(d), MedicineId(m));
-                        assert_eq!(pa.to_bits(), pb.to_bits(), "phi[{d}][{m}] diverged");
-                    }
-                }
             }
         }
     }

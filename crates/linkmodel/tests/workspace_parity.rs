@@ -117,60 +117,20 @@ fn tracked_fit_matches_reference_with_temporal_prior() {
             &opts,
             continuity,
         );
-        let fitted = MedicationModel::fit_tracked(
-            &ds.months,
-            ds.n_diseases,
-            ds.n_medicines,
-            &opts,
-            continuity,
-        );
+        // The production chain: independent fits refined month by month.
+        let mut ws = EmWorkspace::new();
+        let mut fitted: Vec<MedicationModel> = Vec::new();
+        for month in &ds.months {
+            let mut next =
+                MedicationModel::fit_with(month, ds.n_diseases, ds.n_medicines, &opts, &mut ws);
+            if let Some(prev) = fitted.last() {
+                next.refine_next(month, prev, continuity, &opts, &mut ws);
+            }
+            fitted.push(next);
+        }
         assert_eq!(golden.len(), fitted.len());
         for (t, (f, g)) in fitted.iter().zip(&golden).enumerate() {
             assert_models_match(f, g, &format!("continuity={continuity} month {t}"));
-        }
-    }
-}
-
-#[test]
-fn tracked_fit_is_thread_count_invariant() {
-    // The pipelined refine pass (parallel independent fits, serial refine
-    // chain) must give bit-identical models at every worker count.
-    let world = spec(13).generate();
-    let ds = Simulator::new(&world, 17).run();
-    let opts = EmOptions::default();
-    let base = MedicationModel::fit_tracked_threaded(
-        &ds.months,
-        ds.n_diseases,
-        ds.n_medicines,
-        &opts,
-        0.5,
-        1,
-    );
-    for threads in [2usize, 4, 8] {
-        let par = MedicationModel::fit_tracked_threaded(
-            &ds.months,
-            ds.n_diseases,
-            ds.n_medicines,
-            &opts,
-            0.5,
-            threads,
-        );
-        for (t, (a, b)) in par.iter().zip(&base).enumerate() {
-            assert_eq!(
-                a.log_likelihood.to_bits(),
-                b.log_likelihood.to_bits(),
-                "month {t} at {threads} threads"
-            );
-            assert_eq!(a.iterations, b.iterations);
-            for d in 0..ds.n_diseases as u32 {
-                for m in 0..ds.n_medicines as u32 {
-                    assert_eq!(
-                        a.phi_prob(DiseaseId(d), MedicineId(m)).to_bits(),
-                        b.phi_prob(DiseaseId(d), MedicineId(m)).to_bits(),
-                        "month {t} phi[{d},{m}] at {threads} threads"
-                    );
-                }
-            }
         }
     }
 }

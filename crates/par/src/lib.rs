@@ -9,75 +9,19 @@
 //! layers. An atomic-counter queue over `std::thread::scope` gives
 //! near-linear scaling without any external dependency.
 //!
-//! Results land in **pre-sized lock-free slots**: the atomic claim counter
-//! hands each index to exactly one worker, so every slot is written at most
-//! once and read only after all workers have joined — no per-slot `Mutex`,
-//! no retry loop. A worker panic is caught, the queue is drained, and the
-//! panic is re-raised on the calling thread with the index of the item that
-//! failed.
+//! Each worker keeps the `(index, result)` pairs it computed and hands them
+//! back when it is joined; the caller scatters them into input order. A
+//! worker panic is caught, the queue is drained, and the panic is re-raised
+//! on the calling thread with the index of the item that failed.
 //!
 //! [`parallel_map_with`] additionally threads one caller-built state value
 //! per worker through every call — the hook the allocation-free fitting
 //! workspaces (`EmWorkspace`, `FilterWorkspace`) use to amortise their
 //! buffers across a worker's whole share of the queue.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Pre-sized result buffer. Safety contract: slot `i` is written by the one
-/// worker that claimed index `i` from the atomic queue, and read only after
-/// `std::thread::scope` has joined every worker — so all writes are disjoint
-/// and happen-before all reads.
-struct Slots<R> {
-    data: Vec<UnsafeCell<MaybeUninit<R>>>,
-    written: Vec<AtomicBool>,
-}
-
-unsafe impl<R: Send> Sync for Slots<R> {}
-
-impl<R> Slots<R> {
-    fn new(len: usize) -> Slots<R> {
-        Slots {
-            data: (0..len)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            written: (0..len).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Store the result for claimed index `i`. Caller must hold the unique
-    /// claim on `i`.
-    unsafe fn write(&self, i: usize, r: R) {
-        (*self.data[i].get()).write(r);
-        self.written[i].store(true, Ordering::Release);
-    }
-
-    /// Consume the buffer, dropping any initialised results (used on the
-    /// panic path, where some slots were never filled).
-    fn drop_written(mut self) {
-        for (cell, written) in self.data.drain(..).zip(&self.written) {
-            if written.load(Ordering::Acquire) {
-                unsafe { cell.into_inner().assume_init_drop() };
-            }
-        }
-    }
-
-    /// Consume the buffer into the ordered results. Caller must have
-    /// verified every slot was filled.
-    fn into_results(mut self) -> Vec<R> {
-        self.data
-            .drain(..)
-            .zip(&self.written)
-            .map(|(cell, written)| {
-                assert!(written.load(Ordering::Acquire), "unfilled result slot");
-                unsafe { cell.into_inner().assume_init() }
-            })
-            .collect()
-    }
-}
 
 /// First worker panic: item index plus the payload to re-raise.
 type PanicSlot = Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>>;
@@ -121,37 +65,40 @@ where
     }
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let slots: Slots<R> = Slots::new(items.len());
     let panicked: PanicSlot = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(&mut state, &items[i]))) {
-                        Ok(r) => unsafe { slots.write(i, r) },
-                        Err(payload) => {
-                            let mut guard = panicked.lock().unwrap_or_else(|e| e.into_inner());
-                            if guard.is_none() {
-                                *guard = Some((i, payload));
-                            }
-                            stop.store(true, Ordering::Relaxed);
+    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut results = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
                             break;
                         }
+                        match catch_unwind(AssertUnwindSafe(|| f(&mut state, &items[i]))) {
+                            Ok(r) => results.push((i, r)),
+                            Err(payload) => {
+                                let mut guard = panicked.lock().unwrap_or_else(|e| e.into_inner());
+                                if guard.is_none() {
+                                    *guard = Some((i, payload));
+                                }
+                                stop.store(true, Ordering::Relaxed);
+                                break;
+                            }
+                        }
                     }
-                }
-            });
-        }
+                    results
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
     });
     if let Some((i, payload)) = panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        slots.drop_written();
         let detail = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -164,7 +111,13 @@ where
             }
         }
     }
-    slots.into_results()
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for (i, r) in done.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every item was claimed by exactly one worker"))
+        .collect()
 }
 
 /// A sensible default thread count: available parallelism minus one (leave a

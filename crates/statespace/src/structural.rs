@@ -182,16 +182,6 @@ impl StructuralSpec {
             extra_skips: Vec::new(),
         }
     }
-
-    /// Overwrite the disturbance variances of an SSM previously produced by
-    /// [`StructuralSpec::build`] for this spec. Only the variances depend on
-    /// the parameters — transition, loadings, and initial state are fixed by
-    /// the spec — so MLE objective evaluations can reuse one built model
-    /// instead of rebuilding (and reallocating) it per likelihood call.
-    pub fn apply_params(&self, params: &StructuralParams, ssm: &mut Ssm) {
-        debug_assert_eq!(ssm.state_dim(), self.state_dim());
-        params.write_into(self.seasonal, ssm);
-    }
 }
 
 /// Disturbance variances of the structural model.

@@ -1,12 +1,18 @@
 //! Instrumentation contract of the change-point searches: the `kf.*`
 //! counters must agree with the per-search `fits_performed` bookkeeping and
 //! exhibit the Table V complexity split — exact search O(T) fits, binary
-//! search O(log T).
+//! search O(log T). The steady-state counters must show the fast path
+//! covering most of a long local-level series.
 //!
 //! This lives in its own integration-test binary (own process) so no other
 //! test's recording can leak into the global recorder.
 
-use mic_statespace::{search, FitOptions, SearchPlan};
+use mic_statespace::{
+    kalman_loglik, search, FilterWorkspace, FitOptions, SearchPlan, SteadyStateOpts,
+    StructuralParams, StructuralSpec,
+};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// 43 months (the paper's horizon) with a clear level shift at month 25
 /// plus a small deterministic wiggle so fits are non-degenerate.
@@ -77,4 +83,38 @@ fn search_counters_match_fits_and_complexity() {
     // The per-search wall-time timers saw one exact and one approx search.
     assert_eq!(snap.timer("kf.search.exact").unwrap().count, 1);
     assert_eq!(snap.timer("kf.search.approx").unwrap().count, 1);
+}
+
+#[test]
+fn steady_state_covers_most_of_a_long_local_level_series() {
+    // T = 120 monthly points: level 30, a ±5 yearly wave, N(0, 1) noise.
+    let mut rng = SmallRng::seed_from_u64(1);
+    let ys: Vec<f64> = (0..120)
+        .map(|t| {
+            30.0 + 5.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin()
+                + mic_stats::dist::sample_normal(&mut rng, 0.0, 1.0)
+        })
+        .collect();
+    let params = StructuralParams {
+        var_eps: 1.0,
+        var_level: 0.1,
+        var_seasonal: 0.0,
+    };
+    let spec = StructuralSpec::local_level();
+    let ssm = spec.build(&params, ys.len());
+    let mut ws = FilterWorkspace::new(spec.state_dim());
+
+    let _guard = mic_obs::exclusive();
+    mic_obs::reset();
+    mic_obs::enable();
+    kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
+    let snap = mic_obs::snapshot();
+    mic_obs::disable();
+
+    // The local-level covariance settles within a few dozen steps, so the
+    // frozen-gain phase must cover at least half the series: the least a
+    // 2× saving needs even if steady steps cost nothing.
+    assert_eq!(snap.counter("kf.steady_entered"), 1);
+    let steady = snap.counter("kf.steady_steps");
+    assert!(steady >= 60, "steady steps = {steady} of 120");
 }

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example multi_breaks`
 
 use prescription_trends::claims::{Simulator, WorldSpec};
-use prescription_trends::linkmodel::{EmOptions, MedicationModel};
+use prescription_trends::linkmodel::{EmOptions, EmWorkspace, MedicationModel};
 use prescription_trends::statespace::multi::detect_multiple;
 use prescription_trends::statespace::{fit_structural, FitOptions, StructuralSpec};
 use prescription_trends::trend::report::sparkline;
@@ -68,7 +68,18 @@ fn main() {
         .iter()
         .map(|m| MedicationModel::fit(m, ds.n_diseases, ds.n_medicines, &em))
         .collect();
-    let tracked = MedicationModel::fit_tracked(&ds.months, ds.n_diseases, ds.n_medicines, &em, 0.6);
+    // Tracked fits: each month's independent fit refined under the previous
+    // month's Φ as a temporal prior.
+    let mut ws = EmWorkspace::new();
+    let mut tracked: Vec<MedicationModel> = Vec::new();
+    for month in &ds.months {
+        let mut next =
+            MedicationModel::fit_with(month, ds.n_diseases, ds.n_medicines, &em, &mut ws);
+        if let Some(prev) = tracked.last() {
+            next.refine_next(month, prev, 0.6, &em, &mut ws);
+        }
+        tracked.push(next);
+    }
     // Compare month-to-month stability of φ rows (tracked should drift less).
     let drift = |models: &[MedicationModel]| -> f64 {
         let mut total = 0.0;

@@ -2,8 +2,6 @@
 # Full local gate: everything CI would run, in dependency order.
 #
 #   ./scripts/check.sh          # build + test + lint
-#   RUN_BENCHES=1 ./scripts/check.sh   # additionally run criterion benches;
-#                                      # BENCH_*.json land in results/bench/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,12 +91,5 @@ for example in multi_breaks forecasting; do
     cargo run --release -q --example "$example" > /dev/null \
         || { echo "examples gate: $example failed"; exit 1; }
 done
-
-if [[ "${RUN_BENCHES:-0}" == "1" ]]; then
-    echo "==> criterion benches (JSON -> results/bench/)"
-    mkdir -p results/bench
-    BENCH_JSON_DIR="$PWD/results/bench" cargo bench -p mic-bench
-    ls -l results/bench/BENCH_*.json
-fi
 
 echo "OK"

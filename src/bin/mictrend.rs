@@ -6,7 +6,7 @@
 //!                   [--diseases N] [--medicines N]
 //! mictrend stats    --data claims.mic
 //! mictrend analyze  --data claims.mic [--exact] [--no-seasonal] [--top N]
-//!                   [--metrics FILE] [--progress] [--incremental]
+//!                   [--metrics FILE] [--progress]
 //! mictrend append   --data claims.mic [--tail N] [--continuity X]
 //!                   [--check-batch] [--metrics FILE]
 //! mictrend series   --data claims.mic --kind <disease|medicine> --id N
@@ -45,7 +45,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   mictrend simulate --out FILE [--seed N] [--months N] [--patients N] [--diseases N] [--medicines N]
   mictrend stats    --data FILE
-  mictrend analyze  --data FILE [--exact] [--no-seasonal] [--no-steady] [--top N] [--metrics FILE] [--progress] [--incremental]
+  mictrend analyze  --data FILE [--exact] [--no-seasonal] [--no-steady] [--top N] [--metrics FILE] [--progress]
   mictrend append   --data FILE [--tail N] [--continuity X] [--exact] [--no-seasonal] [--no-steady] [--check-batch] [--metrics FILE]
   mictrend series   --data FILE --kind disease|medicine --id N
 
@@ -56,8 +56,6 @@ const USAGE: &str = "usage:
   --metrics FILE  write an instrumentation snapshot (JSONL: em.*, kf.*,
                   pipeline.*, session.* counters/timers plus derived cost units)
   --progress      print a periodic metrics summary to stderr while analysing
-  --incremental   drive the analysis through an AnalysisSession, feeding
-                  months one by one instead of the batch pipeline
   --tail N        (append) hold out the last N months and absorb them one
                   by one, re-analysing after each append (default 3)
   --continuity X  temporal-prior weight chaining consecutive months' EM
@@ -85,7 +83,7 @@ impl Flags {
             // Boolean switches take no value.
             if matches!(
                 name,
-                "exact" | "no-seasonal" | "no-steady" | "progress" | "incremental" | "check-batch"
+                "exact" | "no-seasonal" | "no-steady" | "progress" | "check-batch"
             ) {
                 switches.push(name.to_string());
                 i += 1;
@@ -254,22 +252,7 @@ fn analyze(flags: &Flags) -> Result<(), String> {
             }
         })
     });
-    let report = if flags.has("incremental") {
-        // Same result as the batch run (a fresh session fed every month),
-        // but exercised through the month-by-month append path.
-        let mut session = AnalysisSession::new(
-            &config,
-            dataset.start,
-            dataset.n_diseases,
-            dataset.n_medicines,
-        );
-        for month in &dataset.months {
-            session.append_month(month).map_err(|e| e.to_string())?;
-        }
-        session.analyze()
-    } else {
-        TrendPipeline::new(config).run(&dataset)
-    };
+    let report = TrendPipeline::new(config).run(&dataset);
     stop.store(true, Ordering::Relaxed);
     if let Some(handle) = ticker {
         let _ = handle.join();
