@@ -6,7 +6,7 @@
 //! are compared at snapshot months around the generics' release.
 
 use mic_claims::{CityId, ClaimsDataset, MedicineId, MonthlyDataset, World};
-use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel};
+use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
 use std::collections::HashMap;
 
 /// Split a dataset into per-city datasets using the world's hospital→city
@@ -49,12 +49,12 @@ pub fn city_panels(
     split_by_city(ds, world)
         .into_iter()
         .map(|(city, cds)| {
-            let mut builder = PanelBuilder::new(cds.n_diseases, cds.n_medicines, cds.horizon());
+            let mut panel = PrescriptionPanel::empty(cds.n_diseases, cds.n_medicines, 0);
             for month in &cds.months {
                 let model = MedicationModel::fit(month, cds.n_diseases, cds.n_medicines, em);
-                builder.add_month(month, &model);
+                panel.extend_with(month, &model);
             }
-            (city, builder.build())
+            (city, panel)
         })
         .collect()
 }

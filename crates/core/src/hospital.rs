@@ -9,7 +9,7 @@
 //! in the simulated world.
 
 use mic_claims::{ClaimsDataset, DiseaseId, HospitalClass, MedicineId, MonthlyDataset, World};
-use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel};
+use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
 use std::collections::HashMap;
 
 /// Split a dataset by hospital class.
@@ -51,12 +51,12 @@ pub fn class_panels(
     split_by_class(ds, world)
         .into_iter()
         .map(|(class, cds)| {
-            let mut builder = PanelBuilder::new(cds.n_diseases, cds.n_medicines, cds.horizon());
+            let mut panel = PrescriptionPanel::empty(cds.n_diseases, cds.n_medicines, 0);
             for month in &cds.months {
                 let model = MedicationModel::fit(month, cds.n_diseases, cds.n_medicines, em);
-                builder.add_month(month, &model);
+                panel.extend_with(month, &model);
             }
-            (class, builder.build())
+            (class, panel)
         })
         .collect()
 }

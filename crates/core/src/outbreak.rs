@@ -102,16 +102,16 @@ mod tests {
     use mic_claims::{
         DiseaseKind, MedicineClass, Month, SeasonalProfile, Simulator, WorldBuilder, YearMonth,
     };
-    use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder};
+    use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
 
     fn build_panel(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-        let mut b = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
+        let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
         for month in &ds.months {
             let model =
                 MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-            b.add_month(month, &model);
+            panel.extend_with(month, &model);
         }
-        b.build()
+        panel
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use mic_experiments::output::{emit_table, print_series, section};
 use mic_experiments::{hypertension_world, simulate};
-use mic_linkmodel::{CooccurrenceModel, EmOptions, MedicationModel, PanelBuilder};
+use mic_linkmodel::{CooccurrenceModel, EmOptions, MedicationModel, PrescriptionPanel};
 use mic_trend::report::TextTable;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let mut cooc_depressor = Vec::with_capacity(t);
     let mut cooc_analgesic = Vec::with_capacity(t);
     // Proposed-model series (Fig. 2b).
-    let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, t);
+    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     for month in &ds.months {
         cooc_depressor.push(CooccurrenceModel::cooccurrence_count(
             month,
@@ -33,9 +33,8 @@ fn main() {
         ));
         let model =
             MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
     }
-    let panel = builder.build();
     let zero = vec![0.0; t];
     let ours_depressor = panel
         .prescription_series(scenario.hypertension, scenario.depressor)

@@ -4,16 +4,16 @@
 
 use mic_experiments::output::{print_series, section};
 use mic_experiments::{indication_world, new_medicine_world, seasonal_world, simulate};
-use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel};
+use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
 
 fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-    let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
+    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     for month in &ds.months {
         let model =
             MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
     }
-    builder.build()
+    panel
 }
 
 fn main() {

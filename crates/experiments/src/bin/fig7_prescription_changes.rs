@@ -9,18 +9,18 @@
 use mic_claims::{DiseaseKind, MedicineClass, Month, SeasonalProfile, WorldBuilder, YearMonth};
 use mic_experiments::output::{print_series, section};
 use mic_experiments::{indication_world, simulate, PAPER_MONTHS};
-use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel, SeriesKey};
+use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel, SeriesKey};
 use mic_statespace::FitOptions;
 use mic_trend::{classify_change, ChangeCause, PipelineConfig, Stage2Detect};
 
 fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-    let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
+    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     for month in &ds.months {
         let model =
             MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
     }
-    builder.build()
+    panel
 }
 
 fn main() {

@@ -10,7 +10,7 @@ use mic_experiments::output::{emit_table, section};
 use mic_experiments::{evaluation_spec, simulate};
 use mic_linkmodel::eval::evaluate_prescription_relevance;
 use mic_linkmodel::{
-    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, PanelBuilder,
+    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, PrescriptionPanel,
     SplitOptions, UnigramModel,
 };
 use mic_stats::{cohen_d_paired, paired_t_test, Summary};
@@ -30,7 +30,7 @@ fn main() {
     let mut ppl_proposed = Vec::new();
     // Also accumulate panels for the relevance evaluation (trained on the
     // full months, as in the paper).
-    let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
+    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     let mut cooc_totals: HashMap<(u32, u32), f64> = HashMap::new();
 
     for month in &ds.months {
@@ -45,7 +45,7 @@ fn main() {
         }
         // Full-month fit for the panel.
         let full_model = MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &em);
-        builder.add_month(month, &full_model);
+        panel.extend_with(month, &full_model);
         for r in &month.records {
             let mut counts: HashMap<u32, f64> = HashMap::new();
             for &m in &r.medicines {
@@ -58,7 +58,6 @@ fn main() {
             }
         }
     }
-    let panel = builder.build();
 
     // ---- Prescription relevance over the 100 most frequent diseases ----
     let top = panel.top_diseases(100.min(ds.n_diseases));

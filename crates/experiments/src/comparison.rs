@@ -5,7 +5,7 @@
 
 use crate::scenarios::{evaluation_spec, simulate};
 use mic_claims::ClaimsDataset;
-use mic_linkmodel::{EmOptions, MedicationModel, PanelBuilder, PrescriptionPanel, SeriesKey};
+use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel, SeriesKey};
 use mic_statespace::{search, ChangePointSearch, FitOptions, SearchPlan};
 use std::time::Duration;
 
@@ -33,12 +33,11 @@ pub fn build_evaluation_panel(max_prescriptions: usize) -> EvaluationPanel {
     let world = evaluation_spec().generate();
     let dataset = simulate(&world, 13);
     let em = EmOptions::default();
-    let mut builder = PanelBuilder::new(dataset.n_diseases, dataset.n_medicines, dataset.horizon());
+    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
     for month in &dataset.months {
         let model = MedicationModel::fit(month, dataset.n_diseases, dataset.n_medicines, &em);
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
     }
-    let panel = builder.build();
     let keys = panel.filtered_keys(10.0);
     let mut diseases = Vec::new();
     let mut medicines = Vec::new();

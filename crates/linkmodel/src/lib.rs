@@ -55,5 +55,5 @@ pub mod workspace;
 pub use baseline::{CooccurrenceModel, UnigramModel};
 pub use model::{EmOptions, MedicationModel};
 pub use predict::{perplexity, split_records, MedicinePredictor, SplitOptions};
-pub use reproduce::{PanelBuilder, PrescriptionPanel, SeriesKey};
+pub use reproduce::{PrescriptionPanel, SeriesKey};
 pub use workspace::EmWorkspace;

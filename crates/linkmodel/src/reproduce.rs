@@ -138,10 +138,9 @@ impl PrescriptionPanel {
     /// accumulate month `t`'s reproduced counts (Eq. 7) into the new column.
     /// The month must be the next one after the current horizon.
     ///
-    /// Because only month `t`'s records ever touch column `t`, a panel grown
-    /// month-by-month is bit-identical to one built in a single
-    /// [`PanelBuilder`] pass over the same fitted models — the property the
-    /// incremental-vs-batch equivalence tests pin down.
+    /// This is the one way a panel grows: a batch run extends an empty
+    /// panel month by month, exactly as an incremental session does. Only
+    /// month `t`'s records ever touch column `t`.
     pub fn extend_with(&mut self, month: &MonthlyDataset, model: &MedicationModel) {
         let t = month.month.index();
         assert_eq!(
@@ -190,80 +189,6 @@ impl PrescriptionPanel {
     }
 }
 
-/// Incremental panel construction, one fitted month at a time.
-pub struct PanelBuilder {
-    n_diseases: usize,
-    n_medicines: usize,
-    horizon: usize,
-    prescriptions: HashMap<(u32, u32), Vec<f64>>,
-    diseases: Vec<Vec<f64>>,
-    medicines: Vec<Vec<f64>>,
-    months_added: Vec<bool>,
-}
-
-impl PanelBuilder {
-    pub fn new(n_diseases: usize, n_medicines: usize, horizon: usize) -> PanelBuilder {
-        PanelBuilder {
-            n_diseases,
-            n_medicines,
-            horizon,
-            prescriptions: HashMap::new(),
-            diseases: vec![vec![0.0; horizon]; n_diseases],
-            medicines: vec![vec![0.0; horizon]; n_medicines],
-            months_added: vec![false; horizon],
-        }
-    }
-
-    /// Add month `t`'s reproduced counts using the model fitted to that
-    /// month (Eq. 7).
-    pub fn add_month(&mut self, month: &MonthlyDataset, model: &MedicationModel) {
-        let t = month.month.index();
-        assert!(
-            t < self.horizon,
-            "month {t} beyond horizon {}",
-            self.horizon
-        );
-        assert!(!self.months_added[t], "month {t} added twice");
-        self.months_added[t] = true;
-        for r in &month.records {
-            for &m in &r.medicines {
-                for (d, q) in model.responsibilities(&r.diseases, m) {
-                    if q <= 0.0 {
-                        continue;
-                    }
-                    self.prescriptions
-                        .entry((d.0, m.0))
-                        .or_insert_with(|| vec![0.0; self.horizon])[t] += q;
-                    self.diseases[d.index()][t] += q;
-                    self.medicines[m.index()][t] += q;
-                }
-            }
-        }
-    }
-
-    /// Finish; panics if any month was never added.
-    pub fn build(self) -> PrescriptionPanel {
-        assert!(
-            self.months_added.iter().all(|&a| a),
-            "panel is missing months: {:?}",
-            self.months_added
-                .iter()
-                .enumerate()
-                .filter(|(_, &a)| !a)
-                .map(|(t, _)| t)
-                .collect::<Vec<_>>()
-        );
-        let _ = self.n_medicines;
-        let _ = self.n_diseases;
-        PrescriptionPanel {
-            horizon: self.horizon,
-            prescriptions: self.prescriptions,
-            diseases: self.diseases,
-            medicines: self.medicines,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,13 +217,12 @@ mod tests {
     }
 
     fn build_panel(months: Vec<MonthlyDataset>, n_d: usize, n_m: usize) -> PrescriptionPanel {
-        let horizon = months.len();
-        let mut builder = PanelBuilder::new(n_d, n_m, horizon);
+        let mut panel = PrescriptionPanel::empty(n_d, n_m, 0);
         for m in &months {
             let model = MedicationModel::fit(m, n_d, n_m, &EmOptions::default());
-            builder.add_month(m, &model);
+            panel.extend_with(m, &model);
         }
-        builder.build()
+        panel
     }
 
     #[test]
@@ -390,67 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn extend_with_matches_batch_build() {
-        let months = [
-            month(
-                0,
-                vec![
-                    record(vec![(0, 1), (1, 2)], vec![0, 1]),
-                    record(vec![(1, 1)], vec![1]),
-                ],
-            ),
-            month(1, vec![record(vec![(0, 2)], vec![0, 0, 1])]),
-            month(2, vec![record(vec![(2, 1), (0, 1)], vec![1, 1])]),
-        ];
-        let models: Vec<MedicationModel> = months
-            .iter()
-            .map(|m| MedicationModel::fit(m, 3, 2, &EmOptions::default()))
-            .collect();
-        let mut builder = PanelBuilder::new(3, 2, months.len());
-        for (m, model) in months.iter().zip(&models) {
-            builder.add_month(m, model);
-        }
-        let batch = builder.build();
-        let mut grown = PrescriptionPanel::empty(3, 2, 0);
-        for (m, model) in months.iter().zip(&models) {
-            grown.extend_with(m, model);
-        }
-        assert_eq!(grown.horizon(), batch.horizon());
-        assert_eq!(grown.n_prescription_series(), batch.n_prescription_series());
-        for key in batch.filtered_keys(0.0) {
-            let a = batch.series(key).unwrap();
-            let b = grown.series(key).expect("grown panel missing series");
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{key} diverged");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "is not the next month")]
     fn extend_with_rejects_out_of_order_month() {
         let m = month(1, vec![]);
         let model = MedicationModel::fit(&m, 1, 1, &EmOptions::default());
         let mut panel = PrescriptionPanel::empty(1, 1, 0);
         panel.extend_with(&m, &model);
-    }
-
-    #[test]
-    #[should_panic(expected = "missing months")]
-    fn build_requires_all_months() {
-        let builder = PanelBuilder::new(1, 1, 3);
-        builder.build();
-    }
-
-    #[test]
-    #[should_panic(expected = "added twice")]
-    fn double_add_panics() {
-        let m = month(0, vec![]);
-        let model = MedicationModel::fit(&m, 1, 1, &EmOptions::default());
-        let mut builder = PanelBuilder::new(1, 1, 1);
-        builder.add_month(&m, &model);
-        builder.add_month(&m, &model);
     }
 
     #[test]

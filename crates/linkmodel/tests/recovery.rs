@@ -5,7 +5,7 @@
 use mic_claims::{Simulator, WorldSpec};
 use mic_linkmodel::eval::evaluate_prescription_relevance;
 use mic_linkmodel::{
-    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, PanelBuilder,
+    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, PrescriptionPanel,
     SplitOptions, UnigramModel,
 };
 
@@ -72,13 +72,13 @@ fn proposed_model_ranking_beats_cooccurrence() {
     let ds = Simulator::new(&world, 22).run();
 
     // Reproduce the panel with the proposed model.
-    let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
+    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     // Cooccurrence "panel": total cooccurrence counts per pair.
     let mut cooc_totals: std::collections::HashMap<(u32, u32), f64> = Default::default();
     for month in &ds.months {
         let model =
             MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
         for r in &month.records {
             let mut med_counts: std::collections::HashMap<u32, f64> = Default::default();
             for &m in &r.medicines {
@@ -91,7 +91,6 @@ fn proposed_model_ranking_beats_cooccurrence() {
             }
         }
     }
-    let panel = builder.build();
     let top = panel.top_diseases(15);
     let relevant = |d: mic_claims::DiseaseId, m: mic_claims::MedicineId| world.relevant(d, m);
 
@@ -118,12 +117,12 @@ fn reproduced_series_track_true_links() {
     // counts: the model's attribution should be strongly informative.
     let world = spec().generate();
     let ds = Simulator::new(&world, 23).run();
-    let mut builder = PanelBuilder::new(ds.n_diseases, ds.n_medicines, ds.horizon());
+    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     let mut truth: std::collections::HashMap<(u32, u32), Vec<f64>> = Default::default();
     for month in &ds.months {
         let model =
             MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
         for r in &month.records {
             for (l, &m) in r.medicines.iter().enumerate() {
                 let d = r.truth_links[l];
@@ -133,7 +132,6 @@ fn reproduced_series_track_true_links() {
             }
         }
     }
-    let panel = builder.build();
 
     // Overall attribution error: sum |x_dmt − truth| / total prescriptions.
     let mut err = 0.0;

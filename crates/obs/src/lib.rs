@@ -8,13 +8,13 @@
 //!
 //! Recording is **thread-local**: every increment lands in the calling
 //! thread's private collector, so the parallel Kalman fleet pays no
-//! cross-thread contention on the hot path. Collectors are published to a
-//! global lock-free (Treiber) stack when a thread exits, or explicitly via
-//! [`flush`]. An explicit `JoinHandle::join` waits for that exit, but the
-//! implicit join at the end of `std::thread::scope` does not, so scoped
-//! workers call [`flush`] before returning, as `AnalysisSession`'s do.
-//! [`snapshot`] drains the stack and merges everything into one cumulative
-//! [`Snapshot`].
+//! cross-thread contention on the hot path. A collector is published — merged
+//! under a mutex into one cumulative [`Snapshot`] — when its thread exits,
+//! or explicitly via [`flush`]. An explicit `JoinHandle::join` waits for that
+//! exit, but the implicit join at the end of `std::thread::scope` does not,
+//! so scoped workers call [`flush`] before returning, as `AnalysisSession`'s
+//! do. [`snapshot`] publishes the calling thread's collector and returns a
+//! copy of the cumulative snapshot.
 //!
 //! The recorder is **disabled by default** and every recording entry point
 //! starts with a single relaxed atomic load, so instrumented code compiled
@@ -56,8 +56,7 @@ pub use snapshot::Snapshot;
 
 use metrics::LocalCollector;
 use std::cell::RefCell;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -173,81 +172,45 @@ pub fn span(name: &'static str) -> Span {
 }
 
 // ---------------------------------------------------------------------------
-// Publication: a lock-free Treiber stack of finished collectors.
-
-struct Node {
-    data: LocalCollector,
-    next: *mut Node,
-}
-
-static PUBLISHED: AtomicPtr<Node> = AtomicPtr::new(ptr::null_mut());
+// Publication: finished collectors merge straight into the cumulative store.
 
 fn publish(data: LocalCollector) {
-    if data.is_empty() {
-        return;
-    }
-    let node = Box::into_raw(Box::new(Node {
-        data,
-        next: ptr::null_mut(),
-    }));
-    let mut head = PUBLISHED.load(Ordering::Acquire);
-    loop {
-        // SAFETY: `node` came from Box::into_raw above and is not yet
-        // reachable by any other thread.
-        unsafe { (*node).next = head };
-        match PUBLISHED.compare_exchange_weak(head, node, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return,
-            Err(h) => head = h,
-        }
+    if !data.is_empty() {
+        merged().merge_local(data);
     }
 }
 
-fn drain_published() -> Vec<LocalCollector> {
-    let mut head = PUBLISHED.swap(ptr::null_mut(), Ordering::AcqRel);
-    let mut out = Vec::new();
-    while !head.is_null() {
-        // SAFETY: the swap above made this chain exclusively ours; every
-        // node was created by Box::into_raw in `publish`.
-        let node = unsafe { Box::from_raw(head) };
-        head = node.next;
-        out.push(node.data);
-    }
-    out
-}
-
-/// Publish the calling thread's collector to the global stack. Cheap when
-/// nothing was recorded. Long-lived threads (e.g. `main`) should flush
+/// Publish the calling thread's collector to the cumulative store. Cheap
+/// when nothing was recorded. Long-lived threads (e.g. `main`) should flush
 /// before a snapshot is taken from another thread; [`snapshot`] flushes the
 /// calling thread itself.
 pub fn flush() {
     with_local(|c| publish(std::mem::take(c)));
 }
 
-fn merged() -> &'static Mutex<Snapshot> {
+/// The cumulative store every published collector merges into.
+fn merged() -> MutexGuard<'static, Snapshot> {
     static MERGED: OnceLock<Mutex<Snapshot>> = OnceLock::new();
-    MERGED.get_or_init(|| Mutex::new(Snapshot::default()))
+    MERGED
+        .get_or_init(|| Mutex::new(Snapshot::default()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Merge everything published so far (plus the calling thread's collector)
-/// into the cumulative snapshot and return a copy.
+/// Merge the calling thread's collector into the cumulative snapshot and
+/// return a copy of it.
 pub fn snapshot() -> Snapshot {
     flush();
-    let drained = drain_published();
-    let mut merged = merged().lock().unwrap_or_else(|e| e.into_inner());
-    for local in drained {
-        merged.merge_local(local);
-    }
-    merged.clone()
+    merged().clone()
 }
 
-/// Clear all recorded metrics: the calling thread's collector, the published
-/// stack, and the merged store. Call from the controlling thread between
-/// runs (live worker threads' collectors cannot be reached and are not
-/// cleared — workers in this workspace are scoped and exit before reset).
+/// Clear all recorded metrics: the calling thread's collector and the merged
+/// store. Call from the controlling thread between runs (live worker
+/// threads' collectors cannot be reached and are not cleared — workers in
+/// this workspace are scoped and exit before reset).
 pub fn reset() {
     with_local(|c| *c = LocalCollector::default());
-    drop(drain_published());
-    *merged().lock().unwrap_or_else(|e| e.into_inner()) = Snapshot::default();
+    *merged() = Snapshot::default();
 }
 
 /// Serialise access to the global recorder across tests. The recorder is

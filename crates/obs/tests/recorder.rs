@@ -24,7 +24,7 @@ fn concurrent_session() -> mic_obs::Snapshot {
                     mic_obs::record_duration("conc.work", Duration::from_micros(id + 1));
                 }
                 // No explicit flush: the thread-local collector publishes
-                // itself to the lock-free stack when the thread exits.
+                // itself to the cumulative snapshot when the thread exits.
             })
         })
         .collect();

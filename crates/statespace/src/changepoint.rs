@@ -12,7 +12,7 @@
 
 use crate::estimate::{comparable_skip, fit_structural_ws, FitOptions, FittedStructural};
 use crate::kalman::FilterWorkspace;
-use crate::structural::{InterventionSpec, StructuralParams, StructuralSpec};
+use crate::structural::{lead, InterventionSpec, StructuralParams, StructuralSpec};
 use std::collections::HashMap;
 
 /// Model-selection criterion for the change-point search. The paper uses
@@ -193,12 +193,6 @@ impl Problem<'_> {
         }
     }
 
-    /// The base model's state dimension: the likelihood lead every fit in
-    /// the search skips (see [`comparable_skip`]).
-    fn lead_skip(&self) -> usize {
-        self.spec(None).state_dim()
-    }
-
     /// One candidate (or baseline) fit, cold or warm-started from the seed
     /// of its model class.
     fn fit(&self, cp: Option<usize>, ws: &mut FilterWorkspace) -> FittedStructural {
@@ -208,15 +202,7 @@ impl Problem<'_> {
             Some(_) => w.candidate,
             None => w.baseline,
         });
-        fit_structural_ws(
-            self.ys,
-            spec,
-            self.opts,
-            skip,
-            extra.as_slice(),
-            seed.as_ref(),
-            ws,
-        )
+        fit_structural_ws(self.ys, spec, self.opts, skip, &extra, seed.as_ref(), ws)
     }
 }
 
@@ -251,7 +237,7 @@ impl SearchContext<'_> {
     /// candidate month at all.
     fn too_short(&self) -> bool {
         let n = self.problem.ys.len();
-        n < self.problem.lead_skip() + 3 || candidates(n).is_empty()
+        n < lead(self.problem.seasonal) + 3 || candidates(n).is_empty()
     }
 
     /// Degenerate "no change" result for series the search cannot handle.
@@ -270,7 +256,7 @@ impl SearchContext<'_> {
             aic: f64::INFINITY,
             bic: f64::INFINITY,
             n: self.problem.ys.len(),
-            skip: self.problem.lead_skip() + 1,
+            skip: lead(self.problem.seasonal) + 1,
             evals: 0,
         };
         ChangePointSearch {
@@ -426,7 +412,7 @@ impl SearchContext<'_> {
 /// the (diffuse) level; the last two months are excluded because a shift
 /// supported by one or two observations is unidentified and produces
 /// spurious boundary detections.
-fn candidates(n: usize) -> std::ops::Range<usize> {
+pub(crate) fn candidates(n: usize) -> std::ops::Range<usize> {
     1..n.saturating_sub(2)
 }
 

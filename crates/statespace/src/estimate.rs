@@ -14,7 +14,7 @@ use crate::kalman::{
 };
 use crate::model::Ssm;
 use crate::smoother::smooth;
-use crate::structural::{Components, InterventionSpec, StructuralParams, StructuralSpec};
+use crate::structural::{lead, Components, StructuralParams, StructuralSpec};
 use mic_stats::optimize::{nelder_mead, NelderMeadOptions};
 use mic_stats::sample_variance;
 
@@ -129,32 +129,67 @@ pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> Fi
     let (skip, extra) = if spec.intervention.is_some() {
         comparable_skip(&spec)
     } else {
-        (spec.state_dim(), None)
+        (spec.state_dim(), Vec::new())
     };
     let mut ws = FilterWorkspace::new(spec.state_dim());
-    fit_structural_ws(ys, spec, opts, skip, extra.as_slice(), None, &mut ws)
+    fit_structural_ws(ys, spec, opts, skip, &extra, None, &mut ws)
 }
 
 /// The likelihood exclusions that make AICs comparable across a
-/// change-point search: `(skip, extra)` for [`fit_structural_ws`].
+/// change-point search: `(skip, extra)` for [`fit_structural_ws`]. This is
+/// the one exclusion rule, `comparable_skip_k`, for the spec's own change
+/// point (if any) under a budget of one: skip the lead (the base model's
+/// state dimension) plus the change point's own innovation, or — for a
+/// change point inside the lead and for the no-change baseline — the
+/// innovation right after the lead.
+pub fn comparable_skip(spec: &StructuralSpec) -> (usize, Vec<usize>) {
+    comparable_skip_k(
+        spec.seasonal,
+        spec.intervention.change_point().as_slice(),
+        1,
+    )
+}
+
+/// The one likelihood-exclusion rule, for models with the distinct
+/// `change_points` of a search that allows up to `budget` of them:
 ///
-/// Every model skips the lead — the base (no-intervention) model's state
-/// dimension — plus exactly one more innovation: the change point's own,
-/// which identifies λ (its variance is ≈ κ under the diffuse prior), or
-/// for a change point inside the lead and for the no-change baseline the
-/// innovation right after the lead. Every candidate and the baseline thus
-/// score the same *number* of observations. Without this, the model that
-/// skips fewer (or cheaper) points gets a spurious likelihood bump: true
-/// change points get suppressed, or the search collapses to `t = 1`, with a
-/// bias that depends on the series' scale.
-pub fn comparable_skip(spec: &StructuralSpec) -> (usize, Option<usize>) {
-    let lead = spec.base().state_dim();
-    match spec.intervention {
-        InterventionSpec::SlopeShift { change_point } if change_point >= lead => {
-            (lead, Some(change_point))
+/// - skip the lead — the base (no-intervention) model's state dimension;
+/// - skip `budget` identifying innovations: each change point's own when it
+///   lies past the lead (its λ first loads there, so that innovation's
+///   variance is ≈ κ under the diffuse prior), otherwise the first free
+///   months after the lead;
+/// - identifying months that continue the lead are folded into `skip`.
+///
+/// Every model the search compares — each candidate set and the no-change
+/// baseline — thus scores the same *number* of observations. Without this,
+/// the model that skips fewer (or cheaper) points gets a spurious
+/// likelihood bump: true change points get suppressed, or the search
+/// collapses to `t = 1`, with a bias that depends on the series' scale.
+pub(crate) fn comparable_skip_k(
+    seasonal: bool,
+    change_points: &[usize],
+    budget: usize,
+) -> (usize, Vec<usize>) {
+    debug_assert!(change_points.len() <= budget);
+    let mut skip = lead(seasonal);
+    let mut extra: Vec<usize> = change_points
+        .iter()
+        .copied()
+        .filter(|&cp| cp >= skip)
+        .collect();
+    let mut free = skip;
+    while extra.len() < budget {
+        while extra.contains(&free) {
+            free += 1;
         }
-        _ => (lead + 1, None),
+        extra.push(free);
     }
+    extra.sort_unstable();
+    while extra.first() == Some(&skip) {
+        extra.remove(0);
+        skip += 1;
+    }
+    (skip, extra)
 }
 
 /// Fit by maximum likelihood with explicit likelihood exclusions — the first
@@ -329,6 +364,7 @@ fn params_from_log(x: &[f64], var_y: f64) -> StructuralParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structural::InterventionSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -357,6 +393,62 @@ mod tests {
                 10.0 + slope * w + mic_stats::dist::sample_normal(&mut rng, 0.0, 0.5)
             })
             .collect()
+    }
+
+    /// Months `0..n` a fit with these exclusions scores.
+    fn scored(n: usize, (skip, extra): (usize, Vec<usize>)) -> Vec<usize> {
+        (skip..n).filter(|t| !extra.contains(t)).collect()
+    }
+
+    #[test]
+    fn comparable_skip_scores_what_the_single_search_always_scored() {
+        let n = 43;
+        for seasonal in [false, true] {
+            let lead = lead(seasonal);
+            let base = StructuralSpec {
+                seasonal,
+                intervention: InterventionSpec::None,
+            };
+            let after_lead: Vec<usize> = (lead + 1..n).collect();
+            assert_eq!(scored(n, comparable_skip(&base)), after_lead);
+            for cp in crate::changepoint::candidates(n) {
+                let spec = StructuralSpec {
+                    intervention: InterventionSpec::SlopeShift { change_point: cp },
+                    ..base
+                };
+                let expected: Vec<usize> = if cp < lead {
+                    after_lead.clone()
+                } else {
+                    (lead..n).filter(|&t| t != cp).collect()
+                };
+                assert_eq!(
+                    scored(n, comparable_skip(&spec)),
+                    expected,
+                    "seasonal {seasonal}, cp {cp}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn comparable_skip_k_resolves_change_points_inside_the_lead() {
+        // A change point inside the lead takes the first free month after
+        // it; one that lands on a month already taken pushes the next
+        // neutral slot on. Either way each model skips lead + budget months:
+        // here all of `0..first_scored`.
+        for (change_points, budget, first_scored) in [
+            (vec![3, 12], 2, 14),
+            (vec![3, 4, 12], 3, 15),
+            (vec![], 3, 15),
+            (vec![12], 3, 15),
+        ] {
+            let skips = comparable_skip_k(true, &change_points, budget);
+            let expected: Vec<usize> = (first_scored..40).collect();
+            assert_eq!(scored(40, skips), expected, "{change_points:?}");
+        }
+        // Change points past the lead skip their own month.
+        assert_eq!(comparable_skip_k(true, &[3, 20], 2), (13, vec![20]));
+        assert_eq!(comparable_skip_k(false, &[10, 30], 3), (2, vec![10, 30]));
     }
 
     #[test]
@@ -497,11 +589,7 @@ mod tests {
         let train = &ys[..36];
         let fit = fit_structural(
             train,
-            StructuralSpec {
-                seasonal: false,
-                intervention: InterventionSpec::SlopeShift { change_point: 20 },
-                period: 12,
-            },
+            StructuralSpec::with_intervention(20),
             &FitOptions::default(),
         );
         let fc = fit.forecast(train, 7);

@@ -22,15 +22,15 @@
 //!   Commandeur–Koopman likelihood (first *d* innovations excluded);
 //! - [`smoother`] — fixed-interval (RTS) state smoother;
 //! - [`structural`] — the paper's structural model variants
-//!   (LL / LL+S / LL+I / LL+S+I) and their component decomposition;
+//!   (LL / LL+S / LL+I / LL+S+I), their one SSM builder and decomposition;
 //! - [`estimate`] — maximum-likelihood fitting (Nelder–Mead over
-//!   log-variances) and AIC;
+//!   log-variances), AIC and the [`comparable_skip`] exclusion rule;
 //! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate), both
 //!   behind the single [`search`] entry point;
 //! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection;
 //! - [`forecast`] — out-of-sample forecasting for both model families;
 //! - [`multi`] — greedy multi-change-point detection (the paper's §IX
-//!   extension);
+//!   extension) on the same builder and exclusion rule;
 //! - [`diffuse`] — exact diffuse initialisation (Durbin–Koopman), used to
 //!   validate the production κ-approximation;
 //! - [`diagnostics`] — Ljung–Box residual checks and outlier flags.
@@ -72,6 +72,6 @@ pub use estimate::{
 };
 pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts};
 pub use model::Ssm;
-pub use multi::{detect_multiple, MultiChangePoints, MultiStructuralSpec};
+pub use multi::{detect_multiple, MultiChangePoints};
 pub use smoother::{smooth, SmoothResult};
 pub use structural::{Components, InterventionSpec, StructuralParams, StructuralSpec};

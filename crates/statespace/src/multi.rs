@@ -5,187 +5,75 @@
 //! `Σ_k λ_k · w_t^{(k)}`, each with its own change point. Detection is a
 //! greedy forward search: find the best single change point (Algorithm 1 or
 //! 2), then — holding accepted points fixed — search for the next one, and
-//! stop as soon as adding a point no longer lowers the AIC. Every model in
-//! a round scores the same observations (the same diffuse-likelihood
-//! convention as the single-point search, extended to one skipped
-//! identifying innovation per intervention).
+//! stop as soon as adding a point no longer lowers the AIC. The models are
+//! built by the single-intervention code's builder, and every model of the
+//! search scores the same observations under its exclusion rule
+//! (`estimate::comparable_skip_k` with the search's intervention budget).
 
-use crate::estimate::{maximize_loglik, FitOptions};
+use crate::changepoint::candidates;
+use crate::estimate::{comparable_skip_k, maximize_loglik, FitOptions};
 use crate::kalman::{kalman_filter, FilterWorkspace};
-use crate::model::{ObsLoading, Ssm, DIFFUSE_KAPPA};
-use crate::structural::{InterventionSpec, StructuralParams};
-use mic_stats::Mat;
-
-/// A structural model with level, optional seasonal, and `K ≥ 0` slope-shift
-/// interventions.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MultiStructuralSpec {
-    pub seasonal: bool,
-    pub period: usize,
-    /// Sorted, distinct change points.
-    pub change_points: Vec<usize>,
-}
-
-impl MultiStructuralSpec {
-    pub fn new(seasonal: bool, mut change_points: Vec<usize>) -> MultiStructuralSpec {
-        change_points.sort_unstable();
-        change_points.dedup();
-        MultiStructuralSpec {
-            seasonal,
-            period: 12,
-            change_points,
-        }
-    }
-
-    pub fn state_dim(&self) -> usize {
-        1 + if self.seasonal { self.period - 1 } else { 0 } + self.change_points.len()
-    }
-
-    pub fn n_variance_params(&self) -> usize {
-        2 + usize::from(self.seasonal)
-    }
-
-    fn lambda_base(&self) -> usize {
-        1 + if self.seasonal { self.period - 1 } else { 0 }
-    }
-
-    /// Build the SSM over `horizon` steps.
-    pub fn build(&self, params: &StructuralParams, horizon: usize) -> Ssm {
-        let m = self.state_dim();
-        let mut transition = Mat::zeros(m, m);
-        let mut q = vec![0.0; m];
-        transition[(0, 0)] = 1.0;
-        q[0] = params.var_level;
-        if self.seasonal {
-            let s0 = 1;
-            let k = self.period - 1;
-            for j in 0..k {
-                transition[(s0, s0 + j)] = -1.0;
-            }
-            for j in 1..k {
-                transition[(s0 + j, s0 + j - 1)] = 1.0;
-            }
-            q[s0] = params.var_seasonal;
-        }
-        let base = self.lambda_base();
-        for k in 0..self.change_points.len() {
-            transition[(base + k, base + k)] = 1.0;
-        }
-        let mut zs = Vec::with_capacity(horizon);
-        for t in 0..horizon {
-            let mut z = vec![0.0; m];
-            z[0] = 1.0;
-            if self.seasonal {
-                z[1] = 1.0;
-            }
-            for (k, &cp) in self.change_points.iter().enumerate() {
-                z[base + k] = InterventionSpec::SlopeShift { change_point: cp }.w(t);
-            }
-            zs.push(z);
-        }
-        Ssm {
-            transition,
-            state_cov: Mat::diag(&q),
-            obs_var: params.var_eps,
-            loading: ObsLoading::TimeVarying(zs),
-            a0: vec![0.0; m],
-            p0: Mat::diag(&vec![DIFFUSE_KAPPA; m]),
-            n_diffuse: m,
-            extra_skips: Vec::new(),
-        }
-    }
-}
+use crate::smoother::smooth;
+use crate::structural::{build_ssm, lead, StructuralParams};
 
 /// A fitted multi-intervention model.
-#[derive(Clone, Debug)]
-pub struct FittedMulti {
-    pub spec: MultiStructuralSpec,
-    pub params: StructuralParams,
-    pub loglik: f64,
-    pub aic: f64,
-    /// Smoothed λ estimate per change point (same order as
-    /// `spec.change_points`).
-    pub lambdas: Vec<f64>,
+struct FittedMulti {
+    /// Change points (ascending) with their smoothed λs.
+    points: Vec<(usize, f64)>,
+    aic: f64,
 }
 
-/// Fit a multi-intervention spec with the comparable-likelihood convention:
-/// skip `base_dim − 1 + max_k` leading innovations (where `max_k` is the
-/// round's intervention budget) plus each intervention's identifying
-/// innovation; `pad` adds neutral skips so models with fewer interventions
-/// score the same number of observations.
+/// Fit the structural model with a slope shift at each of the ascending
+/// `change_points`, excluding from the likelihood what
+/// [`comparable_skip_k`] says for the round's intervention `budget`, and
+/// read out the smoothed λs.
 fn fit_multi(
     ys: &[f64],
-    spec: &MultiStructuralSpec,
+    seasonal: bool,
+    change_points: &[usize],
     opts: &FitOptions,
-    budget_k: usize,
+    budget: usize,
     ws: &mut FilterWorkspace,
 ) -> FittedMulti {
     let n = ys.len();
-    let lead = spec.lambda_base();
-    // Identifying innovations: each change point past `lead` skips itself;
-    // the rest (and padding up to budget_k) skip neutral leading slots.
-    let mut extra: Vec<usize> = Vec::new();
-    let mut neutral = lead;
-    for &cp in &spec.change_points {
-        if cp >= lead && !extra.contains(&cp) {
-            extra.push(cp);
-        } else {
-            while extra.contains(&neutral) {
-                neutral += 1;
-            }
-            extra.push(neutral);
-            neutral += 1;
-        }
-    }
-    while extra.len() < budget_k {
-        while extra.contains(&neutral) {
-            neutral += 1;
-        }
-        extra.push(neutral);
-        neutral += 1;
-    }
+    let (skip, extra) = comparable_skip_k(seasonal, change_points, budget);
     assert!(
-        n > lead + extra.len() + 2,
-        "series of length {n} too short for {} interventions",
-        budget_k
+        n > skip + extra.len() + 2,
+        "series of length {n} too short for {budget} interventions"
     );
-
-    let mut ssm = spec.build(&StructuralParams::ZERO, n);
-    ssm.n_diffuse = lead;
+    let mut ssm = build_ssm(seasonal, change_points, &StructuralParams::ZERO, n);
+    ssm.n_diffuse = skip;
     ssm.extra_skips = extra;
     let single_start = FitOptions {
         n_starts: 1,
         ..*opts
     };
-    let (params, loglik, _) = maximize_loglik(ys, &mut ssm, spec.seasonal, &single_start, None, ws);
+    let (_, loglik, _) = maximize_loglik(ys, &mut ssm, seasonal, &single_start, None, ws);
     // AIC: q = state_dim (every state diffuse), w = variances.
-    let k = spec.state_dim() + spec.n_variance_params();
+    let k = ssm.state_dim() + 2 + usize::from(seasonal);
     // Smoothed λs (full filter pass — only for the winning parameters,
     // which the MLE left in `ssm`).
-    let f = kalman_filter(&ssm, ys);
-    let smoothed = crate::smoother::smooth(&ssm, &f);
-    let lambdas: Vec<f64> = (0..spec.change_points.len())
-        .map(|j| smoothed.means[n - 1][lead + j])
-        .collect();
+    let smoothed = smooth(&ssm, &kalman_filter(&ssm, ys));
+    let lambdas = &smoothed.means[n - 1][lead(seasonal)..];
     FittedMulti {
-        spec: spec.clone(),
-        params,
-        loglik,
+        points: change_points
+            .iter()
+            .copied()
+            .zip(lambdas.iter().copied())
+            .collect(),
         aic: -2.0 * loglik + 2.0 * k as f64,
-        lambdas,
     }
 }
 
 /// Result of the greedy multi-change-point search.
 #[derive(Clone, Debug)]
 pub struct MultiChangePoints {
-    /// Accepted change points in detection order with their λs.
+    /// Accepted change points in ascending order with their λs.
     pub points: Vec<(usize, f64)>,
     /// AIC of the final model.
     pub aic: f64,
     /// AIC trace: entry `k` is the best AIC with `k` change points.
     pub aic_trace: Vec<f64>,
-    pub fit: FittedMulti,
 }
 
 /// Greedy forward detection of up to `max_points` slope shifts with
@@ -206,7 +94,7 @@ pub fn detect_multiple(
     opts: &FitOptions,
 ) -> Option<MultiChangePoints> {
     let n = ys.len();
-    let lead = if seasonal { 12 } else { 1 };
+    let lead = lead(seasonal);
     if n <= lead + 2 {
         return None;
     }
@@ -216,22 +104,14 @@ pub fn detect_multiple(
     let mut accepted: Vec<usize> = Vec::new();
     // One filter workspace serves every fit of the greedy search.
     let mut ws = FilterWorkspace::new(lead + 1);
-    let empty = fit_multi(
-        ys,
-        &MultiStructuralSpec::new(seasonal, vec![]),
-        opts,
-        budget,
-        &mut ws,
-    );
-    let mut best_aic = empty.aic;
-    let mut best_fit = empty;
-    let mut aic_trace = vec![best_aic];
+    let mut best_fit = fit_multi(ys, seasonal, &[], opts, budget, &mut ws);
+    let mut aic_trace = vec![best_fit.aic];
     // One provisional (not-yet-improving) step may be in flight.
     let mut provisional = false;
 
     for _round in 0..budget {
         let mut round_best: Option<(usize, FittedMulti)> = None;
-        for cp in 1..n.saturating_sub(2) {
+        for cp in candidates(n) {
             if accepted.contains(&cp) {
                 continue;
             }
@@ -242,23 +122,17 @@ pub fn detect_multiple(
             }
             let mut pts = accepted.clone();
             pts.push(cp);
-            let fit = fit_multi(
-                ys,
-                &MultiStructuralSpec::new(seasonal, pts),
-                opts,
-                budget,
-                &mut ws,
-            );
+            pts.sort_unstable();
+            let fit = fit_multi(ys, seasonal, &pts, opts, budget, &mut ws);
             if round_best.as_ref().is_none_or(|(_, b)| fit.aic < b.aic) {
                 round_best = Some((cp, fit));
             }
         }
         let Some((cp, fit)) = round_best else { break };
-        if fit.aic < best_aic {
+        if fit.aic < best_fit.aic {
             accepted.push(cp);
-            best_aic = fit.aic;
+            aic_trace.push(fit.aic);
             best_fit = fit;
-            aic_trace.push(best_aic);
             provisional = false;
         } else if !provisional && accepted.is_empty() {
             // Lookahead: tentatively accept and give the pair a chance.
@@ -269,18 +143,10 @@ pub fn detect_multiple(
         }
     }
 
-    let points: Vec<(usize, f64)> = best_fit
-        .spec
-        .change_points
-        .iter()
-        .copied()
-        .zip(best_fit.lambdas.iter().copied())
-        .collect();
     Some(MultiChangePoints {
-        points,
-        aic: best_aic,
+        points: best_fit.points,
+        aic: best_fit.aic,
         aic_trace,
-        fit: best_fit,
     })
 }
 
@@ -310,19 +176,42 @@ mod tests {
     }
 
     #[test]
-    fn multi_spec_dimensions() {
-        let spec = MultiStructuralSpec::new(false, vec![20, 5, 20]);
-        assert_eq!(spec.change_points, vec![5, 20]); // sorted, deduped
-        assert_eq!(spec.state_dim(), 3);
-        let seasonal = MultiStructuralSpec::new(true, vec![7]);
-        assert_eq!(seasonal.state_dim(), 13);
+    fn build_ssm_dimensions() {
         let params = StructuralParams {
             var_eps: 1.0,
             var_level: 0.1,
             var_seasonal: 0.01,
         };
-        assert!(spec.build(&params, 40).validate().is_ok());
-        assert!(seasonal.build(&params, 40).validate().is_ok());
+        for (seasonal, change_points, dim) in [
+            (false, vec![], 1),
+            (true, vec![], 12),
+            (false, vec![7], 2),
+            (true, vec![7], 13),
+            (false, vec![5, 20], 3),
+            (true, vec![5, 20], 14),
+        ] {
+            let ssm = build_ssm(seasonal, &change_points, &params, 40);
+            assert_eq!(ssm.state_dim(), dim, "{seasonal} {change_points:?}");
+            assert!(ssm.validate().is_ok(), "{seasonal} {change_points:?}");
+            let base = lead(seasonal);
+            for t in [0, 4, 5, 6, 19, 20, 39] {
+                let z = ssm.loading.at(t);
+                assert_eq!(z[0], 1.0);
+                if seasonal {
+                    assert_eq!(z[1], 1.0);
+                    assert!(z[2..base].iter().all(|&v| v == 0.0));
+                }
+                // One λ loading column per change point, in order.
+                for (k, &cp) in change_points.iter().enumerate() {
+                    let w = if t >= cp { (t - cp + 1) as f64 } else { 0.0 };
+                    assert_eq!(z[base + k], w, "t = {t}, cp = {cp}");
+                }
+            }
+            assert_eq!(
+                matches!(ssm.loading, crate::model::ObsLoading::Constant(_)),
+                change_points.is_empty()
+            );
+        }
     }
 
     #[test]

@@ -45,6 +45,90 @@ impl InterventionSpec {
     pub fn is_some(&self) -> bool {
         !matches!(self, InterventionSpec::None)
     }
+
+    /// The change point, if any.
+    pub fn change_point(&self) -> Option<usize> {
+        match self {
+            InterventionSpec::None => None,
+            InterventionSpec::SlopeShift { change_point } => Some(*change_point),
+        }
+    }
+}
+
+/// Seasonal period of the monthly data.
+const PERIOD: usize = 12;
+
+/// State dimension of the base (no-intervention) model: the level plus the
+/// `PERIOD − 1` dummy-seasonal states. It is also the likelihood lead every
+/// fit of a change-point search skips (see
+/// [`comparable_skip`](crate::estimate::comparable_skip)), and the index of
+/// the first λ state.
+pub(crate) fn lead(seasonal: bool) -> usize {
+    1 + if seasonal { PERIOD - 1 } else { 0 }
+}
+
+/// Build the numeric SSM of the structural model with one noise-free,
+/// diffuse λ state per change point (in the given order, from state
+/// [`lead`] on), for a series observed (or forecast) over `horizon` steps.
+/// Without change points the loading is constant.
+pub(crate) fn build_ssm(
+    seasonal: bool,
+    change_points: &[usize],
+    params: &StructuralParams,
+    horizon: usize,
+) -> Ssm {
+    let base = lead(seasonal);
+    let m = base + change_points.len();
+    let mut transition = Mat::zeros(m, m);
+    let mut q = vec![0.0; m];
+    // Level.
+    transition[(0, 0)] = 1.0;
+    q[0] = params.var_level;
+    // Seasonal block: γ_{t+1,1} = −Σ γ_ts + ω; γ_{t+1,s} = γ_{t,s−1}.
+    if seasonal {
+        for j in 1..base {
+            transition[(1, j)] = -1.0;
+        }
+        for j in 2..base {
+            transition[(j, j - 1)] = 1.0;
+        }
+        q[1] = params.var_seasonal;
+    }
+    // λs: constant states, no noise.
+    for k in base..m {
+        transition[(k, k)] = 1.0;
+    }
+
+    let mut z = vec![0.0; m];
+    z[0] = 1.0;
+    if seasonal {
+        z[1] = 1.0;
+    }
+    let loading = if change_points.is_empty() {
+        ObsLoading::Constant(z)
+    } else {
+        let zs = (0..horizon)
+            .map(|t| {
+                let mut zt = z.clone();
+                for (k, &change_point) in change_points.iter().enumerate() {
+                    zt[base + k] = InterventionSpec::SlopeShift { change_point }.w(t);
+                }
+                zt
+            })
+            .collect();
+        ObsLoading::TimeVarying(zs)
+    };
+
+    Ssm {
+        transition,
+        state_cov: Mat::diag(&q),
+        obs_var: params.var_eps,
+        loading,
+        a0: vec![0.0; m],
+        p0: Mat::diag(&vec![DIFFUSE_KAPPA; m]),
+        n_diffuse: m,
+        extra_skips: Vec::new(),
+    }
 }
 
 /// Which components the model carries.
@@ -52,8 +136,6 @@ impl InterventionSpec {
 pub struct StructuralSpec {
     pub seasonal: bool,
     pub intervention: InterventionSpec,
-    /// Seasonal period (12 for monthly data).
-    pub period: usize,
 }
 
 impl StructuralSpec {
@@ -62,7 +144,6 @@ impl StructuralSpec {
         StructuralSpec {
             seasonal: false,
             intervention: InterventionSpec::None,
-            period: 12,
         }
     }
 
@@ -71,7 +152,6 @@ impl StructuralSpec {
         StructuralSpec {
             seasonal: true,
             intervention: InterventionSpec::None,
-            period: 12,
         }
     }
 
@@ -80,7 +160,6 @@ impl StructuralSpec {
         StructuralSpec {
             seasonal: false,
             intervention: InterventionSpec::SlopeShift { change_point },
-            period: 12,
         }
     }
 
@@ -89,22 +168,13 @@ impl StructuralSpec {
         StructuralSpec {
             seasonal: true,
             intervention: InterventionSpec::SlopeShift { change_point },
-            period: 12,
         }
     }
 
-    /// The same model without its intervention component.
-    pub fn base(&self) -> StructuralSpec {
-        StructuralSpec {
-            intervention: InterventionSpec::None,
-            ..*self
-        }
-    }
-
-    /// State dimension: level + (period−1) seasonal states + λ.
+    /// State dimension: level + 11 seasonal states (if seasonal) + λ (if
+    /// intervention).
     pub fn state_dim(&self) -> usize {
-        1 + if self.seasonal { self.period - 1 } else { 0 }
-            + usize::from(self.intervention.is_some())
+        lead(self.seasonal) + usize::from(self.intervention.is_some())
     }
 
     /// Number of disturbance variances estimated by MLE
@@ -120,67 +190,18 @@ impl StructuralSpec {
 
     /// Index of the λ state (if intervention).
     pub fn lambda_index(&self) -> Option<usize> {
-        self.intervention.is_some().then(|| self.state_dim() - 1)
+        self.intervention.is_some().then(|| lead(self.seasonal))
     }
 
     /// Build the numeric SSM for a series observed (or forecast) over
     /// `horizon` time steps.
     pub fn build(&self, params: &StructuralParams, horizon: usize) -> Ssm {
-        assert!(self.period >= 2, "seasonal period must be ≥ 2");
-        let m = self.state_dim();
-        let mut transition = Mat::zeros(m, m);
-        let mut q = vec![0.0; m];
-        // Level.
-        transition[(0, 0)] = 1.0;
-        q[0] = params.var_level;
-        // Seasonal block: γ_{t+1,1} = −Σ γ_ts + ω; γ_{t+1,s} = γ_{t,s−1}.
-        if let Some(s0) = self.seasonal_index() {
-            let k = self.period - 1;
-            for j in 0..k {
-                transition[(s0, s0 + j)] = -1.0;
-            }
-            for j in 1..k {
-                transition[(s0 + j, s0 + j - 1)] = 1.0;
-            }
-            q[s0] = params.var_seasonal;
-        }
-        // λ: constant state, no noise.
-        if let Some(li) = self.lambda_index() {
-            transition[(li, li)] = 1.0;
-        }
-
-        // Loadings.
-        let loading = if self.intervention.is_some() {
-            let mut zs = Vec::with_capacity(horizon);
-            for t in 0..horizon {
-                let mut z = vec![0.0; m];
-                z[0] = 1.0;
-                if let Some(s0) = self.seasonal_index() {
-                    z[s0] = 1.0;
-                }
-                z[m - 1] = self.intervention.w(t);
-                zs.push(z);
-            }
-            ObsLoading::TimeVarying(zs)
-        } else {
-            let mut z = vec![0.0; m];
-            z[0] = 1.0;
-            if let Some(s0) = self.seasonal_index() {
-                z[s0] = 1.0;
-            }
-            ObsLoading::Constant(z)
-        };
-
-        Ssm {
-            transition,
-            state_cov: Mat::diag(&q),
-            obs_var: params.var_eps,
-            loading,
-            a0: vec![0.0; m],
-            p0: Mat::diag(&vec![DIFFUSE_KAPPA; m]),
-            n_diffuse: m,
-            extra_skips: Vec::new(),
-        }
+        build_ssm(
+            self.seasonal,
+            self.intervention.change_point().as_slice(),
+            params,
+            horizon,
+        )
     }
 }
 

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example forecasting`
 
 use prescription_trends::claims::{Simulator, WorldSpec};
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PanelBuilder};
+use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
 use prescription_trends::statespace::forecast::{compare_forecasts, ForecastOptions};
 use prescription_trends::trend::report::sparkline;
 
@@ -24,7 +24,7 @@ fn main() {
     };
     let world = spec.generate();
     let dataset = Simulator::new(&world, 55).run();
-    let mut builder = PanelBuilder::new(dataset.n_diseases, dataset.n_medicines, dataset.horizon());
+    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
     for month in &dataset.months {
         let model = MedicationModel::fit(
             month,
@@ -32,9 +32,8 @@ fn main() {
             dataset.n_medicines,
             &EmOptions::default(),
         );
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
     }
-    let panel = builder.build();
 
     // Forecast the busiest medicine series: train on 31 months, predict 12.
     let mut candidates: Vec<(usize, f64)> = (0..dataset.n_medicines)

@@ -8,7 +8,7 @@
 use prescription_trends::claims::{
     DiseaseKind, MedicineClass, Month, SeasonalProfile, Simulator, WorldBuilder, YearMonth,
 };
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PanelBuilder};
+use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::outbreak::{detect_outbreaks, OutbreakConfig};
 use prescription_trends::trend::report::sparkline;
@@ -56,7 +56,7 @@ fn main() {
     let dataset = Simulator::new(&world, 20).run();
 
     // Reproduce disease series.
-    let mut builder = PanelBuilder::new(dataset.n_diseases, dataset.n_medicines, dataset.horizon());
+    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
     for month in &dataset.months {
         let model = MedicationModel::fit(
             month,
@@ -64,9 +64,8 @@ fn main() {
             dataset.n_medicines,
             &EmOptions::default(),
         );
-        builder.add_month(month, &model);
+        panel.extend_with(month, &model);
     }
-    let panel = builder.build();
 
     for (name, d) in [
         ("influenza", influenza),

@@ -11,6 +11,11 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench self-test (the benchmark still builds against the library)"
+# perfbench is its own workspace with its own lockfile; --locked fails on
+# lockfile drift instead of rewriting perfbench/Cargo.lock.
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -10,6 +10,7 @@
 //! mictrend append   --data claims.mic [--tail N] [--continuity X]
 //!                   [--check-batch] [--metrics FILE]
 //! mictrend series   --data claims.mic --kind <disease|medicine> --id N
+//!                   [--no-steady]
 //! ```
 //!
 //! Datasets are stored in the plain-text format of `mic_claims::store`, so
@@ -47,7 +48,7 @@ const USAGE: &str = "usage:
   mictrend stats    --data FILE
   mictrend analyze  --data FILE [--exact] [--no-seasonal] [--no-steady] [--top N] [--metrics FILE] [--progress]
   mictrend append   --data FILE [--tail N] [--continuity X] [--exact] [--no-seasonal] [--no-steady] [--check-batch] [--metrics FILE]
-  mictrend series   --data FILE --kind disease|medicine --id N
+  mictrend series   --data FILE --kind disease|medicine --id N [--no-steady]
 
   --no-steady     disable the steady-state Kalman fast path (exact
                   covariance recursion at every step; decisions are
@@ -64,38 +65,71 @@ const USAGE: &str = "usage:
                   report warm-path decision drift, and fail unless a cold
                   re-analysis of the session matches the batch decisions";
 
-/// Minimal flag parser: `--name value` pairs plus boolean flags.
+/// A subcommand: its name, its handler, the flags it reads as
+/// `--name value` pairs, and its boolean switches.
+type Command = (
+    &'static str,
+    fn(&Flags) -> Result<(), String>,
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "simulate",
+        simulate,
+        &["out", "seed", "months", "patients", "diseases", "medicines"],
+        &[],
+    ),
+    ("stats", stats, &["data"], &[]),
+    (
+        "analyze",
+        analyze,
+        &["data", "top", "metrics"],
+        &["exact", "no-seasonal", "no-steady", "progress"],
+    ),
+    (
+        "append",
+        append,
+        &["data", "tail", "continuity", "metrics"],
+        &["exact", "no-seasonal", "no-steady", "check-batch"],
+    ),
+    ("series", series, &["data", "kind", "id"], &["no-steady"]),
+];
+
+/// Minimal flag parser: `--name value` pairs plus boolean switches, each
+/// declared by the subcommand.
 struct Flags {
     values: HashMap<String, String>,
     switches: Vec<String>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut values = HashMap::new();
-        let mut switches = Vec::new();
+    fn parse(args: &[String], &(command, _, values, switches): &Command) -> Result<Flags, String> {
+        let mut flags = Flags {
+            values: HashMap::new(),
+            switches: Vec::new(),
+        };
         let mut i = 0;
         while i < args.len() {
             let arg = &args[i];
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument {arg:?}"));
             };
-            // Boolean switches take no value.
-            if matches!(
-                name,
-                "exact" | "no-seasonal" | "no-steady" | "progress" | "check-batch"
-            ) {
-                switches.push(name.to_string());
+            if switches.contains(&name) {
+                flags.switches.push(name.to_string());
                 i += 1;
-            } else {
+            } else if values.contains(&name) {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{name} requires a value"))?;
-                values.insert(name.to_string(), value.clone());
+                flags.values.insert(name.to_string(), value.clone());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{name} for {command}"));
             }
         }
-        Ok(Flags { values, switches })
+        Ok(flags)
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -125,15 +159,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some((command, rest)) = args.split_first() else {
         return Err("no command given".into());
     };
-    let flags = Flags::parse(rest)?;
-    match command.as_str() {
-        "simulate" => simulate(&flags),
-        "stats" => stats(&flags),
-        "analyze" => analyze(&flags),
-        "append" => append(&flags),
-        "series" => series(&flags),
-        other => Err(format!("unknown command {other:?}")),
-    }
+    let Some(spec) = COMMANDS.iter().find(|c| c.0 == command) else {
+        return Err(format!("unknown command {command:?}"));
+    };
+    spec.1(&Flags::parse(rest, spec)?)
 }
 
 fn load(flags: &Flags) -> Result<prescription_trends::claims::ClaimsDataset, String> {

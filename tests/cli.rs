@@ -133,6 +133,27 @@ fn bad_usage_fails_gracefully() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid number"));
 
+    // Undeclared flags are usage errors: a typo'd value flag must not be
+    // ignored (writing the default seed), and an unknown switch must not
+    // swallow the next argument.
+    let typo = temp_path("typo.mic");
+    let out = mictrend()
+        .args(["simulate", "--out", typo.to_str().unwrap(), "--seeed", "5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --seeed for simulate"));
+    assert!(
+        !typo.exists(),
+        "simulate wrote {typo:?} despite the bad flag"
+    );
+    let out = mictrend()
+        .args(["analyze", "--bogus", "--data", "/nonexistent/x.mic"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus for analyze"));
+
     // Out-of-range series id on a real dataset.
     let data = temp_path("range.mic");
     let ok = mictrend()
