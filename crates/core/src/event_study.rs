@@ -120,7 +120,6 @@ mod tests {
         FitOptions {
             max_evals: 250,
             n_starts: 1,
-            ..FitOptions::default()
         }
     }
 

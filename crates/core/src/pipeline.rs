@@ -214,7 +214,6 @@ mod tests {
             fit: FitOptions {
                 max_evals: 150,
                 n_starts: 1,
-                ..FitOptions::default()
             },
             threads: 2,
             ..Default::default()

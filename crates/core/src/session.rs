@@ -589,7 +589,6 @@ mod tests {
             fit: FitOptions {
                 max_evals: 100,
                 n_starts: 1,
-                ..FitOptions::default()
             },
             threads: 2,
             ..Default::default()

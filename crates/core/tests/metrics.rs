@@ -40,7 +40,6 @@ fn pipeline_metrics_agree_with_report() {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 4,
         ..Default::default()
@@ -104,7 +103,6 @@ fn disabled_pipeline_records_nothing() {
         fit: FitOptions {
             max_evals: 60,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 2,
         ..Default::default()
@@ -140,7 +138,6 @@ fn append_costs_under_half_of_a_batch_rerun() {
         fit: FitOptions {
             max_evals: 120,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 1,
         ..Default::default()

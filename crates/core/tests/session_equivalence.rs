@@ -44,7 +44,6 @@ fn config(max_evals: usize) -> PipelineConfig {
         fit: FitOptions {
             max_evals,
             n_starts: 1,
-            ..FitOptions::default()
         },
         threads: 4,
         ..Default::default()

@@ -32,7 +32,6 @@ fn main() {
     let opts = FitOptions {
         max_evals: 250,
         n_starts: 1,
-        ..FitOptions::default()
     };
     let found = search(&ys, false, &opts, &SearchPlan::default());
 

@@ -42,7 +42,6 @@ fn main() {
     let opts = FitOptions {
         max_evals: 250,
         n_starts: 1,
-        ..FitOptions::default()
     };
 
     // (a) + (b): seasonal diseases.

@@ -27,7 +27,6 @@ fn main() {
     let fit = FitOptions {
         max_evals: 200,
         n_starts: 1,
-        ..FitOptions::default()
     };
 
     // (a) New indication.

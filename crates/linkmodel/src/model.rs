@@ -86,10 +86,11 @@ pub struct MedicationModel {
 /// The single EM convergence driver: runs `step` (one combined E+M
 /// iteration returning the pre-step log-likelihood) until the relative
 /// improvement drops below `opts.tol` or `opts.max_iters` is reached.
-/// Returns the final log-likelihood and the iterations run. Both the
-/// independent fit and the tracked refine pass share this loop, so the
-/// workspace path has a single call site for the iterate / `loglik_delta` /
-/// tolerance check logic.
+/// Returns the final log-likelihood and the iterations run, and counts a
+/// run that stops at `max_iters` in `em.capped`. Both the independent fit
+/// and the tracked refine pass share this loop, so the workspace path has a
+/// single call site for the iterate / `loglik_delta` / tolerance check
+/// logic.
 fn drive_em(opts: &EmOptions, mut step: impl FnMut() -> f64) -> (f64, usize) {
     let mut ll = f64::NEG_INFINITY;
     let mut iterations = 0;
@@ -100,11 +101,12 @@ fn drive_em(opts: &EmOptions, mut step: impl FnMut() -> f64) -> (f64, usize) {
         if prev_ll.is_finite() {
             mic_obs::value("em.loglik_delta", ll - prev_ll);
             if (ll - prev_ll).abs() / (prev_ll.abs() + 1e-12) < opts.tol {
-                break;
+                return (ll, iterations);
             }
         }
         prev_ll = ll;
     }
+    mic_obs::counter("em.capped", 1);
     (ll, iterations)
 }
 

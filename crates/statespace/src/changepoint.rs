@@ -472,7 +472,6 @@ mod tests {
         FitOptions {
             max_evals: 200,
             n_starts: 1,
-            ..FitOptions::default()
         }
     }
 

@@ -10,7 +10,7 @@
 //! which is what makes the AIC change-point comparison meaningful.
 
 use crate::kalman::{
-    forecast_moments, kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts,
+    forecast_moments, kalman_filter, kalman_loglik, FilterResult, FilterWorkspace,
 };
 use crate::model::Ssm;
 use crate::smoother::smooth;
@@ -25,10 +25,6 @@ pub struct FitOptions {
     pub max_evals: usize,
     /// Extra restarts from perturbed initial points (best result wins).
     pub n_starts: usize,
-    /// Steady-state Kalman fast path applied to every likelihood
-    /// evaluation (see [`SteadyStateOpts`]). `SteadyStateOpts::DISABLED`
-    /// recovers the seed behaviour bit for bit.
-    pub steady: SteadyStateOpts,
 }
 
 impl Default for FitOptions {
@@ -36,7 +32,6 @@ impl Default for FitOptions {
         FitOptions {
             max_evals: 400,
             n_starts: 2,
-            steady: SteadyStateOpts::default(),
         }
     }
 }
@@ -260,13 +255,12 @@ pub(crate) fn maximize_loglik(
     let var_y = sample_variance(ys).max(1e-6);
     let n_var = 2 + usize::from(seasonal);
 
-    let steady = opts.steady;
     let mut objective = |x: &[f64]| -> f64 {
         params_from_log(x, var_y).write_into(seasonal, ssm);
         // The mean of the `kf.loglik` timer is the measured C_KF (Table V).
         mic_obs::counter("kf.loglik_evals", 1);
         let eval_span = mic_obs::span("kf.loglik");
-        let loglik = kalman_loglik(ssm, ys, ws, &steady);
+        let loglik = kalman_loglik(ssm, ys, ws);
         eval_span.end();
         if loglik.is_finite() {
             -loglik
@@ -330,6 +324,9 @@ pub(crate) fn maximize_loglik(
         let x0: Vec<f64> = start.iter().take(n_var).copied().collect();
         let r = nelder_mead(&mut objective, &x0, &nm_opts);
         mic_obs::counter("kf.nm_evals", r.evals as u64);
+        if !r.converged {
+            mic_obs::counter("kf.fits_capped", 1);
+        }
         total_evals += r.evals;
         match &best {
             Some((_, fx)) if *fx <= r.fx => {}

@@ -5,74 +5,18 @@
 //! Commandeur & Koopman: the first `n_diffuse` innovations (dominated by the
 //! near-diffuse prior) are excluded, so models with different numbers of
 //! diffuse states get comparable AICs via the `2·(q + w)` penalty.
+//!
+//! Every run — [`kalman_filter`], [`kalman_loglik`] and the forecaster —
+//! goes through one update and one predict step of [`FilterWorkspace`],
+//! which do only the arithmetic the model's nonzeros need (see `Pattern`).
+//! Each sum keeps the terms and the order of the textbook dense recursion,
+//! so the results are bit-identical to it (up to the sign of exact zeros)
+//! for every model whose recursion stays finite.
 
 use crate::model::{ObsLoading, Ssm};
 use mic_stats::Mat;
 
 const LN_2PI: f64 = 1.837_877_066_409_345_5;
-
-/// Steady-state detection options for [`kalman_loglik`].
-///
-/// A time-invariant model's predicted covariance `P_{t|t−1}` converges to a
-/// Riccati fixed point (Durbin–Koopman §4.3), after which the gain `K`, the
-/// innovation variance `F`, and `ln F` are constants and each filter step
-/// needs only the `O(m)` mean recursion instead of the `O(nnz·m)` covariance
-/// products. Detection is per element: `P` must move by no more than
-/// `rel_tol · (1 + |P_ij|)` between consecutive steps, `hold` steps in a
-/// row. The `1 +` keeps the criterion meaningful across the κ = 1e7 diffuse
-/// entries (which sit exactly still for never-observed λ states) and the
-/// O(1) post-burn-in entries alike.
-///
-/// Before freezing, the candidate fixed point is *polished*: the data-free
-/// covariance recursion is iterated until `K` and `F` are stationary to
-/// ~1e-12 relative, so the frozen values are the Riccati limit rather than a
-/// snapshot of a still-drifting transient. This bounds the log-likelihood
-/// drift by the (geometrically decaying) distance between the exact filter's
-/// `F_t` and `F_∞` past the entry step, independent of how many steady steps
-/// follow. If polishing fails to settle (near-singular models whose
-/// covariance decays algebraically — the near-zero-variance trap), the
-/// filter stays on the exact path for the rest of the call.
-///
-/// With a time-varying loading the frozen gain is only valid while `Z_t`
-/// stays put, so an intervention model freezes before its change point and
-/// falls back to the exact recursion the moment the slope weight starts
-/// ramping.
-///
-/// `rel_tol = 0` (or `hold = 0`) disables detection: `kalman_loglik` then
-/// runs the exact recursion at every step, bit-identical to
-/// `kalman_filter(..).loglik`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SteadyStateOpts {
-    /// Per-element relative tolerance on `|ΔP|`; `0` disables the fast path.
-    pub rel_tol: f64,
-    /// Consecutive sub-tolerance steps required before freezing.
-    pub hold: usize,
-}
-
-impl SteadyStateOpts {
-    /// Never enter the steady-state phase (exact recursion at every step).
-    pub const DISABLED: SteadyStateOpts = SteadyStateOpts {
-        rel_tol: 0.0,
-        hold: 0,
-    };
-
-    /// Whether detection is active at all.
-    pub fn enabled(&self) -> bool {
-        self.rel_tol > 0.0 && self.hold > 0
-    }
-}
-
-impl Default for SteadyStateOpts {
-    /// Enabled, tuned so that the measured log-likelihood drift stays below
-    /// 1e-9 relative (the parity suite's bound) while still entering early
-    /// enough to pay off on series of a few dozen points.
-    fn default() -> Self {
-        SteadyStateOpts {
-            rel_tol: 1e-8,
-            hold: 2,
-        }
-    }
-}
 
 /// Full filtering output for one series.
 #[derive(Clone, Debug)]
@@ -104,103 +48,75 @@ impl FilterResult {
     }
 }
 
-/// Row-compressed view of the transition matrix `T`.
+/// Where a model's nonzeros sit, derived once per run by
+/// [`FilterWorkspace::start`].
 ///
-/// Structural-model transitions are mostly zeros — the 13-state
-/// level + seasonal + λ model has 23 nonzeros out of 169 — so the per-step
-/// `T·P_filt·Tᵀ` products, the filter's dominant cost, are computed from the
-/// nonzeros only: `O(nnz·m)` instead of `O(m³)`. Every output element still
-/// accumulates its surviving terms in ascending-`k` order, and a skipped
-/// term contributes exactly `0.0·x` to a sum, so results are bit-identical
-/// to the dense products (up to the sign of exact zeros).
+/// The structural models are almost empty: the 13-state level + seasonal +
+/// λ model loads 3 states, has 2 nonzero disturbance variances, and 12 of
+/// its 13 transition rows are a single `1.0` (only the dummy-seasonal row
+/// `−1 … −1` does arithmetic). Skipping a zero term changes no sum — it
+/// would add exactly `±0.0` while the entries stay finite — and every
+/// surviving term arrives in the dense order, so the sparse step reproduces
+/// the dense one bit for bit (up to the sign of exact zeros).
 #[derive(Clone, Debug, Default)]
-struct SparseTransition {
-    row_ptr: Vec<usize>,
-    col: Vec<usize>,
-    val: Vec<f64>,
+struct Pattern {
+    /// Columns where the loading is nonzero at some `t`, ascending.
+    z_cols: Vec<usize>,
+    /// Flat row-major indices of `Q`'s nonzero entries.
+    q_nz: Vec<usize>,
+    /// Per row of `T`: the source column of a unit row (a single `1.0`,
+    /// so `(T x)_r = x_src`); a general row names itself.
+    t_src: Vec<usize>,
+    /// The general rows of `T` as `(row, lo, hi)`: their nonzeros are
+    /// `t_entries[lo..hi]`.
+    t_general: Vec<(usize, usize, usize)>,
+    /// `(column, value)` nonzeros of the general rows, ascending column.
+    t_entries: Vec<(usize, f64)>,
 }
 
-impl SparseTransition {
-    /// Rebuild from `t`, reusing existing capacity.
-    fn load(&mut self, t: &Mat) {
-        let (rows, cols) = (t.rows(), t.cols());
-        let data = t.as_slice();
-        self.row_ptr.clear();
-        self.col.clear();
-        self.val.clear();
-        self.row_ptr.push(0);
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = data[r * cols + c];
-                if v != 0.0 {
-                    self.col.push(c);
-                    self.val.push(v);
+impl Pattern {
+    /// Rebuild from `ssm`, reusing existing capacity.
+    fn load(&mut self, ssm: &Ssm) {
+        let m = ssm.state_dim();
+        self.z_cols.clear();
+        match &ssm.loading {
+            ObsLoading::Constant(z) => self.z_cols.extend((0..m).filter(|&j| z[j] != 0.0)),
+            ObsLoading::TimeVarying(zs) => self
+                .z_cols
+                .extend((0..m).filter(|&j| zs.iter().any(|z| z[j] != 0.0))),
+        }
+        self.q_nz.clear();
+        let q = ssm.state_cov.as_slice();
+        self.q_nz.extend((0..m * m).filter(|&i| q[i] != 0.0));
+        self.t_src.clear();
+        self.t_general.clear();
+        self.t_entries.clear();
+        for (r, row) in ssm.transition.as_slice().chunks_exact(m).enumerate() {
+            let lo = self.t_entries.len();
+            let nonzeros = row.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+            self.t_entries.extend(nonzeros.map(|(c, &v)| (c, v)));
+            match self.t_entries[lo..] {
+                [(src, 1.0)] => {
+                    self.t_entries.truncate(lo);
+                    self.t_src.push(src);
+                }
+                _ => {
+                    self.t_src.push(r);
+                    self.t_general.push((r, lo, self.t_entries.len()));
                 }
             }
-            self.row_ptr.push(self.col.len());
         }
     }
 
+    /// `Σ_c T[r][c]·x[c]` over the nonzeros `t_entries[lo..hi]` of a
+    /// general row, ascending `c`.
     #[inline]
-    fn row(&self, r: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        (&self.col[lo..hi], &self.val[lo..hi])
-    }
-
-    /// `T v`, mirroring `Mat::mul_vec_into` minus the zero terms.
-    fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(out.len() + 1, self.row_ptr.len());
-        for (r, o) in out.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (&c, &x) in cols.iter().zip(vals) {
-                acc += x * v[c];
-            }
-            *o = acc;
+    fn dot(&self, lo: usize, hi: usize, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for &(c, t) in &self.t_entries[lo..hi] {
+            acc += x[c] * t;
         }
-    }
-
-    /// `T · rhs` into `out`, rows accumulated axpy-style; each element's
-    /// terms still arrive in ascending-`k` order like `Mat::mul_into`.
-    fn mul_into(&self, rhs: &Mat, out: &mut Mat) {
-        let m = rhs.cols();
-        debug_assert_eq!(out.rows() + 1, self.row_ptr.len());
-        debug_assert_eq!(out.cols(), m);
-        let rdat = rhs.as_slice();
-        let odat = out.as_mut_slice();
-        for r in 0..self.row_ptr.len() - 1 {
-            let orow = &mut odat[r * m..(r + 1) * m];
-            orow.fill(0.0);
-            let (cols, vals) = self.row(r);
-            for (&k, &x) in cols.iter().zip(vals) {
-                let rrow = &rdat[k * m..(k + 1) * m];
-                for (o, rv) in orow.iter_mut().zip(rrow) {
-                    *o += x * rv;
-                }
-            }
-        }
-    }
-
-    /// `lhs · Tᵀ` into `out`: `out[i][j] = Σ_k lhs[i][k]·T[j][k]`, ascending
-    /// `k` per element exactly like the dense `lhs.mul_into(&tt, out)`.
-    fn mul_transpose_into(&self, lhs: &Mat, out: &mut Mat) {
-        let m = lhs.cols();
-        let n_rows = self.row_ptr.len() - 1;
-        debug_assert_eq!(out.rows(), lhs.rows());
-        debug_assert_eq!(out.cols(), n_rows);
-        let ldat = lhs.as_slice();
-        let odat = out.as_mut_slice();
-        for i in 0..lhs.rows() {
-            let lrow = &ldat[i * m..(i + 1) * m];
-            for j in 0..n_rows {
-                let (cols, vals) = self.row(j);
-                let mut acc = 0.0;
-                for (&k, &x) in cols.iter().zip(vals) {
-                    acc += lrow[k] * x;
-                }
-                odat[i * n_rows + j] = acc;
-            }
-        }
+        acc
     }
 }
 
@@ -297,12 +213,10 @@ pub struct FilterWorkspace {
     a_filt: Vec<f64>,
     pz: Vec<f64>,
     k: Vec<f64>,
-    k_prev: Vec<f64>,
     p_pred: Mat,
     p_filt: Mat,
-    p_prev: Mat,
     tp: Mat,
-    st: SparseTransition,
+    pat: Pattern,
 }
 
 impl FilterWorkspace {
@@ -327,14 +241,12 @@ impl FilterWorkspace {
             &mut self.a_filt,
             &mut self.pz,
             &mut self.k,
-            &mut self.k_prev,
         ] {
             v.clear();
             v.resize(m, 0.0);
         }
         self.p_pred.resize(m, m);
         self.p_filt.resize(m, m);
-        self.p_prev.resize(m, m);
         self.tp.resize(m, m);
     }
 
@@ -348,9 +260,7 @@ impl FilterWorkspace {
         self.ensure_dim(ssm.state_dim());
         self.a_pred.copy_from_slice(&ssm.a0);
         self.p_pred.copy_from(&ssm.p0);
-        // O(m²) scan reusing the workspace's capacity — no allocation once the
-        // workspace has seen a transition of this density.
-        self.st.load(&ssm.transition);
+        self.pat.load(ssm);
     }
 
     /// Measurement update of `(a_pred, p_pred)` by observation `y` under
@@ -358,8 +268,8 @@ impl FilterWorkspace {
     /// `v = y − z·a_pred` and its variance `F`.
     fn update(&mut self, z: &[f64], obs_var: f64, y: f64) -> (f64, f64) {
         let mut zy = 0.0;
-        for (zi, ai) in z.iter().zip(&self.a_pred) {
-            zy += zi * ai;
+        for &j in &self.pat.z_cols {
+            zy += z[j] * self.a_pred[j];
         }
         let v = y - zy;
         let f = self.update_cov(z, obs_var);
@@ -369,28 +279,30 @@ impl FilterWorkspace {
         (v, f)
     }
 
-    /// The covariance half of [`FilterWorkspace::update`], which needs no
-    /// data: `pz = P zᵀ`, `F = z P zᵀ + H`, the gain `k = pz / F` and
-    /// `p_filt = P − k pzᵀ` (symmetrized), all from `p_pred`. Returns `F`.
+    /// The covariance half of [`FilterWorkspace::update`]: `pz = P zᵀ` and
+    /// `F = z P zᵀ + H`, both summed over the loading's nonzero columns; the
+    /// gain `k = pz / F`; and `p_filt = P − k pzᵀ`, symmetrized. Returns `F`.
     fn update_cov(&mut self, z: &[f64], obs_var: f64) -> f64 {
         let FilterWorkspace {
             pz,
             k,
             p_pred,
             p_filt,
+            pat,
             ..
         } = self;
         let m = z.len();
-        for i in 0..m {
+        let p = p_pred.as_slice();
+        for (pzi, row) in pz.iter_mut().zip(p.chunks_exact(m)) {
             let mut acc = 0.0;
-            for j in 0..m {
-                acc += p_pred[(i, j)] * z[j];
+            for &j in &pat.z_cols {
+                acc += row[j] * z[j];
             }
-            pz[i] = acc;
+            *pzi = acc;
         }
         let mut f = obs_var;
-        for i in 0..m {
-            f += z[i] * pz[i];
+        for &j in &pat.z_cols {
+            f += z[j] * pz[j];
         }
         // Guard: F = Z P Z' + H is bounded below by the observation
         // variance H for any PSD P, but degenerate parameter vectors can
@@ -400,242 +312,126 @@ impl FilterWorkspace {
         // optimiser sees an ordinary bad objective value instead of
         // NaN/−inf.
         let f = f.max(obs_var.max(1e-12));
-        for i in 0..m {
-            k[i] = pz[i] / f;
+        for (ki, pzi) in k.iter_mut().zip(pz.iter()) {
+            *ki = pzi / f;
         }
-        p_filt.copy_from(p_pred);
-        for i in 0..m {
-            for j in 0..m {
-                p_filt[(i, j)] -= k[i] * pz[j];
+        // p_filt = P − k pzᵀ, written straight from P, then symmetrized.
+        let out = p_filt.as_mut_slice();
+        for ((o_row, p_row), &kr) in out.chunks_exact_mut(m).zip(p.chunks_exact(m)).zip(k.iter()) {
+            for ((o, pv), pzc) in o_row.iter_mut().zip(p_row).zip(pz.iter()) {
+                *o = pv - kr * pzc;
             }
         }
         p_filt.symmetrize();
         f
     }
 
-    /// Predict step: `a_pred = T a_filt`, then
-    /// [`FilterWorkspace::predict_cov`].
+    /// Predict step: `a_pred = T a_filt`, then `p_pred = T p_filt Tᵀ + Q`,
+    /// symmetrized. A unit row of `T` is a copy in `T·a`, a row copy in
+    /// `T·P` and a gather in `(T·P)·Tᵀ`; only the general rows do
+    /// arithmetic, and `Q` is added on its nonzero entries only.
     fn predict(&mut self, state_cov: &Mat) {
-        self.st.mul_vec_into(&self.a_filt, &mut self.a_pred);
-        self.predict_cov(state_cov);
-    }
+        let m = self.state_dim;
+        let FilterWorkspace {
+            a_pred,
+            a_filt,
+            p_pred,
+            p_filt,
+            tp,
+            pat,
+            ..
+        } = self;
+        for (a, &src) in a_pred.iter_mut().zip(&pat.t_src) {
+            *a = a_filt[src];
+        }
+        for &(r, lo, hi) in &pat.t_general {
+            a_pred[r] = pat.dot(lo, hi, a_filt);
+        }
 
-    /// The covariance half of [`FilterWorkspace::predict`]:
-    /// `p_pred = T p_filt Tᵀ + Q`, symmetrized.
-    fn predict_cov(&mut self, state_cov: &Mat) {
-        self.st.mul_into(&self.p_filt, &mut self.tp);
-        self.st.mul_transpose_into(&self.tp, &mut self.p_pred);
-        let m = state_cov.rows();
-        for i in 0..m {
-            for j in 0..m {
-                self.p_pred[(i, j)] += state_cov[(i, j)];
+        let pf = p_filt.as_slice();
+        let tpd = tp.as_mut_slice();
+        for (out, &src) in tpd.chunks_exact_mut(m).zip(&pat.t_src) {
+            out.copy_from_slice(&pf[src * m..(src + 1) * m]);
+        }
+        for &(r, lo, hi) in &pat.t_general {
+            let out = &mut tpd[r * m..(r + 1) * m];
+            out.fill(0.0);
+            for &(c, t) in &pat.t_entries[lo..hi] {
+                for (o, p) in out.iter_mut().zip(&pf[c * m..(c + 1) * m]) {
+                    *o += t * p;
+                }
             }
         }
-        self.p_pred.symmetrize();
-    }
 
-    /// Polish a near-converged `p_pred` to the Riccati fixed point by
-    /// iterating the data-free covariance recursion
-    /// `P ← T (P − P z z' P / F) T' + Q`. On success, returns the
-    /// fixed-point innovation variance `F_∞` with the matching gain `K_∞`
-    /// left in `k` and the fixed-point covariance in `p_pred`; returns
-    /// `None` with `p_pred` unchanged (caller stays on the exact path) if
-    /// `K`/`F` fail to become stationary within the iteration cap — the
-    /// signature of algebraic, rather than geometric, covariance decay.
-    fn refine_fixed_point(&mut self, z: &[f64], obs_var: f64, state_cov: &Mat) -> Option<f64> {
-        const REFINE_TOL: f64 = 1e-13;
-        const MAX_ITERS: usize = 64;
-        self.p_prev.copy_from(&self.p_pred);
-        let mut f_prev = f64::NAN;
-        self.k_prev.fill(f64::NAN);
-        for _ in 0..MAX_ITERS {
-            let f = self.update_cov(z, obs_var);
-            let settled = (f - f_prev).abs() <= REFINE_TOL * f
-                && self
-                    .k
-                    .iter()
-                    .zip(&self.k_prev)
-                    .all(|(&a, &b)| (a - b).abs() <= REFINE_TOL * (1.0 + a.abs()));
-            if settled {
-                return Some(f);
+        // (T·P)·Tᵀ. A unit column is a gather from each row of T·P. A general
+        // column mirrors its row — with `p_filt` symmetric, entry (i, c) of
+        // a unit row i sums the same products in the same order as entry
+        // (c, i) — so only pairs of general rows need their own sum.
+        let pp = p_pred.as_mut_slice();
+        let tpd = tp.as_slice();
+        for (out, tp_row) in pp.chunks_exact_mut(m).zip(tpd.chunks_exact(m)) {
+            for (o, &src) in out.iter_mut().zip(&pat.t_src) {
+                *o = tp_row[src];
             }
-            f_prev = f;
-            self.k_prev.copy_from_slice(&self.k);
-            self.predict_cov(state_cov);
         }
-        std::mem::swap(&mut self.p_pred, &mut self.p_prev);
-        None
+        for &(c, lo, hi) in &pat.t_general {
+            for i in 0..m {
+                pp[i * m + c] = pp[c * m + i];
+            }
+            for &(r, ..) in &pat.t_general {
+                pp[r * m + c] = pat.dot(lo, hi, &tpd[r * m..(r + 1) * m]);
+            }
+        }
+        let q = state_cov.as_slice();
+        for &i in &pat.q_nz {
+            pp[i] += q[i];
+        }
+
+        // With `p_filt` symmetric, an entry whose row or column belongs to
+        // a unit row of `T` already equals its mirror image bit for bit, so
+        // only pairs of general rows and off-diagonal `Q` entries can need
+        // the symmetrization (which leaves an equal pair unchanged).
+        let mut sym = |r: usize, c: usize| {
+            let s = 0.5 * (pp[r * m + c] + pp[c * m + r]);
+            pp[r * m + c] = s;
+            pp[c * m + r] = s;
+        };
+        for (i, &(r, ..)) in pat.t_general.iter().enumerate() {
+            for &(c, ..) in &pat.t_general[i + 1..] {
+                sym(r, c);
+            }
+        }
+        for &i in &pat.q_nz {
+            let (r, c) = (i / m, i % m);
+            if r != c {
+                sym(r, c);
+            }
+        }
     }
 }
 
 /// Log-likelihood of `ys` under `ssm` — the same recursion and arithmetic
-/// order as [`kalman_filter`], computing only the scalar likelihood with
-/// zero heap allocation per timestep (all state lives in `ws`), plus an
-/// optional steady-state phase (see [`SteadyStateOpts`]): once the
-/// predicted covariance settles, `K`, `F`, and `ln F` freeze and each
-/// remaining step is one dot product, one axpy, and one sparse mat-vec.
-///
-/// With `steady` disabled ([`SteadyStateOpts::DISABLED`]) this returns
-/// exactly `kalman_filter(ssm, ys).loglik` (bit-identical: every sum is
-/// accumulated in the same order). With detection enabled, the prefix up to
-/// the entry step is still bit-identical and the tail drifts by at most the
-/// tolerance-tier difference between `F_t` and the frozen `F_∞`
-/// (`kalman_filter(..).loglik` is the oracle; the parity suite bounds the
-/// drift at 1e-9 relative). Use this in optimisation loops; use
-/// [`kalman_filter`] when the smoother or forecaster needs the full state
-/// trajectory.
-///
-/// Emits `kf.steady_entered` / `kf.steady_steps` / `kf.steady_entry_step`
-/// through `mic-obs` whenever the steady phase is entered.
+/// as [`kalman_filter`], so it returns exactly `kalman_filter(ssm,
+/// ys).loglik`, but computing only the scalar likelihood with zero heap
+/// allocation per timestep (all state lives in `ws`). Use this in
+/// optimisation loops; use [`kalman_filter`] when the smoother or
+/// forecaster needs the full state trajectory.
 ///
 /// # Panics
 /// Panics if `ys` is empty, and in debug builds if the model fails
 /// validation.
-pub fn kalman_loglik(
-    ssm: &Ssm,
-    ys: &[f64],
-    ws: &mut FilterWorkspace,
-    steady: &SteadyStateOpts,
-) -> f64 {
+pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
     ws.start(ssm, ys);
-    let m = ssm.state_dim();
-
-    let mut detect = steady.enabled();
-    let mut consec = 0usize; // consecutive sub-tolerance steps
-    let mut frozen = false;
-    let mut frozen_t = 0usize; // step whose loading the freeze is valid for
-    let mut f_star = 0.0;
-    let mut c_star = 0.0; // hoisted −0.5·(ln 2π + ln F_∞)
-    let mut entry_step = 0usize;
-    let mut steady_steps: u64 = 0;
-
-    let n = ys.len();
     let mut loglik = 0.0;
-    let mut t = 0usize;
-    while t < n {
-        if frozen {
-            // How far does the frozen loading stay valid? Constant loadings
-            // run to the end; an intervention ramp invalidates the gain at
-            // the first step whose loading differs from the freeze step's.
-            let stop = match &ssm.loading {
-                ObsLoading::Constant(_) => n,
-                ObsLoading::TimeVarying(zs) => {
-                    let z_frozen = &zs[frozen_t];
-                    let mut s = t;
-                    while s < n && zs[s] == *z_frozen {
-                        s += 1;
-                    }
-                    s
-                }
-            };
-            if stop > t {
-                // Steady phase: mean recursion only, constant ln F hoisted,
-                // loading and skip checks lifted out of the loop.
-                let FilterWorkspace {
-                    a_pred,
-                    a_filt,
-                    k,
-                    st,
-                    ..
-                } = &mut *ws;
-                let z = ssm.loading.at(frozen_t);
-                steady_steps += (stop - t) as u64;
-                if t >= ssm.n_diffuse && ssm.extra_skips.is_empty() {
-                    for &y in &ys[t..stop] {
-                        let mut zy = 0.0;
-                        for i in 0..m {
-                            zy += z[i] * a_pred[i];
-                        }
-                        let v = y - zy;
-                        loglik += c_star - 0.5 * v * v / f_star;
-                        for i in 0..m {
-                            a_filt[i] = a_pred[i] + k[i] * v;
-                        }
-                        st.mul_vec_into(a_filt, a_pred);
-                    }
-                } else {
-                    for (tt, &y) in ys.iter().enumerate().take(stop).skip(t) {
-                        let mut zy = 0.0;
-                        for i in 0..m {
-                            zy += z[i] * a_pred[i];
-                        }
-                        let v = y - zy;
-                        if ssm.scores(tt) {
-                            loglik += c_star - 0.5 * v * v / f_star;
-                        }
-                        for i in 0..m {
-                            a_filt[i] = a_pred[i] + k[i] * v;
-                        }
-                        st.mul_vec_into(a_filt, a_pred);
-                    }
-                }
-                t = stop;
-                continue;
-            }
-            // The loading moved (an intervention weight started ramping):
-            // the frozen gain is no longer valid, so fall back to the exact
-            // recursion, resuming from the fixed-point covariance.
-            frozen = false;
-            consec = 0;
+    for (t, &y) in ys.iter().enumerate() {
+        // No predict after the last observation: nothing reads it.
+        if t > 0 {
+            ws.predict(&ssm.state_cov);
         }
-
-        let z = ssm.loading.at(t);
-        let (v, f) = ws.update(z, ssm.obs_var, ys[t]);
+        let (v, f) = ws.update(ssm.loading.at(t), ssm.obs_var, y);
         if ssm.scores(t) {
             loglik += loglik_term(v, f);
         }
-        if !detect {
-            ws.predict(&ssm.state_cov);
-            t += 1;
-            continue;
-        }
-        // Keep the current predicted covariance in `p_prev`, predict the
-        // next one into `p_pred`, and compare.
-        std::mem::swap(&mut ws.p_pred, &mut ws.p_prev);
-        ws.predict(&ssm.state_cov);
-        let settled = ws
-            .p_pred
-            .as_slice()
-            .iter()
-            .zip(ws.p_prev.as_slice())
-            .all(|(&next, &cur)| (next - cur).abs() <= steady.rel_tol * (1.0 + next.abs()));
-        consec = if settled { consec + 1 } else { 0 };
-        // A frozen gain is only usable while the loading stays put, so
-        // never freeze right at a loading transition (post-break
-        // intervention weights move every step and simply keep the exact
-        // path).
-        let z_stable = || match &ssm.loading {
-            ObsLoading::Constant(_) => true,
-            ObsLoading::TimeVarying(zs) => t + 1 < zs.len() && zs[t + 1] == zs[t],
-        };
-        if consec >= steady.hold && z_stable() {
-            mic_obs::counter("kf.steady_trigger", 1);
-            match ws.refine_fixed_point(z, ssm.obs_var, &ssm.state_cov) {
-                // The polished fixed point, not the snapshot, is also the
-                // resume-from point for a later loading change.
-                Some(f_inf) => {
-                    frozen = true;
-                    frozen_t = t;
-                    f_star = f_inf;
-                    c_star = -0.5 * (LN_2PI + f_star.ln());
-                    if entry_step == 0 {
-                        entry_step = t + 1;
-                    }
-                }
-                // No geometric fixed point in reach — stop paying the
-                // detection overhead for this call.
-                None => {
-                    mic_obs::counter("kf.steady_polish_fail", 1);
-                    detect = false;
-                }
-            }
-        }
-        t += 1;
-    }
-    if entry_step > 0 {
-        mic_obs::counter("kf.steady_entered", 1);
-        mic_obs::counter("kf.steady_steps", steady_steps);
-        mic_obs::value("kf.steady_entry_step", entry_step as f64);
     }
     loglik
 }
@@ -756,7 +552,7 @@ mod tests {
             local_level(100.0, 0.001),
         ] {
             let full = kalman_filter(&ssm, &ys).loglik;
-            let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let fast = kalman_loglik(&ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits(), "{full} vs {fast}");
         }
     }
@@ -775,7 +571,7 @@ mod tests {
         for spec in [StructuralSpec::local_level(), StructuralSpec::full(10)] {
             let ssm = spec.build(&params, ys.len());
             let full = kalman_filter(&ssm, &ys).loglik;
-            let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let fast = kalman_loglik(&ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits());
         }
     }
@@ -798,23 +594,30 @@ mod tests {
         let small = StructuralSpec::with_seasonal().build(&params, ys.len()); // 12-state
 
         let mut ws = FilterWorkspace::new(big.state_dim());
-        let _warm = kalman_loglik(&big, &ys, &mut ws, &SteadyStateOpts::DISABLED);
-        let cap_probe = (
-            ws.a_pred.capacity(),
-            ws.p_pred.as_slice().as_ptr(),
-            ws.p_prev.as_slice().as_ptr(),
-        );
+        let _warm = kalman_loglik(&big, &ys, &mut ws);
+        let probe = |ws: &FilterWorkspace| {
+            (
+                ws.a_pred.capacity(),
+                ws.p_pred.as_slice().as_ptr(),
+                ws.p_filt.as_slice().as_ptr(),
+                ws.tp.as_slice().as_ptr(),
+                ws.pat.z_cols.as_ptr(),
+                ws.pat.q_nz.as_ptr(),
+                ws.pat.t_src.as_ptr(),
+                ws.pat.t_general.as_ptr(),
+                ws.pat.t_entries.as_ptr(),
+            )
+        };
+        let before = probe(&ws);
 
         // Shrink to 12 states, then grow back to 13: results must stay
         // bit-identical to a fresh filter and no buffer may move.
         for ssm in [&small, &big, &small, &big] {
             let full = kalman_filter(ssm, &ys).loglik;
-            let fast = kalman_loglik(ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+            let fast = kalman_loglik(ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits());
         }
-        assert_eq!(ws.a_pred.capacity(), cap_probe.0);
-        assert_eq!(ws.p_pred.as_slice().as_ptr(), cap_probe.1);
-        assert_eq!(ws.p_prev.as_slice().as_ptr(), cap_probe.2);
+        assert_eq!(probe(&ws), before);
     }
 
     #[test]
@@ -829,93 +632,12 @@ mod tests {
         ssm.n_diffuse = 0;
         let ys = vec![1.0, -2.0, 0.5, 3.0, -1.0];
         let mut ws = FilterWorkspace::new(1);
-        for steady in [SteadyStateOpts::DISABLED, SteadyStateOpts::default()] {
-            let ll = kalman_loglik(&ssm, &ys, &mut ws, &steady);
-            assert!(ll.is_finite(), "loglik must stay finite, got {ll}");
-        }
+        let ll = kalman_loglik(&ssm, &ys, &mut ws);
+        assert!(ll.is_finite(), "loglik must stay finite, got {ll}");
         let full = kalman_filter(&ssm, &ys);
         assert!(full.loglik.is_finite());
         // The clamp floors F at H = 1.0.
         assert!(full.innovation_vars.iter().all(|&f| f >= 1.0));
-    }
-
-    #[test]
-    fn steady_state_matches_reference_within_tolerance() {
-        use crate::structural::{StructuralParams, StructuralSpec};
-        let params = StructuralParams {
-            var_eps: 1.0,
-            var_level: 0.1,
-            var_seasonal: 0.01,
-        };
-        let ys: Vec<f64> = (0..120)
-            .map(|i| 30.0 + 5.0 * (i as f64 * std::f64::consts::PI / 6.0).sin())
-            .collect();
-        let mut ws = FilterWorkspace::new(12);
-        for spec in [
-            StructuralSpec::local_level(),
-            StructuralSpec::with_seasonal(),
-        ] {
-            let ssm = spec.build(&params, ys.len());
-            let reference = kalman_filter(&ssm, &ys).loglik;
-            let steady = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
-            let rel = ((steady - reference) / reference).abs();
-            assert!(
-                rel <= 1e-9,
-                "steady drift {rel:.3e} ({steady} vs {reference})"
-            );
-        }
-    }
-
-    #[test]
-    fn steady_state_exits_and_reenters_across_loading_change() {
-        // Intervention model: the loading is constant pre-break and ramps
-        // post-break. The steady phase must freeze in the pre-break
-        // stretch, exit exactly at the break, and resume the exact
-        // recursion from the refined covariance without corrupting the
-        // likelihood.
-        use crate::structural::{StructuralParams, StructuralSpec};
-        let params = StructuralParams {
-            var_eps: 1.0,
-            var_level: 0.1,
-            var_seasonal: 0.01,
-        };
-        let t = 120;
-        let cp = 90;
-        let ys: Vec<f64> = (0..t)
-            .map(|i| {
-                let ramp = if i >= cp {
-                    (i - cp + 1) as f64 * 0.3
-                } else {
-                    0.0
-                };
-                25.0 + ramp + 2.0 * (i as f64 * std::f64::consts::PI / 6.0).sin()
-            })
-            .collect();
-        let ssm = StructuralSpec::full(cp).build(&params, t);
-        assert!(matches!(ssm.loading, ObsLoading::TimeVarying(_)));
-        let mut ws = FilterWorkspace::new(ssm.state_dim());
-        let reference = kalman_filter(&ssm, &ys).loglik;
-        let steady = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
-        let rel = ((steady - reference) / reference).abs();
-        assert!(
-            rel <= 1e-9,
-            "steady drift {rel:.3e} ({steady} vs {reference})"
-        );
-    }
-
-    #[test]
-    fn steady_state_disabled_by_zero_tolerance() {
-        let opts = SteadyStateOpts {
-            rel_tol: 0.0,
-            hold: 3,
-        };
-        assert!(!opts.enabled());
-        let ys = vec![5.0; 50];
-        let ssm = local_level(1.0, 0.1);
-        let mut ws = FilterWorkspace::new(1);
-        let a = kalman_loglik(&ssm, &ys, &mut ws, &opts);
-        let b = kalman_filter(&ssm, &ys).loglik;
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
@@ -926,18 +648,13 @@ mod tests {
         let ys: Vec<f64> = (0..20).map(|i| (i as f64).sqrt()).collect();
         let mut ws = FilterWorkspace::new(1);
         let full = kalman_filter(&ssm, &ys).loglik;
-        let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+        let fast = kalman_loglik(&ssm, &ys, &mut ws);
         assert_eq!(full.to_bits(), fast.to_bits());
     }
 
     #[test]
     #[should_panic(expected = "at least one observation")]
     fn empty_series_panics_fast_path() {
-        kalman_loglik(
-            &local_level(1.0, 1.0),
-            &[],
-            &mut FilterWorkspace::new(1),
-            &SteadyStateOpts::DISABLED,
-        );
+        kalman_loglik(&local_level(1.0, 1.0), &[], &mut FilterWorkspace::new(1));
     }
 }

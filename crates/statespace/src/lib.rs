@@ -44,7 +44,7 @@
 //! let ys: Vec<f64> = (0..43)
 //!     .map(|t| if t >= 20 { 10.0 + 1.5 * (t - 19) as f64 } else { 10.0 })
 //!     .collect();
-//! let opts = FitOptions { max_evals: 150, n_starts: 1, ..FitOptions::default() };
+//! let opts = FitOptions { max_evals: 150, n_starts: 1 };
 //! let found = search(&ys, false, &opts, &SearchPlan::default());
 //! assert_eq!(found.change_point.month(), Some(20));
 //! assert!(found.aic < found.aic_no_change);
@@ -70,7 +70,7 @@ pub use diagnostics::{diagnose_residuals, ResidualDiagnostics};
 pub use estimate::{
     comparable_skip, fit_structural, fit_structural_ws, FitOptions, FittedStructural,
 };
-pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace, SteadyStateOpts};
+pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace};
 pub use model::Ssm;
 pub use multi::{detect_multiple, MultiChangePoints};
 pub use smoother::{smooth, SmoothResult};

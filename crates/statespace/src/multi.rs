@@ -171,7 +171,6 @@ mod tests {
         FitOptions {
             max_evals: 200,
             n_starts: 1,
-            ..FitOptions::default()
         }
     }
 

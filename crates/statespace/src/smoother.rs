@@ -185,7 +185,6 @@ mod tests {
         let opts = FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         };
         let found = search(&ys, true, &opts, &SearchPlan::approximate());
         let c = found.fit.decompose(&ys);

@@ -1,0 +1,231 @@
+//! The Kalman kernel against a textbook dense recursion, bit for bit.
+//!
+//! `kalman_loglik` and `kalman_filter` share one sparsity-aware step, so
+//! comparing them with each other cannot pin its arithmetic. The oracle
+//! here is the plain dense recursion built from `Mat` products: the full
+//! `P Zᵀ`, `P − K (P Zᵀ)ᵀ` on a copy and symmetrized, then `T P Tᵀ + Q`
+//! and symmetrized. The kernel must reproduce it exactly: the likelihood
+//! compared with `==` (which treats `±0` as equal), and every predicted
+//! and filtered covariance element by element.
+
+use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
+use mic_statespace::model::{ObsLoading, Ssm};
+use mic_statespace::structural::{StructuralParams, StructuralSpec};
+use mic_stats::Mat;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// `ln 2π`, the same constant the kernel uses.
+const LN_2PI: f64 = 1.837_877_066_409_345_5;
+
+/// What the dense recursion produces for one series.
+struct Dense {
+    loglik: f64,
+    predicted_covs: Vec<Mat>,
+    filtered_covs: Vec<Mat>,
+}
+
+/// The textbook dense Kalman recursion, with the kernel's `F` floor.
+fn dense_filter(ssm: &Ssm, ys: &[f64]) -> Dense {
+    let m = ssm.state_dim();
+    let tt = ssm.transition.transpose();
+    let mut a = ssm.a0.clone();
+    let mut p = ssm.p0.clone();
+    let mut out = Dense {
+        loglik: 0.0,
+        predicted_covs: Vec::new(),
+        filtered_covs: Vec::new(),
+    };
+    for (t, &y) in ys.iter().enumerate() {
+        out.predicted_covs.push(p.clone());
+        let z = ssm.loading.at(t);
+        let pz = p.mul_vec(z);
+        let mut f = ssm.obs_var;
+        for i in 0..m {
+            f += z[i] * pz[i];
+        }
+        let f = f.max(ssm.obs_var.max(1e-12));
+        let mut zy = 0.0;
+        for i in 0..m {
+            zy += z[i] * a[i];
+        }
+        let v = y - zy;
+        let k: Vec<f64> = pz.iter().map(|x| x / f).collect();
+        let a_filt: Vec<f64> = a.iter().zip(&k).map(|(ai, ki)| ai + ki * v).collect();
+        let mut p_filt = p.clone();
+        for i in 0..m {
+            for j in 0..m {
+                p_filt[(i, j)] -= k[i] * pz[j];
+            }
+        }
+        p_filt.symmetrize();
+        if t >= ssm.n_diffuse && !ssm.extra_skips.contains(&t) {
+            out.loglik += -0.5 * (LN_2PI + f.ln() + v * v / f);
+        }
+        out.filtered_covs.push(p_filt.clone());
+        a = ssm.transition.mul_vec(&a_filt);
+        p = &(&(&ssm.transition * &p_filt) * &tt) + &ssm.state_cov;
+        p.symmetrize();
+    }
+    out
+}
+
+/// Assert that the kernel matches the oracle on `ssm`: the likelihood
+/// from a dirty, reused workspace, and every covariance of the full filter.
+fn assert_matches_oracle(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) {
+    let oracle = dense_filter(ssm, ys);
+    let fast = kalman_loglik(ssm, ys, ws);
+    assert!(
+        fast == oracle.loglik,
+        "kalman_loglik {fast:e} vs dense {:e}",
+        oracle.loglik
+    );
+    let full = kalman_filter(ssm, ys);
+    assert!(full.loglik == oracle.loglik);
+    for t in 0..ys.len() {
+        assert!(
+            full.predicted_covs[t] == oracle.predicted_covs[t],
+            "predicted covariance differs at t = {t}"
+        );
+        assert!(
+            full.filtered_covs[t] == oracle.filtered_covs[t],
+            "filtered covariance differs at t = {t}"
+        );
+    }
+}
+
+fn series(seed: u64, n: usize, cp: Option<usize>, seasonal: bool) -> Vec<f64> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|t| {
+            let w = cp.map_or(0.0, |cp| t.saturating_sub(cp) as f64);
+            let s = if seasonal {
+                4.0 * (t as f64 * std::f64::consts::PI / 6.0).sin()
+            } else {
+                0.0
+            };
+            20.0 + s + 0.7 * w + mic_stats::dist::sample_normal(&mut rng, 0.0, 1.0)
+        })
+        .collect()
+}
+
+/// The Harvey companion form of a zero-mean ARMA(2, 1) with unit
+/// innovation variance — the shape `arima` builds: two general transition
+/// rows and a dense `Q = R Rᵀ`.
+fn arma21(phi: [f64; 2], theta: f64, p0: Mat) -> Ssm {
+    let r = [1.0, theta];
+    let mut q = Mat::zeros(2, 2);
+    for i in 0..2 {
+        for j in 0..2 {
+            q[(i, j)] = r[i] * r[j];
+        }
+    }
+    Ssm {
+        transition: Mat::from_rows(&[vec![phi[0], 1.0], vec![phi[1], 0.0]]),
+        state_cov: q,
+        obs_var: 0.0,
+        loading: ObsLoading::Constant(vec![1.0, 0.0]),
+        a0: vec![0.0; 2],
+        p0,
+        n_diffuse: 0,
+        extra_skips: Vec::new(),
+    }
+}
+
+#[test]
+fn arma21_companion_matches_dense_oracle() {
+    let ys = series(5, 60, None, false);
+    let ys: Vec<f64> = ys.iter().map(|y| y - 20.0).collect();
+    let mut ws = FilterWorkspace::default();
+    // θ = 0 leaves Q diagonal, so only the two general rows of T make the
+    // prediction asymmetric (and they do only with measurement noise: with
+    // H = 0 the update zeroes the first row and column of P). φ₁ = 0 turns
+    // the first row into a unit row.
+    for (phi, theta, obs_var) in [
+        ([0.5, -0.3], 0.4, 0.0),
+        ([1.2, -0.5], -0.7, 0.0),
+        ([0.5, -0.3], 0.0, 0.5),
+        ([0.0, 0.2], 0.0, 0.5),
+    ] {
+        let p0 = Mat::from_rows(&[vec![2.5, 0.7], vec![0.7, 1.3]]);
+        let mut ssm = arma21(phi, theta, p0);
+        ssm.obs_var = obs_var;
+        assert_matches_oracle(&ssm, &ys, &mut ws);
+    }
+    // An asymmetric prior: the first update reads both triangles.
+    let p0 = Mat::from_rows(&[vec![2.5, 0.7], vec![0.6, 1.3]]);
+    assert_matches_oracle(&arma21([0.5, -0.3], 0.4, p0), &ys, &mut ws);
+}
+
+#[test]
+fn asymmetric_state_cov_is_symmetrized_like_dense() {
+    // A local linear trend: one general row `[1, 1]`, one unit row, and a
+    // Q whose off-diagonal pair differs. Only the Q entries can make the
+    // predicted covariance asymmetric here.
+    let ssm = Ssm {
+        transition: Mat::from_rows(&[vec![1.0, 1.0], vec![0.0, 1.0]]),
+        state_cov: Mat::from_rows(&[vec![0.4, 0.05], vec![0.02, 0.1]]),
+        obs_var: 1.0,
+        loading: ObsLoading::Constant(vec![1.0, 0.0]),
+        a0: vec![0.0; 2],
+        p0: Mat::diag(&[1e7, 1e7]),
+        n_diffuse: 2,
+        extra_skips: Vec::new(),
+    };
+    let ys = series(9, 50, Some(20), false);
+    assert_matches_oracle(&ssm, &ys, &mut FilterWorkspace::default());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn structural_kernel_matches_dense_oracle(
+        seed in 0u64..1_000,
+        n in 16usize..140,
+        seasonal in any::<bool>(),
+        with_cp in any::<bool>(),
+        cp_frac in 0.05..0.95f64,
+        // Log-variances relative to var(y), log-uniform from 1e-8 to 10.
+        log_rel in (-18.5..2.3f64, -18.5..2.3f64, -18.5..2.3f64),
+        n_diffuse_extra in 0usize..4,
+        skips in proptest::collection::vec(0usize..140, 0..3),
+    ) {
+        let cp = with_cp.then(|| ((n as f64 * cp_frac) as usize).max(1));
+        let ys = series(seed, n, cp, seasonal);
+        let mean = ys.iter().sum::<f64>() / n as f64;
+        let var_y = ys.iter().map(|y| (y - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+        let params = StructuralParams {
+            var_eps: var_y * log_rel.0.exp(),
+            var_level: var_y * log_rel.1.exp(),
+            var_seasonal: var_y * log_rel.2.exp(),
+        };
+        let spec = match cp {
+            None if seasonal => StructuralSpec::with_seasonal(),
+            None => StructuralSpec::local_level(),
+            Some(cp) if seasonal => StructuralSpec::full(cp),
+            Some(cp) => StructuralSpec::with_intervention(cp),
+        };
+        let mut ssm = spec.build(&params, n);
+        ssm.n_diffuse = spec.state_dim() + n_diffuse_extra;
+        ssm.extra_skips = skips.into_iter().filter(|&t| t < n).collect();
+        let mut ws = FilterWorkspace::default();
+        assert_matches_oracle(&ssm, &ys, &mut ws);
+    }
+
+    #[test]
+    fn arma21_kernel_matches_dense_oracle(
+        seed in 0u64..1_000,
+        n in 16usize..140,
+        phi1 in -0.9..0.9f64,
+        phi2 in -0.6..0.3f64,
+        theta in -0.9..0.9f64,
+    ) {
+        let ys = series(seed, n, None, false);
+        let ys: Vec<f64> = ys.iter().map(|y| y - 20.0).collect();
+        let p0 = Mat::from_rows(&[vec![3.0, 0.4], vec![0.4, 1.5]]);
+        let mut ws = FilterWorkspace::new(2);
+        assert_matches_oracle(&arma21([phi1, phi2], theta, p0), &ys, &mut ws);
+    }
+}

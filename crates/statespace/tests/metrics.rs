@@ -1,18 +1,13 @@
 //! Instrumentation contract of the change-point searches: the `kf.*`
 //! counters must agree with the per-search `fits_performed` bookkeeping and
 //! exhibit the Table V complexity split — exact search O(T) fits, binary
-//! search O(log T). The steady-state counters must show the fast path
-//! covering most of a long local-level series.
+//! search O(log T) — and `kf.fits_capped` must count exactly the
+//! optimiser starts that ran out of evaluations.
 //!
 //! This lives in its own integration-test binary (own process) so no other
 //! test's recording can leak into the global recorder.
 
-use mic_statespace::{
-    kalman_loglik, search, FilterWorkspace, FitOptions, SearchPlan, SteadyStateOpts,
-    StructuralParams, StructuralSpec,
-};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use mic_statespace::{fit_structural, search, FitOptions, SearchPlan, StructuralSpec};
 
 /// 43 months (the paper's horizon) with a clear level shift at month 25
 /// plus a small deterministic wiggle so fits are non-degenerate.
@@ -33,7 +28,6 @@ fn search_counters_match_fits_and_complexity() {
     let opts = FitOptions {
         max_evals: 60,
         n_starts: 1,
-        ..FitOptions::default()
     };
     let ys = series();
     let exact = search(&ys, false, &opts, &SearchPlan::default());
@@ -85,36 +79,29 @@ fn search_counters_match_fits_and_complexity() {
     assert_eq!(snap.timer("kf.search.approx").unwrap().count, 1);
 }
 
-#[test]
-fn steady_state_covers_most_of_a_long_local_level_series() {
-    // T = 120 monthly points: level 30, a ±5 yearly wave, N(0, 1) noise.
-    let mut rng = SmallRng::seed_from_u64(1);
-    let ys: Vec<f64> = (0..120)
-        .map(|t| {
-            30.0 + 5.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin()
-                + mic_stats::dist::sample_normal(&mut rng, 0.0, 1.0)
-        })
-        .collect();
-    let params = StructuralParams {
-        var_eps: 1.0,
-        var_level: 0.1,
-        var_seasonal: 0.0,
-    };
-    let spec = StructuralSpec::local_level();
-    let ssm = spec.build(&params, ys.len());
-    let mut ws = FilterWorkspace::new(spec.state_dim());
-
+/// `kf.fits_capped` after one single-start local-level fit of `series()`.
+fn capped_count(max_evals: usize) -> u64 {
     let _guard = mic_obs::exclusive();
     mic_obs::reset();
     mic_obs::enable();
-    kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::default());
+    let opts = FitOptions {
+        max_evals,
+        n_starts: 1,
+    };
+    let fit = fit_structural(&series(), StructuralSpec::local_level(), &opts);
     let snap = mic_obs::snapshot();
     mic_obs::disable();
+    assert_eq!(snap.counter("kf.fits"), 1);
+    assert_eq!(fit.evals as u64, snap.counter("kf.nm_evals"));
+    snap.counter("kf.fits_capped")
+}
 
-    // The local-level covariance settles within a few dozen steps, so the
-    // frozen-gain phase must cover at least half the series: the least a
-    // 2× saving needs even if steady steps cost nothing.
-    assert_eq!(snap.counter("kf.steady_entered"), 1);
-    let steady = snap.counter("kf.steady_steps");
-    assert!(steady >= 60, "steady steps = {steady} of 120");
+#[test]
+fn fits_capped_counts_a_start_that_runs_out_of_evaluations() {
+    assert_eq!(capped_count(5), 1);
+}
+
+#[test]
+fn fits_capped_stays_zero_for_a_converged_fit() {
+    assert_eq!(capped_count(20_000), 0);
 }

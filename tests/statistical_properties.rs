@@ -61,7 +61,7 @@ proptest! {
         // the exhaustive search.
         let world = spec.generate();
         let ds = Simulator::new(&world, spec.seed ^ 2).run();
-        let fit = FitOptions { max_evals: 100, n_starts: 1, ..FitOptions::default() };
+        let fit = FitOptions { max_evals: 100, n_starts: 1 };
         let exact_cfg = PipelineConfig {
             seasonal: false,
             approximate_search: false,
