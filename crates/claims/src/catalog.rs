@@ -99,11 +99,6 @@ impl Medicine {
             }
         }
     }
-
-    /// True for generic copies of another medicine.
-    pub fn is_generic(&self) -> bool {
-        self.generic_of.is_some()
-    }
 }
 
 /// Ground-truth prescription link: medicine `medicine` treats disease
@@ -276,7 +271,7 @@ mod tests {
         assert!(!m.available_at(Month(7)));
         assert!(m.available_at(Month(8)));
         assert!(m.available_at(Month(42)));
-        assert!(!m.is_generic());
+        assert!(m.generic_of.is_none());
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
             price: 50.0,
         };
         assert!(m.available_at(Month(0)));
-        assert!(m.is_generic());
+        assert!(m.generic_of.is_some());
     }
 
     #[test]

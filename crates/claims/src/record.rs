@@ -37,11 +37,6 @@ impl MicRecord {
         self.diseases.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Number of distinct diseases in the record.
-    pub fn distinct_diseases(&self) -> usize {
-        self.diseases.len()
-    }
-
     /// Number of prescriptions `L_r`.
     pub fn prescription_count(&self) -> usize {
         self.medicines.len()
@@ -251,7 +246,6 @@ mod tests {
     fn record_counts() {
         let r = sample_record();
         assert_eq!(r.total_diagnoses(), 3);
-        assert_eq!(r.distinct_diseases(), 2);
         assert_eq!(r.prescription_count(), 3);
         assert_eq!(r.disease_count(DiseaseId(0)), 2);
         assert_eq!(r.disease_count(DiseaseId(7)), 0);

@@ -1097,7 +1097,7 @@ mod tests {
             // Generics additionally wait for city adoption lag; their
             // availability-vs-weight interplay is covered by
             // `generic_shares_shift_over_time`.
-            if rel.0 == 0 || med.is_generic() {
+            if rel.0 == 0 || med.generic_of.is_some() {
                 continue;
             }
             for ind in w.indications.iter().filter(|i| i.medicine == med.id) {

@@ -5,58 +5,23 @@
 //! prescription counts of a medicine family (an original and its generics)
 //! are compared at snapshot months around the generics' release.
 
-use mic_claims::{CityId, ClaimsDataset, MedicineId, MonthlyDataset, World};
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use mic_claims::{CityId, ClaimsDataset, MedicineId, World};
+use mic_linkmodel::{EmOptions, PrescriptionPanel};
 use std::collections::HashMap;
 
-/// Split a dataset into per-city datasets using the world's hospital→city
-/// mapping.
-pub fn split_by_city(ds: &ClaimsDataset, world: &World) -> HashMap<CityId, ClaimsDataset> {
-    let mut out: HashMap<CityId, ClaimsDataset> = HashMap::new();
-    for city in &world.cities {
-        out.insert(
-            city.id,
-            ClaimsDataset {
-                start: ds.start,
-                months: (0..ds.horizon())
-                    .map(|t| MonthlyDataset {
-                        month: mic_claims::Month(t as u32),
-                        records: vec![],
-                    })
-                    .collect(),
-                n_diseases: ds.n_diseases,
-                n_medicines: ds.n_medicines,
-            },
-        );
-    }
-    for (t, month) in ds.months.iter().enumerate() {
-        for r in &month.records {
-            let city = world.hospitals[r.hospital.index()].city;
-            out.get_mut(&city).expect("city exists").months[t]
-                .records
-                .push(r.clone());
-        }
-    }
-    out
-}
-
-/// Per-city reproduced panels.
+/// Per-city reproduced panels: each record goes to the city of the
+/// hospital that created it.
 pub fn city_panels(
     ds: &ClaimsDataset,
     world: &World,
     em: &EmOptions,
 ) -> HashMap<CityId, PrescriptionPanel> {
-    split_by_city(ds, world)
-        .into_iter()
-        .map(|(city, cds)| {
-            let mut panel = PrescriptionPanel::empty(cds.n_diseases, cds.n_medicines, 0);
-            for month in &cds.months {
-                let model = MedicationModel::fit(month, cds.n_diseases, cds.n_medicines, em);
-                panel.extend_with(month, &model);
-            }
-            (city, panel)
-        })
-        .collect()
+    crate::group_panels(
+        ds,
+        world.cities.iter().map(|c| c.id),
+        |r| world.hospitals[r.hospital.index()].city,
+        em,
+    )
 }
 
 /// One city's share snapshot for a medicine family at one month.
@@ -137,20 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn split_by_city_partitions_records() {
+    fn city_panels_partition_records() {
         let (world, ds) = world_with_generics();
-        let split = split_by_city(&ds, &world);
-        assert_eq!(split.len(), 3);
-        let total: usize = split.values().map(|c| c.total_records()).sum();
-        assert_eq!(total, ds.total_records());
+        let panels = city_panels(&ds, &world, &EmOptions::default());
+        assert_eq!(panels.len(), 3);
         // Every record landed in its hospital's city.
-        for (city, cds) in &split {
-            for month in &cds.months {
-                for r in &month.records {
-                    assert_eq!(world.hospitals[r.hospital.index()].city, *city);
-                }
-            }
-        }
+        crate::tests::assert_panels_partition(&ds, &panels, |r| {
+            world.hospitals[r.hospital.index()].city
+        });
     }
 
     #[test]

@@ -8,57 +8,23 @@
 //! and influenza — falls out of the class-dependent misprescription channel
 //! in the simulated world.
 
-use mic_claims::{ClaimsDataset, DiseaseId, HospitalClass, MedicineId, MonthlyDataset, World};
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use mic_claims::{ClaimsDataset, DiseaseId, HospitalClass, MedicineId, World};
+use mic_linkmodel::{EmOptions, PrescriptionPanel};
 use std::collections::HashMap;
 
-/// Split a dataset by hospital class.
-pub fn split_by_class(ds: &ClaimsDataset, world: &World) -> HashMap<HospitalClass, ClaimsDataset> {
-    let mut out: HashMap<HospitalClass, ClaimsDataset> = HashMap::new();
-    for class in HospitalClass::all() {
-        out.insert(
-            class,
-            ClaimsDataset {
-                start: ds.start,
-                months: (0..ds.horizon())
-                    .map(|t| MonthlyDataset {
-                        month: mic_claims::Month(t as u32),
-                        records: vec![],
-                    })
-                    .collect(),
-                n_diseases: ds.n_diseases,
-                n_medicines: ds.n_medicines,
-            },
-        );
-    }
-    for (t, month) in ds.months.iter().enumerate() {
-        for r in &month.records {
-            let class = world.hospitals[r.hospital.index()].class();
-            out.get_mut(&class).expect("class exists").months[t]
-                .records
-                .push(r.clone());
-        }
-    }
-    out
-}
-
-/// Reproduced panels per hospital class.
+/// Reproduced panels per hospital class: each record goes to the class of
+/// the hospital that created it.
 pub fn class_panels(
     ds: &ClaimsDataset,
     world: &World,
     em: &EmOptions,
 ) -> HashMap<HospitalClass, PrescriptionPanel> {
-    split_by_class(ds, world)
-        .into_iter()
-        .map(|(class, cds)| {
-            let mut panel = PrescriptionPanel::empty(cds.n_diseases, cds.n_medicines, 0);
-            for month in &cds.months {
-                let model = MedicationModel::fit(month, cds.n_diseases, cds.n_medicines, em);
-                panel.extend_with(month, &model);
-            }
-            (class, panel)
-        })
-        .collect()
+    crate::group_panels(
+        ds,
+        HospitalClass::all(),
+        |r| world.hospitals[r.hospital.index()].class(),
+        em,
+    )
 }
 
 /// One row of the Table II ranking: a disease and its share of the
@@ -146,18 +112,13 @@ mod tests {
     }
 
     #[test]
-    fn split_by_class_partitions_records() {
+    fn class_panels_partition_records() {
         let (world, ds) = stewardship_world();
-        let split = split_by_class(&ds, &world);
-        let total: usize = split.values().map(|c| c.total_records()).sum();
-        assert_eq!(total, ds.total_records());
-        for (class, cds) in &split {
-            for month in &cds.months {
-                for r in &month.records {
-                    assert_eq!(world.hospitals[r.hospital.index()].class(), *class);
-                }
-            }
-        }
+        let panels = class_panels(&ds, &world, &EmOptions::default());
+        assert_eq!(panels.len(), 3);
+        crate::tests::assert_panels_partition(&ds, &panels, |r| {
+            world.hospitals[r.hospital.index()].class()
+        });
     }
 
     #[test]

@@ -63,11 +63,14 @@ pub fn detect_outbreaks(
     } else {
         StructuralSpec::local_level()
     };
+    // The fit needs a few observations past the state dimension, and the
+    // residual diagnostics need at least 8.
+    let min_len = (spec.state_dim() + 4).max(8);
     let mut alerts = Vec::new();
     for d in 0..n_diseases {
         let disease = DiseaseId(d as u32);
         let ys = panel.disease_series(disease);
-        if ys.iter().sum::<f64>() < config.min_total || ys.len() < spec.state_dim() + 4 {
+        if ys.iter().sum::<f64>() < config.min_total || ys.len() < min_len {
             continue;
         }
         let fit = fit_structural(ys, spec, &config.fit);
@@ -161,6 +164,31 @@ mod tests {
             alerts.iter().all(|a| a.disease != stable),
             "stable disease falsely alerted: {alerts:?}"
         );
+    }
+
+    #[test]
+    fn short_non_seasonal_panel_is_skipped() {
+        // Six months pass the local level's fit guard (state_dim + 4 = 5)
+        // but not the residual diagnostics' minimum of 8 observations.
+        let mut b = WorldBuilder::new(YearMonth::paper_start(), 6);
+        let d = b.disease("short", DiseaseKind::Other, 1.0, SeasonalProfile::Flat);
+        let m = b.medicine("med", MedicineClass::Other);
+        b.indication(d, m, 1.0);
+        let city = b.city("c", 0, 0.5);
+        let h = b.hospital("h", city, 100);
+        for _ in 0..200 {
+            b.patient(city, vec![(h, 1.0)], vec![], 0.8);
+        }
+        let world = b.build();
+        let ds = Simulator::new(&world, 29).run();
+        let panel = build_panel(&ds);
+        assert_eq!(panel.horizon(), 6);
+        assert!(panel.disease_series(d).iter().sum::<f64>() >= 10.0);
+        let config = OutbreakConfig {
+            seasonal: false,
+            ..Default::default()
+        };
+        assert!(detect_outbreaks(&panel, ds.n_diseases, &config).is_empty());
     }
 
     #[test]

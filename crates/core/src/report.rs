@@ -32,10 +32,6 @@ impl TextTable {
         self
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with columns padded to their widest cell.
     pub fn render(&self) -> String {
         let n_cols = self.header.len();

@@ -18,7 +18,8 @@
 //! - [`eval`] — AP@10 / NDCG@10 prescription-relevance evaluation against
 //!   the world's ground-truth indications;
 //! - [`workspace`] — the allocation-free EM engine behind
-//!   [`MedicationModel::fit`].
+//!   [`MedicationModel::fit`]; `tests/workspace_parity.rs` holds it to a
+//!   per-iteration `HashMap` reference implementation at 1e-12.
 //!
 //! # Example: attribute prescriptions to diseases
 //!

@@ -215,147 +215,6 @@ impl MedicationModel {
         }
     }
 
-    /// Reference (pre-workspace) fit: the seed's per-iteration `HashMap`
-    /// implementation, kept as the golden model for the workspace parity
-    /// tests. Not for production use.
-    #[doc(hidden)]
-    pub fn fit_reference(
-        month: &MonthlyDataset,
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-    ) -> MedicationModel {
-        assert!(n_diseases > 0 && n_medicines > 0, "empty vocabulary");
-        let eta = Self::compute_eta(month, n_diseases);
-        // Initialise Φ from within-record cooccurrence (Eq. 10 shape):
-        // a reasonable, deterministic EM start.
-        let mut phi: Vec<PhiRow> = (0..n_diseases).map(|_| PhiRow::empty()).collect();
-        for r in &month.records {
-            let n_r = r.total_diagnoses() as f64;
-            if n_r == 0.0 {
-                continue;
-            }
-            for &(d, n_rd) in &r.diseases {
-                let w = n_rd as f64 / n_r;
-                let row = &mut phi[d.index()];
-                for &m in &r.medicines {
-                    *row.counts.entry(m.0).or_insert(0.0) += w;
-                    row.total += w;
-                }
-            }
-        }
-        let mut model = MedicationModel {
-            n_diseases,
-            n_medicines,
-            smoothing: opts.smoothing,
-            eta,
-            phi,
-            log_likelihood: f64::NEG_INFINITY,
-            iterations: 0,
-        };
-        let (ll, iterations) = drive_em(opts, || {
-            let (new_phi, ll) = model.em_step_reference(month, None);
-            model.phi = new_phi;
-            ll
-        });
-        if iterations > 0 {
-            model.log_likelihood = ll;
-            model.iterations = iterations;
-        }
-        model
-    }
-
-    /// Reference (pre-workspace) tracked fit; see [`Self::fit_reference`].
-    #[doc(hidden)]
-    pub fn fit_tracked_reference(
-        months: &[MonthlyDataset],
-        n_diseases: usize,
-        n_medicines: usize,
-        opts: &EmOptions,
-        continuity: f64,
-    ) -> Vec<MedicationModel> {
-        assert!(
-            (0.0..1.0).contains(&continuity),
-            "continuity must be in [0, 1)"
-        );
-        let mut out: Vec<MedicationModel> = Vec::with_capacity(months.len());
-        for month in months {
-            let mut model = MedicationModel::fit_reference(month, n_diseases, n_medicines, opts);
-            if continuity > 0.0 {
-                if let Some(prev) = out.last() {
-                    // Refine with the temporal prior.
-                    let (ll, iterations) = drive_em(opts, || {
-                        let (new_phi, ll) =
-                            model.em_step_reference(month, Some((&prev.phi, continuity)));
-                        model.phi = new_phi;
-                        ll
-                    });
-                    if iterations > 0 {
-                        model.log_likelihood = ll;
-                        model.iterations = iterations;
-                    }
-                }
-            }
-            out.push(model);
-        }
-        out
-    }
-
-    /// One combined E+M step; returns the new `Φ` and the log-likelihood of
-    /// the data under the *current* `Φ` (computed as a by-product of the E
-    /// step, so convergence checks cost nothing extra). An optional
-    /// `(previous Φ, weight)` temporal prior contributes the previous
-    /// month's expected counts as pseudo-counts to the M-step.
-    fn em_step_reference(
-        &self,
-        month: &MonthlyDataset,
-        prior: Option<(&[PhiRow], f64)>,
-    ) -> (Vec<PhiRow>, f64) {
-        let mut new_phi: Vec<PhiRow> = match prior {
-            Some((prev, weight)) => prev
-                .iter()
-                .map(|row| PhiRow {
-                    counts: row.counts.iter().map(|(&m, &c)| (m, c * weight)).collect(),
-                    total: row.total * weight,
-                })
-                .collect(),
-            None => (0..self.n_diseases).map(|_| PhiRow::empty()).collect(),
-        };
-        let mut ll = 0.0;
-        let mut q_buf: Vec<f64> = Vec::new();
-        for r in &month.records {
-            let n_r = r.total_diagnoses() as f64;
-            if n_r == 0.0 {
-                continue;
-            }
-            for &m in &r.medicines {
-                // q_rld ∝ θ_rd · φ_dm over the diseases present in r (Eq. 6).
-                q_buf.clear();
-                let mut denom = 0.0;
-                for &(d, n_rd) in &r.diseases {
-                    let theta = n_rd as f64 / n_r;
-                    let p = theta * self.phi_prob(d, m);
-                    q_buf.push(p);
-                    denom += p;
-                }
-                if denom <= 0.0 {
-                    // Unreachable with smoothing > 0, but stay total.
-                    continue;
-                }
-                ll += denom.ln();
-                for (&(d, _), &num) in r.diseases.iter().zip(q_buf.iter()) {
-                    let q = num / denom;
-                    if q > 0.0 {
-                        let row = &mut new_phi[d.index()];
-                        *row.counts.entry(m.0).or_insert(0.0) += q;
-                        row.total += q;
-                    }
-                }
-            }
-        }
-        (new_phi, ll)
-    }
-
     /// Smoothed `φ_dm`.
     #[inline]
     pub fn phi_prob(&self, d: DiseaseId, m: MedicineId) -> f64 {

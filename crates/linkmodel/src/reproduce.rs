@@ -57,11 +57,6 @@ impl PrescriptionPanel {
         self.horizon
     }
 
-    /// Number of (d, m) pairs with any mass.
-    pub fn n_prescription_series(&self) -> usize {
-        self.prescriptions.len()
-    }
-
     /// Total number of series the panel holds (disease marginals, medicine
     /// marginals, and prescription pairs), i.e. the candidate population the
     /// Section VI series filter selects from.

@@ -2,9 +2,9 @@
 //! one [`MonthlyDataset`] into a CSR-style flat layout and runs the E+M
 //! step (Eqs. 5–6) as pure dense-array arithmetic.
 //!
-//! The reference implementation rebuilds a `HashMap` per `Φ` row on every
-//! EM iteration and grows its responsibility buffer as records widen. The
-//! workspace eliminates both:
+//! The reference implementation (the oracle in `tests/workspace_parity.rs`)
+//! rebuilds a `HashMap` per `Φ` row on every EM iteration and grows its
+//! responsibility buffer as records widen. The workspace eliminates both:
 //!
 //! - **compile once**: per-record disease/medicine index slices, the
 //!   record-local `θ` weights (Eq. 2), and a month-local vocabulary remap

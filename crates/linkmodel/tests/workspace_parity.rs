@@ -1,14 +1,203 @@
 //! Golden-parity tests: the allocation-free [`EmWorkspace`] EM engine must
-//! reproduce the seed's per-iteration `HashMap` implementation (kept as
-//! `fit_reference` / `fit_tracked_reference`) to within 1e-12 on `Φ`, the
-//! log-likelihood, and the iteration count — including the tracked fit's
-//! `continuity > 0` temporal-prior path, whose prior mass on entities
-//! absent from the current month must carry over identically.
+//! reproduce the per-iteration `HashMap` implementation it replaced (kept
+//! here as [`RefModel`]) to within 1e-12 on `Φ`, the log-likelihood, and
+//! the iteration count — including the tracked fit's `continuity > 0`
+//! temporal-prior path, whose prior mass on entities absent from the
+//! current month must carry over identically.
 
-use mic_claims::{DiseaseId, MedicineId, Simulator, WorldSpec};
+use mic_claims::{DiseaseId, MedicineId, MonthlyDataset, Simulator, WorldSpec};
 use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel};
+use std::collections::HashMap;
 
 const TOL: f64 = 1e-12;
+
+/// One sparse `Φ` row of the reference: medicine → expected count, plus
+/// the row total.
+#[derive(Clone, Default)]
+struct RefRow {
+    counts: HashMap<u32, f64>,
+    total: f64,
+}
+
+/// The reference EM: a fresh `HashMap` per `Φ` row on every iteration.
+struct RefModel {
+    n_medicines: usize,
+    smoothing: f64,
+    eta: Vec<f64>,
+    phi: Vec<RefRow>,
+    log_likelihood: f64,
+    iterations: usize,
+}
+
+/// The reference's own copy of the EM convergence loop: run `step` (one
+/// E+M iteration returning the pre-step log-likelihood) until the relative
+/// improvement drops below `opts.tol` or `opts.max_iters` is reached.
+fn converge(opts: &EmOptions, mut step: impl FnMut() -> f64) -> (f64, usize) {
+    let mut ll = f64::NEG_INFINITY;
+    let mut iterations = 0;
+    let mut prev_ll = f64::NEG_INFINITY;
+    for iter in 0..opts.max_iters {
+        ll = step();
+        iterations = iter + 1;
+        if prev_ll.is_finite() && (ll - prev_ll).abs() / (prev_ll.abs() + 1e-12) < opts.tol {
+            break;
+        }
+        prev_ll = ll;
+    }
+    (ll, iterations)
+}
+
+impl RefModel {
+    /// Independent fit of one month.
+    fn fit(
+        month: &MonthlyDataset,
+        n_diseases: usize,
+        n_medicines: usize,
+        opts: &EmOptions,
+    ) -> RefModel {
+        // η from Eq. 4: normalised diagnosis counts.
+        let df = month.disease_frequencies(n_diseases);
+        let total_diag: u64 = df.iter().sum();
+        let eta = if total_diag == 0 {
+            vec![1.0 / n_diseases as f64; n_diseases]
+        } else {
+            df.iter().map(|&f| f as f64 / total_diag as f64).collect()
+        };
+        // Initialise Φ from within-record cooccurrence (Eq. 10 shape).
+        let mut phi = vec![RefRow::default(); n_diseases];
+        for r in &month.records {
+            let n_r = r.total_diagnoses() as f64;
+            if n_r == 0.0 {
+                continue;
+            }
+            for &(d, n_rd) in &r.diseases {
+                let w = n_rd as f64 / n_r;
+                let row = &mut phi[d.index()];
+                for &m in &r.medicines {
+                    *row.counts.entry(m.0).or_insert(0.0) += w;
+                    row.total += w;
+                }
+            }
+        }
+        let mut model = RefModel {
+            n_medicines,
+            smoothing: opts.smoothing,
+            eta,
+            phi,
+            log_likelihood: f64::NEG_INFINITY,
+            iterations: 0,
+        };
+        let (ll, iterations) = converge(opts, || {
+            let (new_phi, ll) = model.em_step(month, None);
+            model.phi = new_phi;
+            ll
+        });
+        if iterations > 0 {
+            model.log_likelihood = ll;
+            model.iterations = iterations;
+        }
+        model
+    }
+
+    /// Tracked sequence: each month's independent fit, refined under the
+    /// previous month's `Φ` as a prior of weight `continuity`.
+    fn fit_tracked(
+        months: &[MonthlyDataset],
+        n_diseases: usize,
+        n_medicines: usize,
+        opts: &EmOptions,
+        continuity: f64,
+    ) -> Vec<RefModel> {
+        let mut out: Vec<RefModel> = Vec::with_capacity(months.len());
+        for month in months {
+            let mut model = RefModel::fit(month, n_diseases, n_medicines, opts);
+            if continuity > 0.0 {
+                if let Some(prev) = out.last() {
+                    let (ll, iterations) = converge(opts, || {
+                        let (new_phi, ll) = model.em_step(month, Some((&prev.phi, continuity)));
+                        model.phi = new_phi;
+                        ll
+                    });
+                    if iterations > 0 {
+                        model.log_likelihood = ll;
+                        model.iterations = iterations;
+                    }
+                }
+            }
+            out.push(model);
+        }
+        out
+    }
+
+    /// One combined E+M step; returns the new `Φ` and the log-likelihood of
+    /// the data under the current `Φ`. An optional `(previous Φ, weight)`
+    /// prior contributes the previous month's expected counts as
+    /// pseudo-counts to the M step.
+    fn em_step(
+        &self,
+        month: &MonthlyDataset,
+        prior: Option<(&[RefRow], f64)>,
+    ) -> (Vec<RefRow>, f64) {
+        let mut new_phi: Vec<RefRow> = match prior {
+            Some((prev, weight)) => prev
+                .iter()
+                .map(|row| RefRow {
+                    counts: row.counts.iter().map(|(&m, &c)| (m, c * weight)).collect(),
+                    total: row.total * weight,
+                })
+                .collect(),
+            None => vec![RefRow::default(); self.phi.len()],
+        };
+        let mut ll = 0.0;
+        let mut q_buf: Vec<f64> = Vec::new();
+        for r in &month.records {
+            let n_r = r.total_diagnoses() as f64;
+            if n_r == 0.0 {
+                continue;
+            }
+            for &m in &r.medicines {
+                // q_rld ∝ θ_rd · φ_dm over the diseases present in r (Eq. 6).
+                q_buf.clear();
+                let mut denom = 0.0;
+                for &(d, n_rd) in &r.diseases {
+                    let theta = n_rd as f64 / n_r;
+                    let p = theta * self.phi_prob(d, m);
+                    q_buf.push(p);
+                    denom += p;
+                }
+                if denom <= 0.0 {
+                    continue;
+                }
+                ll += denom.ln();
+                for (&(d, _), &num) in r.diseases.iter().zip(q_buf.iter()) {
+                    let q = num / denom;
+                    if q > 0.0 {
+                        let row = &mut new_phi[d.index()];
+                        *row.counts.entry(m.0).or_insert(0.0) += q;
+                        row.total += q;
+                    }
+                }
+            }
+        }
+        (new_phi, ll)
+    }
+
+    /// Smoothed `φ_dm = (raw + s) / (total + s·M)`.
+    fn phi_prob(&self, d: DiseaseId, m: MedicineId) -> f64 {
+        let row = &self.phi[d.index()];
+        let raw = row.counts.get(&m.0).copied().unwrap_or(0.0);
+        (raw + self.smoothing) / (row.total + self.smoothing * self.n_medicines as f64)
+    }
+
+    fn eta(&self, d: DiseaseId) -> f64 {
+        self.eta[d.index()]
+    }
+
+    /// Number of medicines with non-smoothing mass in row `d`.
+    fn support(&self, d: DiseaseId) -> usize {
+        self.phi[d.index()].counts.len()
+    }
+}
 
 fn spec(months: u32) -> WorldSpec {
     WorldSpec {
@@ -27,9 +216,9 @@ fn spec(months: u32) -> WorldSpec {
     }
 }
 
-/// Compare two fitted models cell-by-cell: every smoothed `φ_dm`, `η_d`,
-/// the training log-likelihood, and the iterations run.
-fn assert_models_match(a: &MedicationModel, b: &MedicationModel, what: &str) {
+/// Compare a fitted model with the reference cell-by-cell: every smoothed
+/// `φ_dm`, `η_d`, the training log-likelihood, and the iterations run.
+fn assert_models_match(a: &MedicationModel, b: &RefModel, what: &str) {
     assert_eq!(a.iterations, b.iterations, "{what}: iteration count");
     // Exact equality first: covers the max_iters=0 case where both sides are
     // −∞ and the difference would be NaN.
@@ -40,27 +229,27 @@ fn assert_models_match(a: &MedicationModel, b: &MedicationModel, what: &str) {
         a.log_likelihood,
         b.log_likelihood
     );
-    assert_eq!(a.n_diseases(), b.n_diseases());
-    assert_eq!(a.n_medicines(), b.n_medicines());
+    assert_eq!(a.n_diseases(), b.eta.len());
+    assert_eq!(a.n_medicines(), b.n_medicines);
     for d in 0..a.n_diseases() as u32 {
-        let (da, db) = (DiseaseId(d), DiseaseId(d));
-        assert!((a.eta(da) - b.eta(db)).abs() <= TOL, "{what}: eta[{d}]");
+        let d_id = DiseaseId(d);
+        assert!((a.eta(d_id) - b.eta(d_id)).abs() <= TOL, "{what}: eta[{d}]");
         // phi_row returns only non-smoothing entries; compare the smoothed
         // probabilities over the full vocabulary so an entry present on one
         // side but not the other is caught too.
         for m in 0..a.n_medicines() as u32 {
-            let pa = a.phi_prob(da, MedicineId(m));
-            let pb = b.phi_prob(db, MedicineId(m));
+            let pa = a.phi_prob(d_id, MedicineId(m));
+            let pb = b.phi_prob(d_id, MedicineId(m));
             assert!(
                 (pa - pb).abs() <= TOL,
                 "{what}: phi[{d},{m}] = {pa} vs {pb}"
             );
         }
-        let mut ra = a.phi_row(da);
-        let mut rb = b.phi_row(db);
-        ra.sort_by_key(|&(m, _)| m.0);
-        rb.sort_by_key(|&(m, _)| m.0);
-        assert_eq!(ra.len(), rb.len(), "{what}: sparse row {d} support differs");
+        assert_eq!(
+            a.phi_row(d_id).len(),
+            b.support(d_id),
+            "{what}: sparse row {d} support differs"
+        );
     }
 }
 
@@ -71,7 +260,7 @@ fn workspace_fit_matches_reference_on_simulated_months() {
     let opts = EmOptions::default();
     let mut ws = EmWorkspace::new();
     for (t, month) in ds.months.iter().enumerate() {
-        let golden = MedicationModel::fit_reference(month, ds.n_diseases, ds.n_medicines, &opts);
+        let golden = RefModel::fit(month, ds.n_diseases, ds.n_medicines, &opts);
         // Deliberately reuse one workspace across months: stale layout or
         // buffers from month t−1 must not leak into month t.
         let fitted =
@@ -90,8 +279,7 @@ fn workspace_fit_matches_reference_under_loose_and_tight_tolerances() {
             tol,
             ..EmOptions::default()
         };
-        let golden =
-            MedicationModel::fit_reference(&ds.months[1], ds.n_diseases, ds.n_medicines, &opts);
+        let golden = RefModel::fit(&ds.months[1], ds.n_diseases, ds.n_medicines, &opts);
         let fitted = MedicationModel::fit(&ds.months[1], ds.n_diseases, ds.n_medicines, &opts);
         assert_models_match(
             &fitted,
@@ -110,13 +298,8 @@ fn tracked_fit_matches_reference_with_temporal_prior() {
     let ds = Simulator::new(&world, 13).run();
     let opts = EmOptions::default();
     for continuity in [0.0, 0.3, 0.8] {
-        let golden = MedicationModel::fit_tracked_reference(
-            &ds.months,
-            ds.n_diseases,
-            ds.n_medicines,
-            &opts,
-            continuity,
-        );
+        let golden =
+            RefModel::fit_tracked(&ds.months, ds.n_diseases, ds.n_medicines, &opts, continuity);
         // The production chain: independent fits refined month by month.
         let mut ws = EmWorkspace::new();
         let mut fitted: Vec<MedicationModel> = Vec::new();
@@ -139,7 +322,7 @@ fn tracked_fit_matches_reference_with_temporal_prior() {
 fn workspace_handles_degenerate_months() {
     // Months with no usable records (empty, diagnosis-free, or
     // prescription-free) must fit cleanly and match the reference.
-    use mic_claims::{HospitalId, MicRecord, Month, MonthlyDataset, PatientId};
+    use mic_claims::{HospitalId, MicRecord, Month, PatientId};
     let months = [
         MonthlyDataset {
             month: Month(0),
@@ -158,7 +341,7 @@ fn workspace_handles_degenerate_months() {
     ];
     let opts = EmOptions::default();
     for month in &months {
-        let golden = MedicationModel::fit_reference(month, 4, 4, &opts);
+        let golden = RefModel::fit(month, 4, 4, &opts);
         let fitted = MedicationModel::fit(month, 4, 4, &opts);
         assert_models_match(
             &fitted,

@@ -1,6 +1,5 @@
 //! Merged point-in-time view of every published collector, with a JSONL
-//! serialisation that round-trips through the crate's own tiny parser (the
-//! build is offline: no serde).
+//! serialisation (the build is offline: no serde).
 //!
 //! One metric per line, `type` ∈ {`counter`, `value`, `timer`, `derived`}:
 //!
@@ -10,9 +9,9 @@
 //! ```
 //!
 //! Timer lines additionally carry `mean_ns`/`p50_ns`/`p99_ns` for human and
-//! downstream-tool consumption; those are recomputed on parse, not read.
+//! downstream-tool consumption.
 
-use crate::metrics::{LocalCollector, TimerStat, ValueStat, N_BUCKETS};
+use crate::metrics::{LocalCollector, TimerStat, ValueStat};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -162,69 +161,6 @@ impl Snapshot {
         }
         s
     }
-
-    /// Parse a JSONL document produced by [`Snapshot::to_jsonl`].
-    pub fn from_jsonl(text: &str) -> Result<Snapshot, String> {
-        let mut out = Snapshot::default();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let obj = parse_object(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let get = |key: &str| -> Result<&Json, String> {
-                obj.iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("line {}: missing key {key:?}", lineno + 1))
-            };
-            let name = get("name")?.as_str()?.to_string();
-            match get("type")?.as_str()? {
-                "counter" => {
-                    out.counters.insert(name, get("value")?.as_u64()?);
-                }
-                "value" => {
-                    let v = ValueStat {
-                        count: get("count")?.as_u64()?,
-                        sum: get("sum")?.as_f64()?,
-                        min: get("min")?.as_f64()?,
-                        max: get("max")?.as_f64()?,
-                        last: get("last")?.as_f64()?,
-                    };
-                    out.values.insert(name, v);
-                }
-                "timer" => {
-                    let mut t = TimerStat {
-                        count: get("count")?.as_u64()?,
-                        total_ns: get("total_ns")?.as_u64()?,
-                        min_ns: get("min_ns")?.as_u64()?,
-                        max_ns: get("max_ns")?.as_u64()?,
-                        buckets: [0; N_BUCKETS],
-                    };
-                    if t.count == 0 {
-                        t.min_ns = u64::MAX;
-                    }
-                    for pair in get("buckets")?.as_array()? {
-                        let pair = pair.as_array()?;
-                        if pair.len() != 2 {
-                            return Err(format!("line {}: bad bucket pair", lineno + 1));
-                        }
-                        let i = pair[0].as_u64()? as usize;
-                        if i >= N_BUCKETS {
-                            return Err(format!("line {}: bucket index {i}", lineno + 1));
-                        }
-                        t.buckets[i] = pair[1].as_u64()?;
-                    }
-                    out.timers.insert(name, t);
-                }
-                "derived" => {
-                    out.derived.insert(name, get("value")?.as_f64()?);
-                }
-                other => return Err(format!("line {}: unknown type {other:?}", lineno + 1)),
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Shortest-round-trip float formatting (Rust's `{}` is exact on re-parse);
@@ -252,221 +188,48 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Minimal JSON value for the flat objects this crate emits.
-#[derive(Debug)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-}
-
-impl Json {
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        let v = self.as_f64()?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-            return Err(format!("expected unsigned integer, got {v}"));
-        }
-        Ok(v as u64)
-    }
-
-    fn as_array(&self) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-}
-
-fn parse_object(line: &str) -> Result<Vec<(String, Json)>, String> {
-    let mut p = Parser {
-        chars: line.char_indices().peekable(),
-        src: line,
-    };
-    p.skip_ws();
-    p.expect('{')?;
-    let mut out = Vec::new();
-    p.skip_ws();
-    if p.eat('}') {
-        return Ok(out);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        let value = p.parse_value()?;
-        out.push((key, value));
-        p.skip_ws();
-        if p.eat(',') {
-            continue;
-        }
-        p.expect('}')?;
-        return Ok(out);
-    }
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    src: &'a str,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if matches!(self.chars.peek(), Some((_, x)) if *x == c) {
-            self.chars.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some((_, x)) if x == c => Ok(()),
-            other => Err(format!("expected {c:?}, got {other:?}")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".into()),
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, c) = self.chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + c.to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit {c:?}"))?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.chars.peek() {
-            Some((_, '"')) => Ok(Json::Str(self.parse_string()?)),
-            Some((_, '[')) => {
-                self.chars.next();
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.eat(']') {
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    if self.eat(',') {
-                        continue;
-                    }
-                    self.expect(']')?;
-                    return Ok(Json::Arr(items));
-                }
-            }
-            Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-                let mut end = start;
-                while let Some(&(i, c)) = self.chars.peek() {
-                    if c == '-'
-                        || c == '+'
-                        || c == '.'
-                        || c == 'e'
-                        || c == 'E'
-                        || c.is_ascii_digit()
-                    {
-                        end = i + c.len_utf8();
-                        self.chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                self.src[start..end]
-                    .parse::<f64>()
-                    .map(Json::Num)
-                    .map_err(|e| format!("bad number {:?}: {e}", &self.src[start..end]))
-            }
-            other => Err(format!("unexpected token {other:?}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn jsonl_round_trips() {
+    fn jsonl_format_is_pinned() {
         let mut s = Snapshot::default();
         s.counters.insert("em.iterations".into(), 123);
-        s.counters.insert("pipeline.series_dropped".into(), 0);
+        s.counters.insert("weird \"name\"\\with\nstuff".into(), 7);
         let mut v = ValueStat::default();
         v.record(0.5);
         v.record(-1.25);
         s.values.insert("em.loglik_delta".into(), v);
+        // Never recorded: min/max are ±∞, which degrade to 0.
+        s.values.insert("em.unused".into(), ValueStat::default());
         let mut t = TimerStat::default();
         for ns in [10u64, 20, 1_000_000, 3] {
             t.record_ns(ns);
         }
         s.timers.insert("kf.loglik".into(), t);
+        // Zero-count timer: `min_ns` reads 0, not u64::MAX.
+        s.timers.insert("idle".into(), TimerStat::default());
         s.add_derived("kf.cost_unit_ns", 41.75);
 
-        let text = s.to_jsonl();
-        let parsed = Snapshot::from_jsonl(&text).expect("parse back");
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn empty_snapshot_round_trips() {
-        let s = Snapshot::default();
-        assert_eq!(Snapshot::from_jsonl(&s.to_jsonl()).unwrap(), s);
-    }
-
-    #[test]
-    fn escaped_names_round_trip() {
-        let mut s = Snapshot::default();
-        s.counters.insert("weird \"name\"\\with\nstuff".into(), 7);
-        let parsed = Snapshot::from_jsonl(&s.to_jsonl()).unwrap();
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn rejects_malformed_lines() {
-        assert!(Snapshot::from_jsonl("{\"type\":\"counter\"}").is_err());
-        assert!(Snapshot::from_jsonl("not json").is_err());
-        assert!(Snapshot::from_jsonl("{\"type\":\"nope\",\"name\":\"x\",\"value\":1}").is_err());
+        let expected = concat!(
+            r#"{"type":"counter","name":"em.iterations","value":123}"#,
+            "\n",
+            r#"{"type":"counter","name":"weird \"name\"\\with\u000astuff","value":7}"#,
+            "\n",
+            r#"{"type":"value","name":"em.loglik_delta","count":2,"sum":-0.75,"min":-1.25,"max":0.5,"last":-1.25,"mean":-0.375}"#,
+            "\n",
+            r#"{"type":"value","name":"em.unused","count":0,"sum":0,"min":0,"max":0,"last":0,"mean":0}"#,
+            "\n",
+            r#"{"type":"timer","name":"idle","count":0,"total_ns":0,"min_ns":0,"max_ns":0,"mean_ns":0,"p50_ns":0,"p99_ns":0,"buckets":[]}"#,
+            "\n",
+            r#"{"type":"timer","name":"kf.loglik","count":4,"total_ns":1000033,"min_ns":3,"max_ns":1000000,"mean_ns":250008.25,"p50_ns":15,"p99_ns":1000000,"buckets":[[2,1],[4,1],[5,1],[20,1]]}"#,
+            "\n",
+            r#"{"type":"derived","name":"kf.cost_unit_ns","value":41.75}"#,
+            "\n",
+        );
+        assert_eq!(s.to_jsonl(), expected);
+        assert_eq!(Snapshot::default().to_jsonl(), "");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration tests for the global recorder: concurrent publish/merge,
-//! the disabled fast path, and JSONL persistence of a real session.
+//! the disabled fast path, and the snapshot of a real session.
 //!
 //! Every test takes [`mic_obs::exclusive`] for its whole body — the recorder
 //! is process-wide state and the test harness runs tests in parallel.
@@ -125,7 +125,7 @@ fn span_created_while_disabled_never_records() {
 }
 
 #[test]
-fn recorded_session_round_trips_through_jsonl() {
+fn recorded_session_shows_in_snapshot() {
     let _guard = mic_obs::exclusive();
     mic_obs::reset();
     mic_obs::enable();
@@ -141,11 +141,18 @@ fn recorded_session_round_trips_through_jsonl() {
     mic_obs::disable();
     snap.add_derived("rt.cost_unit_ns", snap.timer("rt.timer").unwrap().mean_ns());
 
-    let text = snap.to_jsonl();
-    let parsed = mic_obs::Snapshot::from_jsonl(&text).expect("own output parses");
-    assert_eq!(parsed, snap);
-    assert_eq!(parsed.counter("rt.count"), 41);
-    assert_eq!(parsed.value("rt.delta").unwrap().count, 2);
-    assert_eq!(parsed.timer("rt.timer").unwrap().total_ns, 3_750);
-    assert!(parsed.derived.contains_key("rt.cost_unit_ns"));
+    assert_eq!(snap.counter("rt.count"), 41);
+    let delta = snap.value("rt.delta").unwrap();
+    assert_eq!(delta.count, 2);
+    assert_eq!(delta.sum, 2.375);
+    assert_eq!(delta.min, -0.125);
+    assert_eq!(delta.max, 2.5);
+    assert_eq!(delta.last, 2.5);
+    let timer = snap.timer("rt.timer").unwrap();
+    assert_eq!(timer.count, 2);
+    assert_eq!(timer.total_ns, 3_750);
+    assert_eq!(timer.min_ns, 750);
+    assert_eq!(timer.max_ns, 3_000);
+    assert_eq!(snap.timer("rt.span").unwrap().count, 1);
+    assert_eq!(snap.derived["rt.cost_unit_ns"], 1_875.0);
 }

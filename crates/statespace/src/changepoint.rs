@@ -143,7 +143,7 @@ pub struct SearchPlan {
     pub criterion: SelectionCriterion,
     /// When set, every fit seeds Nelder–Mead from the matching
     /// [`WarmStart`] field instead of the default multi-start simplex
-    /// (see [`fit_structural_ws`]). `None` is the cold search.
+    /// (see `estimate::fit_structural_ws`). `None` is the cold search.
     pub warm: Option<WarmStart>,
 }
 

@@ -9,9 +9,7 @@
 //! variances — so adding the intervention costs exactly one penalty unit,
 //! which is what makes the AIC change-point comparison meaningful.
 
-use crate::kalman::{
-    forecast_moments, kalman_filter, kalman_loglik, FilterResult, FilterWorkspace,
-};
+use crate::kalman::{forecast_moments, kalman_filter, kalman_loglik, FilterWorkspace};
 use crate::model::Ssm;
 use crate::smoother::smooth;
 use crate::structural::{lead, Components, StructuralParams, StructuralSpec};
@@ -68,31 +66,12 @@ impl FittedStructural {
         self.spec.build(&self.params, horizon)
     }
 
-    /// Run the filter on `ys` under the fitted parameters.
-    pub fn filter(&self, ys: &[f64]) -> FilterResult {
-        kalman_filter(&self.ssm(ys.len()), ys)
-    }
-
     /// Smoothed component decomposition (Figs. 6–7 middle panels).
     pub fn decompose(&self, ys: &[f64]) -> Components {
         let ssm = self.ssm(ys.len());
         let f = kalman_filter(&ssm, ys);
         let s = smooth(&ssm, &f);
         Components::from_smoothed(&self.spec, &s.means, ys)
-    }
-
-    /// Confidence interval for the intervention scale `λ` at level `z`
-    /// standard deviations (e.g. 1.96 for 95%), from the smoothed state
-    /// covariance. `None` for models without an intervention component.
-    pub fn lambda_confidence(&self, ys: &[f64], z: f64) -> Option<(f64, f64)> {
-        let li = self.spec.lambda_index()?;
-        let ssm = self.ssm(ys.len());
-        let f = kalman_filter(&ssm, ys);
-        let s = smooth(&ssm, &f);
-        let n = ys.len();
-        let lambda = s.means[n - 1][li];
-        let sd = s.covs[n - 1][(li, li)].max(0.0).sqrt();
-        Some((lambda - z * sd, lambda + z * sd))
     }
 
     /// Mean forecasts for `h` steps past the end of `ys`.
@@ -114,8 +93,8 @@ impl FittedStructural {
 
 /// Fit a structural spec to a series by maximum likelihood, excluding the
 /// model's own diffuse burn-in from the likelihood. An intervention model
-/// instead skips as [`comparable_skip`] says, so its AIC can be compared
-/// against the baseline of a change-point search.
+/// instead skips as the change-point search's exclusion rule says, so its
+/// AIC can be compared against the search's baseline.
 ///
 /// # Panics
 /// Panics if the series is shorter than the model's state dimension + 2
@@ -137,7 +116,7 @@ pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> Fi
 /// state dimension) plus the change point's own innovation, or — for a
 /// change point inside the lead and for the no-change baseline — the
 /// innovation right after the lead.
-pub fn comparable_skip(spec: &StructuralSpec) -> (usize, Vec<usize>) {
+pub(crate) fn comparable_skip(spec: &StructuralSpec) -> (usize, Vec<usize>) {
     comparable_skip_k(
         spec.seasonal,
         spec.intervention.change_point().as_slice(),
@@ -203,7 +182,7 @@ pub(crate) fn comparable_skip_k(
 /// (different simplex trajectory), so callers that need bit-reproducibility
 /// against the batch path must compare *decisions*, not likelihoods. Warm
 /// fits emit a `kf.warm_fits` counter alongside the usual `kf.fits`.
-pub fn fit_structural_ws(
+pub(crate) fn fit_structural_ws(
     ys: &[f64],
     spec: StructuralSpec,
     opts: &FitOptions,
@@ -594,25 +573,6 @@ mod tests {
         assert!(rmse < 2.5, "post-break forecast RMSE = {rmse}");
         // Forecasts keep climbing.
         assert!(fc[6] > fc[0]);
-    }
-
-    #[test]
-    fn lambda_confidence_covers_truth() {
-        let ys = slope_break_series(43, 20, 2.0, 12);
-        let fit = fit_structural(
-            &ys,
-            StructuralSpec::with_intervention(20),
-            &FitOptions::default(),
-        );
-        let (lo, hi) = fit.lambda_confidence(&ys, 1.96).expect("has intervention");
-        assert!(
-            lo < 2.0 && 2.0 < hi,
-            "95% CI [{lo:.2}, {hi:.2}] should cover λ = 2"
-        );
-        assert!(hi - lo < 2.0, "CI too wide: [{lo:.2}, {hi:.2}]");
-        // No intervention → no interval.
-        let ll = fit_structural(&ys, StructuralSpec::local_level(), &FitOptions::default());
-        assert!(ll.lambda_confidence(&ys, 1.96).is_none());
     }
 
     #[test]

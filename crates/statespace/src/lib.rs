@@ -24,15 +24,14 @@
 //! - [`structural`] — the paper's structural model variants
 //!   (LL / LL+S / LL+I / LL+S+I), their one SSM builder and decomposition;
 //! - [`estimate`] — maximum-likelihood fitting (Nelder–Mead over
-//!   log-variances), AIC and the [`comparable_skip`] exclusion rule;
+//!   log-variances), AIC and the likelihood-exclusion rule that keeps
+//!   the AICs of nested models comparable;
 //! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate), both
 //!   behind the single [`search`] entry point;
 //! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection;
 //! - [`forecast`] — out-of-sample forecasting for both model families;
 //! - [`multi`] — greedy multi-change-point detection (the paper's §IX
 //!   extension) on the same builder and exclusion rule;
-//! - [`diffuse`] — exact diffuse initialisation (Durbin–Koopman), used to
-//!   validate the production κ-approximation;
 //! - [`diagnostics`] — Ljung–Box residual checks and outlier flags.
 //!
 //! # Example: detect a slope shift
@@ -53,7 +52,6 @@
 pub mod arima;
 pub mod changepoint;
 pub mod diagnostics;
-pub mod diffuse;
 pub mod estimate;
 pub mod forecast;
 pub mod kalman;
@@ -67,9 +65,7 @@ pub use changepoint::{
     search, Algorithm, ChangePoint, ChangePointSearch, SearchPlan, SelectionCriterion, WarmStart,
 };
 pub use diagnostics::{diagnose_residuals, ResidualDiagnostics};
-pub use estimate::{
-    comparable_skip, fit_structural, fit_structural_ws, FitOptions, FittedStructural,
-};
+pub use estimate::{fit_structural, FitOptions, FittedStructural};
 pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace};
 pub use model::Ssm;
 pub use multi::{detect_multiple, MultiChangePoints};

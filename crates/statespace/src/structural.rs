@@ -254,23 +254,6 @@ pub struct Components {
 }
 
 impl Components {
-    /// Seasonally-adjusted series: the observations with the smoothed
-    /// seasonal component removed (`x_t − γ_t1`) — the standard structural-
-    /// time-series product for comparing months across seasons.
-    pub fn seasonally_adjusted(&self, ys: &[f64]) -> Vec<f64> {
-        assert_eq!(ys.len(), self.seasonal.len());
-        ys.iter().zip(&self.seasonal).map(|(y, g)| y - g).collect()
-    }
-
-    /// Detrended series: observations minus level and intervention
-    /// (seasonal + irregular remain).
-    pub fn detrended(&self, ys: &[f64]) -> Vec<f64> {
-        assert_eq!(ys.len(), self.level.len());
-        (0..ys.len())
-            .map(|t| ys[t] - self.level[t] - self.intervention[t])
-            .collect()
-    }
-
     /// Build from smoothed states.
     pub fn from_smoothed(
         spec: &StructuralSpec,
@@ -421,7 +404,8 @@ mod tests {
             .collect();
         let fit = fit_structural(&ys, StructuralSpec::with_seasonal(), &FitOptions::default());
         let c = fit.decompose(&ys);
-        let adjusted = c.seasonally_adjusted(&ys);
+        // Seasonally adjusted: the observations minus the smoothed seasonal.
+        let adjusted: Vec<f64> = ys.iter().zip(&c.seasonal).map(|(y, g)| y - g).collect();
         // The adjusted series must be far flatter than the raw one.
         let amp = |xs: &[f64]| {
             let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -435,7 +419,9 @@ mod tests {
             amp(&ys[12..])
         );
         // Detrended keeps the swing but loses the level.
-        let detrended = c.detrended(&ys);
+        let detrended: Vec<f64> = (0..ys.len())
+            .map(|t| ys[t] - c.level[t] - c.intervention[t])
+            .collect();
         assert!(detrended.iter().sum::<f64>().abs() / 48.0 < 2.0);
     }
 

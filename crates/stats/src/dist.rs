@@ -1,19 +1,14 @@
 //! Probability distributions with seeded sampling.
 //!
 //! The offline `rand` crate carries only uniform primitives, so the samplers
-//! the claims simulator needs (normal, gamma, Dirichlet, Poisson,
-//! categorical via the alias method) are implemented here, along with the
-//! density/CDF functions the state-space likelihoods and t-tests need.
+//! the claims simulator needs (normal, gamma, Poisson, categorical via the
+//! alias method) are implemented here, along with the density/CDF functions
+//! the state-space likelihoods and t-tests need.
 
 use crate::special::{beta_inc, erf};
 use rand::Rng;
 
 const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
-
-/// Standard-normal probability density at `x`.
-pub fn normal_pdf(x: f64, mean: f64, sd: f64) -> f64 {
-    normal_ln_pdf(x, mean, sd).exp()
-}
 
 /// Log-density of `N(mean, sd²)` at `x`. This is the Kalman filter's
 /// innovation likelihood kernel.
@@ -106,22 +101,6 @@ pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64
             return d * v * scale;
         }
     }
-}
-
-/// Draw a probability vector from `Dirichlet(alpha)`.
-pub fn sample_dirichlet<R: Rng + ?Sized>(rng: &mut R, alpha: &[f64]) -> Vec<f64> {
-    assert!(!alpha.is_empty());
-    let mut draws: Vec<f64> = alpha.iter().map(|&a| sample_gamma(rng, a, 1.0)).collect();
-    let sum: f64 = draws.iter().sum();
-    if sum <= 0.0 {
-        // All gammas underflowed (pathologically small alphas); fall back to uniform.
-        let p = 1.0 / alpha.len() as f64;
-        return vec![p; alpha.len()];
-    }
-    for d in &mut draws {
-        *d /= sum;
-    }
-    draws
 }
 
 /// Draw from `Poisson(lambda)`. Uses Knuth's product method for small
@@ -259,7 +238,7 @@ mod tests {
 
     #[test]
     fn normal_pdf_peak() {
-        assert!((normal_pdf(0.0, 0.0, 1.0) - 0.398_942_280_401_432_7).abs() < 1e-12);
+        assert!((normal_ln_pdf(0.0, 0.0, 1.0).exp() - 0.398_942_280_401_432_7).abs() < 1e-12);
         assert!((normal_ln_pdf(1.0, 0.0, 1.0) - (-1.418_938_533_204_672_7)).abs() < 1e-12);
     }
 
@@ -319,17 +298,6 @@ mod tests {
         for _ in 0..1000 {
             let x = sample_gamma(&mut r, 0.3, 1.0);
             assert!(x > 0.0 && x.is_finite());
-        }
-    }
-
-    #[test]
-    fn dirichlet_sums_to_one() {
-        let mut r = rng();
-        for _ in 0..100 {
-            let p = sample_dirichlet(&mut r, &[0.5, 1.0, 2.0, 4.0]);
-            assert_eq!(p.len(), 4);
-            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-            assert!(p.iter().all(|&x| x >= 0.0));
         }
     }
 

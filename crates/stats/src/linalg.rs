@@ -89,12 +89,6 @@ impl Mat {
         }
     }
 
-    /// Build from a flat row-major vec.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "size mismatch in Mat::from_vec");
-        Mat { rows, cols, data }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -116,52 +110,18 @@ impl Mat {
     /// Transposed copy.
     pub fn transpose(&self) -> Mat {
         let mut out = Mat::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// Transpose written into a pre-allocated `out` (must be cols × rows).
-    /// Lets the Kalman fast path hoist `Tᵀ` without allocating.
-    pub fn transpose_into(&self, out: &mut Mat) {
-        assert_eq!(out.rows, self.cols, "dim mismatch in transpose_into");
-        assert_eq!(out.cols, self.rows, "dim mismatch in transpose_into");
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * out.cols + r] = self.data[r * self.cols + c];
             }
         }
-    }
-
-    /// Matrix product `self * rhs` written into a pre-allocated `out`
-    /// (dimensions must match). Avoids allocation in the Kalman hot loop.
-    pub fn mul_into(&self, rhs: &Mat, out: &mut Mat) {
-        assert_eq!(self.cols, rhs.rows, "dim mismatch in mul");
-        assert_eq!(out.rows, self.rows);
-        assert_eq!(out.cols, rhs.cols);
-        for r in 0..self.rows {
-            for c in 0..rhs.cols {
-                let mut acc = 0.0;
-                for k in 0..self.cols {
-                    acc += self.data[r * self.cols + k] * rhs.data[k * rhs.cols + c];
-                }
-                out.data[r * rhs.cols + c] = acc;
-            }
-        }
+        out
     }
 
     /// `self * v` for a vector `v` (len = cols), returning a fresh Vec.
     pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        self.mul_vec_into(v, &mut out);
-        out
-    }
-
-    /// `self * v` written into a pre-allocated `out` (len = rows). `v` and
-    /// `out` must not alias. Same accumulation order as [`Mat::mul_vec`], so
-    /// results are bit-identical.
-    pub fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) {
         assert_eq!(self.cols, v.len(), "dim mismatch in mul_vec");
-        assert_eq!(self.rows, out.len(), "dim mismatch in mul_vec");
+        let mut out = vec![0.0; self.rows];
         for (r, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (k, &vk) in v.iter().enumerate() {
@@ -169,6 +129,7 @@ impl Mat {
             }
             *o = acc;
         }
+        out
     }
 
     /// Copy another matrix's contents into this one (shapes must match).
@@ -311,11 +272,6 @@ impl Mat {
         }
         Some(x)
     }
-
-    /// Maximum absolute element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
 }
 
 impl Index<(usize, usize)> for Mat {
@@ -338,8 +294,17 @@ impl IndexMut<(usize, usize)> for Mat {
 impl Mul<&Mat> for &Mat {
     type Output = Mat;
     fn mul(self, rhs: &Mat) -> Mat {
+        assert_eq!(self.cols, rhs.rows, "dim mismatch in mul");
         let mut out = Mat::zeros(self.rows, rhs.cols);
-        self.mul_into(rhs, &mut out);
+        for r in 0..self.rows {
+            for c in 0..rhs.cols {
+                let mut acc = 0.0;
+                for k in 0..self.cols {
+                    acc += self.data[r * self.cols + k] * rhs.data[k * rhs.cols + c];
+                }
+                out.data[r * rhs.cols + c] = acc;
+            }
+        }
         out
     }
 }
@@ -415,23 +380,6 @@ mod tests {
         let v = [3.0, 4.0];
         let got = a.mul_vec(&v);
         assert_eq!(got, vec![-1.0, 8.0]);
-    }
-
-    #[test]
-    fn transpose_into_matches_transpose() {
-        let a = Mat::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let mut out = Mat::zeros(3, 2);
-        a.transpose_into(&mut out);
-        assert_eq!(out, a.transpose());
-    }
-
-    #[test]
-    fn mul_vec_into_matches_mul_vec() {
-        let a = Mat::from_rows(&[vec![1.0, -1.0], vec![2.0, 0.5]]);
-        let v = [3.0, 4.0];
-        let mut out = [0.0; 2];
-        a.mul_vec_into(&v, &mut out);
-        assert_eq!(out.to_vec(), a.mul_vec(&v));
     }
 
     #[test]

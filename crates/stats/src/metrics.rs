@@ -1,5 +1,5 @@
 //! Forecast-error metrics: RMSE (used for the forecasting comparison in
-//! Section VIII-B2 and the change-point distance in Table VI), MAE, MAPE.
+//! Section VIII-B2 and the change-point distance in Table VI), MAE.
 
 /// Root mean squared error between matched slices.
 ///
@@ -36,29 +36,6 @@ pub fn mae(actual: &[f64], predicted: &[f64]) -> f64 {
         / actual.len() as f64
 }
 
-/// Mean absolute percentage error, skipping points where `actual == 0`.
-/// Returns `NaN` if every actual is zero.
-pub fn mape(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(
-        actual.len(),
-        predicted.len(),
-        "mape needs equal-length slices"
-    );
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (a, p) in actual.iter().zip(predicted) {
-        if *a != 0.0 {
-            sum += ((a - p) / a).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        f64::NAN
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Min–max normalise a series to `[0, 1]`; constant series map to all-zeros.
 /// The paper evaluates forecasting on normalised disease series.
 pub fn min_max_normalize(xs: &[f64]) -> Vec<f64> {
@@ -89,13 +66,6 @@ mod tests {
     #[test]
     fn mae_known() {
         assert_eq!(mae(&[1.0, -1.0], &[2.0, 1.0]), 1.5);
-    }
-
-    #[test]
-    fn mape_skips_zero_actuals() {
-        let m = mape(&[0.0, 10.0], &[5.0, 12.0]);
-        assert!((m - 0.2).abs() < 1e-12);
-        assert!(mape(&[0.0, 0.0], &[1.0, 1.0]).is_nan());
     }
 
     #[test]

@@ -23,16 +23,6 @@ pub fn average_precision_at_k(ranked_relevance: &[bool], k: usize, total_relevan
     sum_prec / total_relevant.min(k) as f64
 }
 
-/// Precision at cutoff `k`.
-pub fn precision_at_k(ranked_relevance: &[bool], k: usize) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    let taken = ranked_relevance.iter().take(k);
-    let hits = taken.filter(|&&r| r).count();
-    hits as f64 / k as f64
-}
-
 /// Discounted Cumulative Gain at `k` over graded relevance gains, with the
 /// standard `gain / log2(i + 1)` discount (1-indexed ranks).
 pub fn dcg_at_k(gains: &[f64], k: usize) -> f64 {
@@ -101,14 +91,6 @@ mod tests {
     #[test]
     fn ap_no_relevant_universe() {
         assert_eq!(average_precision_at_k(&[true], 1, 0), 0.0);
-    }
-
-    #[test]
-    fn precision_basic() {
-        let rel = [true, false, true, false];
-        assert_eq!(precision_at_k(&rel, 2), 0.5);
-        assert_eq!(precision_at_k(&rel, 4), 0.5);
-        assert_eq!(precision_at_k(&rel, 0), 0.0);
     }
 
     #[test]

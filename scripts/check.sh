@@ -86,10 +86,13 @@ cargo run --release -q --bin mictrend -- analyze --data "$tmp/long.mic" --no-sea
 diff -u tests/golden/analyze_long130_no_seasonal.txt "$tmp/report_long130.txt" \
     || { echo "golden-report gate: 130-month report changed"; exit 1; }
 
-echo "==> examples gate (multi_breaks, forecasting run to completion)"
-# The only runtime callers of `detect_multiple` and
-# `forecast_with_variance`; clippy alone only compiles them.
-for example in multi_breaks forecasting; do
+echo "==> examples gate (examples with library callers nothing else runs)"
+# The only runtime callers of `detect_multiple` (multi_breaks),
+# `forecast_with_variance` (forecasting), `detect_outbreaks`
+# (outbreak_surveillance), `core::geo` (generic_uptake) and
+# `core::hospital` (antibiotic_stewardship); clippy alone only compiles them.
+for example in multi_breaks forecasting outbreak_surveillance generic_uptake \
+               antibiotic_stewardship; do
     cargo run --release -q --example "$example" > /dev/null \
         || { echo "examples gate: $example failed"; exit 1; }
 done

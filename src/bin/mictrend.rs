@@ -150,6 +150,27 @@ impl Flags {
     }
 }
 
+/// The pipeline configuration every analysing command runs with, built from
+/// its flags (`--exact`, `--no-seasonal`, `--continuity`); a flag the
+/// command does not declare reads as absent. The seasonal model needs at
+/// least 16 months.
+fn pipeline_config(flags: &Flags, horizon: usize) -> Result<PipelineConfig, String> {
+    let continuity = flags.get_num("continuity", 0.0f64)?;
+    if !(0.0..1.0).contains(&continuity) {
+        return Err(format!("--continuity must be in [0, 1), got {continuity}"));
+    }
+    Ok(PipelineConfig {
+        approximate_search: !flags.has("exact"),
+        seasonal: !flags.has("no-seasonal") && horizon >= 16,
+        continuity,
+        fit: FitOptions {
+            max_evals: 150,
+            n_starts: 1,
+        },
+        ..Default::default()
+    })
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some((command, rest)) = args.split_first() else {
         return Err("no command given".into());
@@ -235,15 +256,7 @@ fn analyze(flags: &Flags) -> Result<(), String> {
     if metrics_path.is_some() || progress {
         mic_obs::enable();
     }
-    let config = PipelineConfig {
-        approximate_search: !flags.has("exact"),
-        seasonal: !flags.has("no-seasonal") && dataset.horizon() >= 16,
-        fit: FitOptions {
-            max_evals: 150,
-            n_starts: 1,
-        },
-        ..Default::default()
-    };
+    let config = pipeline_config(flags, dataset.horizon())?;
     eprintln!(
         "analysing {} months with {} change-point search...",
         dataset.horizon(),
@@ -319,22 +332,7 @@ fn append(flags: &Flags) -> Result<(), String> {
     // Session counters (cache hits, warm fits, append spans) are the whole
     // point of this command, so instrumentation is always on.
     mic_obs::enable();
-    let config = PipelineConfig {
-        approximate_search: !flags.has("exact"),
-        seasonal: !flags.has("no-seasonal") && dataset.horizon() >= 16,
-        continuity: flags.get_num("continuity", 0.0f64)?,
-        fit: FitOptions {
-            max_evals: 150,
-            n_starts: 1,
-        },
-        ..Default::default()
-    };
-    if !(0.0..1.0).contains(&config.continuity) {
-        return Err(format!(
-            "--continuity must be in [0, 1), got {}",
-            config.continuity
-        ));
-    }
+    let config = pipeline_config(flags, dataset.horizon())?;
     let horizon = dataset.horizon();
     if tail == 0 || tail >= horizon {
         return Err(format!(
@@ -459,14 +457,7 @@ fn series(flags: &Flags) -> Result<(), String> {
     let dataset = load(flags)?;
     let kind = flags.require("kind")?;
     let id: u32 = flags.get_num("id", 0u32)?;
-    let config = PipelineConfig {
-        fit: FitOptions {
-            max_evals: 150,
-            n_starts: 1,
-        },
-        seasonal: dataset.horizon() >= 16,
-        ..Default::default()
-    };
+    let config = pipeline_config(flags, dataset.horizon())?;
     let session = AnalysisSession::from_dataset(&config, &dataset).map_err(|e| e.to_string())?;
     let panel = session.panel();
     let (key, ys) = match kind {
