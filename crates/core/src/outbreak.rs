@@ -63,9 +63,9 @@ pub fn detect_outbreaks(
     } else {
         StructuralSpec::local_level()
     };
-    // The fit needs a few observations past the state dimension, and the
-    // residual diagnostics need at least 8.
-    let min_len = (spec.state_dim() + 4).max(8);
+    // The fit needs a few observations past the state dimension; the
+    // residual diagnostics skip series shorter than 8.
+    let min_len = spec.state_dim() + 4;
     let mut alerts = Vec::new();
     for d in 0..n_diseases {
         let disease = DiseaseId(d as u32);
@@ -75,7 +75,10 @@ pub fn detect_outbreaks(
         }
         let fit = fit_structural(ys, spec, &config.fit);
         let components = fit.decompose(ys);
-        let diag = diagnose_residuals(&components, config.threshold, 10.min(ys.len() - 2));
+        let Some(diag) = diagnose_residuals(&components, config.threshold, 10.min(ys.len() - 2))
+        else {
+            continue;
+        };
         for &month in &diag.outlier_months {
             let z = diag.standardized[month];
             if config.positive_only && z <= 0.0 {
@@ -90,12 +93,7 @@ pub fn detect_outbreaks(
             });
         }
     }
-    alerts.sort_by(|a, b| {
-        b.z_score
-            .abs()
-            .partial_cmp(&a.z_score.abs())
-            .expect("NaN z")
-    });
+    alerts.sort_by(|a, b| b.z_score.abs().total_cmp(&a.z_score.abs()));
     alerts
 }
 
@@ -168,8 +166,8 @@ mod tests {
 
     #[test]
     fn short_non_seasonal_panel_is_skipped() {
-        // Six months pass the local level's fit guard (state_dim + 4 = 5)
-        // but not the residual diagnostics' minimum of 8 observations.
+        // Six months pass the local level's fit guard (state_dim + 4 = 5),
+        // but the residual diagnostics return `None` below 8 observations.
         let mut b = WorldBuilder::new(YearMonth::paper_start(), 6);
         let d = b.disease("short", DiseaseKind::Other, 1.0, SeasonalProfile::Flat);
         let m = b.medicine("med", MedicineClass::Other);

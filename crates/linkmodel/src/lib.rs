@@ -18,8 +18,9 @@
 //! - [`eval`] — AP@10 / NDCG@10 prescription-relevance evaluation against
 //!   the world's ground-truth indications;
 //! - [`workspace`] — the allocation-free EM engine behind
-//!   [`MedicationModel::fit`]; `tests/workspace_parity.rs` holds it to a
-//!   per-iteration `HashMap` reference implementation at 1e-12.
+//!   [`MedicationModel::fit`], one E step per distinct (θ-signature,
+//!   medicine) cell; `tests/workspace_parity.rs` holds it to a per-event
+//!   `HashMap` reference implementation at 1e-12.
 //!
 //! # Example: attribute prescriptions to diseases
 //!

@@ -143,8 +143,9 @@ impl MedicationModel {
     }
 
     /// [`MedicationModel::fit`] through a caller-owned [`EmWorkspace`]: the
-    /// month is compiled once into the workspace's flat layout and every EM
-    /// iteration is allocation-free dense-array arithmetic. Reusing the
+    /// month is compiled once into the workspace's distinct (θ-signature,
+    /// medicine) cells and every EM iteration is allocation-free
+    /// dense-array arithmetic over them. Reusing the
     /// workspace across months amortises even the compile-time buffers.
     pub fn fit_with(
         month: &MonthlyDataset,

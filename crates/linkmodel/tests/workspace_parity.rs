@@ -350,3 +350,73 @@ fn workspace_handles_degenerate_months() {
         );
     }
 }
+
+/// Months whose events collapse into few distinct `(θ-signature, medicine)`
+/// cells: many identical records, equal `θ` from different diagnosis
+/// counts, a medicine repeated within a record, and records without
+/// diagnoses or without medicines.
+fn duplicated_months() -> Vec<MonthlyDataset> {
+    use mic_claims::{HospitalId, MicRecord, Month, PatientId};
+    let record = |diseases: &[(u32, u32)], meds: &[u32]| MicRecord {
+        patient: PatientId(0),
+        hospital: HospitalId(0),
+        diseases: diseases.iter().map(|&(d, n)| (DiseaseId(d), n)).collect(),
+        medicines: meds.iter().map(|&m| MedicineId(m)).collect(),
+        truth_links: meds
+            .iter()
+            .map(|_| DiseaseId(diseases.first().map_or(0, |&(d, _)| d)))
+            .collect(),
+    };
+    (0..3u32)
+        .map(|t| {
+            let mut records = Vec::new();
+            for i in 0..40 {
+                records.push(record(&[(0, 1)], &[0, 0, 1]));
+                records.push(record(&[(1, 1), (2, 1)], &[1, 2]));
+                records.push(record(&[(1, 2), (2, 2)], &[2, (i + t) % 4]));
+                records.push(record(&[(2, 2), (4, 2)], &[3, 3, 3, 1]));
+                if i % 5 == 0 {
+                    records.push(record(&[(3, 1), (0, 3)], &[4]));
+                    records.push(record(&[], &[1, 2]));
+                    records.push(record(&[(4, 1)], &[]));
+                }
+            }
+            if t == 1 {
+                // Medicine 5 and disease 5 appear in one month only.
+                records.push(record(&[(5, 1), (1, 1)], &[5, 1]));
+            }
+            MonthlyDataset {
+                month: Month(t),
+                records,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn cell_compressed_fit_matches_reference_on_duplicated_months() {
+    let months = duplicated_months();
+    let (n_diseases, n_medicines) = (6, 7);
+    let opts = EmOptions::default();
+    let mut ws = EmWorkspace::new();
+    for month in &months {
+        let golden = RefModel::fit(month, n_diseases, n_medicines, &opts);
+        let fitted = MedicationModel::fit_with(month, n_diseases, n_medicines, &opts, &mut ws);
+        assert_models_match(&fitted, &golden, &format!("month {}", month.month));
+    }
+    for continuity in [0.0, 0.5] {
+        let golden = RefModel::fit_tracked(&months, n_diseases, n_medicines, &opts, continuity);
+        let mut fitted: Vec<MedicationModel> = Vec::new();
+        for month in &months {
+            let mut next =
+                MedicationModel::fit_with(month, n_diseases, n_medicines, &opts, &mut ws);
+            if let Some(prev) = fitted.last() {
+                next.refine_next(month, prev, continuity, &opts, &mut ws);
+            }
+            fitted.push(next);
+        }
+        for (t, (f, g)) in fitted.iter().zip(&golden).enumerate() {
+            assert_models_match(f, g, &format!("continuity={continuity} month {t}"));
+        }
+    }
+}

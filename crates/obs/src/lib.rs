@@ -26,7 +26,9 @@
 //! Names are dot-separated, grouped by layer:
 //!
 //! - `em.*` — medication-model EM (`em.iterations`, `em.step` timer whose
-//!   mean is the measured `C_EM`, `em.loglik_delta`);
+//!   mean is the measured `C_EM`, `em.loglik_delta`, and `em.events` /
+//!   `em.cells`: the prescription events compiled and the distinct cells
+//!   the E step runs over);
 //! - `kf.*` — state-space fitting (`kf.loglik_evals`, `kf.loglik` timer
 //!   whose mean is the measured `C_KF`, `kf.fits_exact` / `kf.fits_approx`,
 //!   smoother ridge events);

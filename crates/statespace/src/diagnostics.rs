@@ -28,15 +28,18 @@ pub struct ResidualDiagnostics {
 
 /// Analyse a decomposition's irregular component. `threshold` is in
 /// standard deviations (3.0 is the usual outlier cut); `lags` bounds the
-/// Ljung–Box horizon (clamped to the series length).
+/// Ljung–Box horizon (clamped to the series length). `None` for a series
+/// of fewer than 8 observations.
 pub fn diagnose_residuals(
     components: &Components,
     threshold: f64,
     lags: usize,
-) -> ResidualDiagnostics {
+) -> Option<ResidualDiagnostics> {
     let eps = &components.irregular;
     let n = eps.len();
-    assert!(n >= 8, "diagnostics need at least 8 observations");
+    if n < 8 {
+        return None;
+    }
     let m = mean(eps);
     let sd = sample_sd(eps).max(1e-12);
     let standardized: Vec<f64> = eps.iter().map(|e| (e - m) / sd).collect();
@@ -48,13 +51,13 @@ pub fn diagnose_residuals(
         .collect();
     let lags = lags.clamp(1, n.saturating_sub(2));
     let (ljung_box_q, ljung_box_p) = ljung_box(eps, lags);
-    ResidualDiagnostics {
+    Some(ResidualDiagnostics {
         standardized,
         ljung_box_q,
         ljung_box_p,
         outlier_months,
         threshold,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -82,12 +85,26 @@ mod tests {
     }
 
     #[test]
+    fn short_series_has_no_diagnostics() {
+        let ys = [3.0, 5.0, 4.0, 6.0, 5.0, 7.0];
+        let c = Components {
+            level: ys.to_vec(),
+            seasonal: vec![0.0; 6],
+            intervention: vec![0.0; 6],
+            fitted: ys.to_vec(),
+            irregular: vec![0.5, -0.5, 0.25, -0.25, 1.0, -1.0],
+            lambda: 0.0,
+        };
+        assert!(diagnose_residuals(&c, 3.0, 10).is_none());
+    }
+
+    #[test]
     fn planted_outbreak_is_flagged() {
         let spike = 30;
         let ys = seasonal_with_spike(48, spike, 1);
         let fit = fit_structural(&ys, StructuralSpec::with_seasonal(), &FitOptions::default());
         let c = fit.decompose(&ys);
-        let d = diagnose_residuals(&c, 3.0, 10);
+        let d = diagnose_residuals(&c, 3.0, 10).unwrap();
         assert!(
             d.outlier_months.contains(&spike),
             "spike at {spike} not flagged: {:?}",
@@ -111,7 +128,7 @@ mod tests {
             })
             .collect();
         let fit = fit_structural(&ys, StructuralSpec::with_seasonal(), &FitOptions::default());
-        let d = diagnose_residuals(&fit.decompose(&ys), 3.0, 10);
+        let d = diagnose_residuals(&fit.decompose(&ys), 3.0, 10).unwrap();
         assert!(d.ljung_box_p > 0.05, "p = {}", d.ljung_box_p);
         assert!(d.outlier_months.is_empty(), "{:?}", d.outlier_months);
     }
@@ -125,7 +142,7 @@ mod tests {
             .map(|t| 40.0 + 12.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin())
             .collect();
         let fit = fit_structural(&ys, StructuralSpec::local_level(), &FitOptions::default());
-        let d = diagnose_residuals(&fit.decompose(&ys), 3.0, 14);
+        let d = diagnose_residuals(&fit.decompose(&ys), 3.0, 14).unwrap();
         assert!(
             d.ljung_box_p <= 0.05 || d.standardized.iter().any(|z| z.abs() > 1.5),
             "seasonality should leak into the residuals: p = {}",
@@ -137,7 +154,7 @@ mod tests {
     fn standardization_properties() {
         let ys = seasonal_with_spike(48, 20, 3);
         let fit = fit_structural(&ys, StructuralSpec::with_seasonal(), &FitOptions::default());
-        let d = diagnose_residuals(&fit.decompose(&ys), 3.0, 10);
+        let d = diagnose_residuals(&fit.decompose(&ys), 3.0, 10).unwrap();
         let m = mean(&d.standardized);
         let sd = sample_sd(&d.standardized);
         assert!(m.abs() < 1e-9);

@@ -13,25 +13,21 @@ use mic_stats::Mat;
 pub struct SmoothResult {
     /// Smoothed state means `â_{t|n}`.
     pub means: Vec<Vec<f64>>,
-    /// Smoothed state covariances `P_{t|n}`.
-    pub covs: Vec<Mat>,
 }
 
-/// RTS smoother over a completed filter pass.
+/// RTS smoother over a completed filter pass: state means only.
 ///
-/// For each `t` (backwards): `J_t = P_{t|t} T' P_{t+1|t}⁻¹`,
-/// `â_t = a_{t|t} + J_t (â_{t+1} − a_{t+1|t})`, and the covariance analogue.
-/// The inverse is computed by solving with the (symmetrised) predicted
+/// For each `t` (backwards): `J_t = P_{t|t} T' P_{t+1|t}⁻¹` and
+/// `â_t = a_{t|t} + J_t (â_{t+1} − a_{t+1|t})`. The means need only the
+/// filter's covariances, so the smoothed covariance `P_{t|n}` is not
+/// computed. The inverse is computed by solving with the (symmetrised) predicted
 /// covariance; a tiny ridge keeps zero-variance intervention states solvable.
 pub fn smooth(ssm: &Ssm, filter: &FilterResult) -> SmoothResult {
     let n = filter.len();
     assert!(n > 0, "cannot smooth an empty filter result");
     let m = ssm.state_dim();
     let mut means = vec![vec![0.0; m]; n];
-    let mut covs = vec![Mat::zeros(m, m); n];
-
     means[n - 1] = filter.filtered_means[n - 1].clone();
-    covs[n - 1] = filter.filtered_covs[n - 1].clone();
 
     let tt = ssm.transition.transpose();
     for t in (0..n - 1).rev() {
@@ -96,16 +92,9 @@ pub fn smooth(ssm: &Ssm, filter: &FilterResult) -> SmoothResult {
             mean[i] += adj[i];
         }
         means[t] = mean;
-        // P_t = P_{t|t} + J (P_{t+1|n} − P_{t+1|t}) J'.
-        let inner = &covs[t + 1] - p_pred_next;
-        let jp = &j * &inner;
-        let jt = j.transpose();
-        let mut cov = &filter.filtered_covs[t] + &(&jp * &jt);
-        cov.symmetrize();
-        covs[t] = cov;
     }
 
-    SmoothResult { means, covs }
+    SmoothResult { means }
 }
 
 #[cfg(test)]
@@ -200,24 +189,6 @@ mod tests {
         assert_eq!(s.means.len(), 25);
         let last = 24;
         assert!((s.means[last][0] - f.filtered_means[last][0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smoothing_reduces_variance() {
-        let ssm = local_level(1.0, 0.3);
-        let ys: Vec<f64> = (0..25).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
-        let f = kalman_filter(&ssm, &ys);
-        let s = smooth(&ssm, &f);
-        // Smoothed variance at interior points ≤ filtered variance (uses
-        // strictly more information).
-        for t in 1..24 {
-            assert!(
-                s.covs[t][(0, 0)] <= f.filtered_covs[t][(0, 0)] + 1e-9,
-                "t = {t}: {} > {}",
-                s.covs[t][(0, 0)],
-                f.filtered_covs[t][(0, 0)]
-            );
-        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use mic_statespace::arima::{difference, fit_arima, ArimaFitOptions, ArimaOrder};
 use mic_statespace::estimate::{fit_structural, FitOptions};
 use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
-use mic_statespace::smoother::smooth;
 use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -78,19 +77,6 @@ proptest! {
         // A dirty, previously-used workspace must not change the answer.
         let again = kalman_loglik(&ssm, &ys, &mut ws);
         prop_assert_eq!(fast.to_bits(), again.to_bits());
-    }
-
-    #[test]
-    fn smoother_never_increases_variance(seed in 0u64..100) {
-        let ys = gen_series(seed, 25, None);
-        let spec = StructuralSpec::local_level();
-        let params = StructuralParams { var_eps: 1.0, var_level: 0.2, var_seasonal: 0.0 };
-        let ssm = spec.build(&params, ys.len());
-        let f = kalman_filter(&ssm, &ys);
-        let s = smooth(&ssm, &f);
-        for t in 0..ys.len() {
-            prop_assert!(s.covs[t][(0, 0)] <= f.filtered_covs[t][(0, 0)] + 1e-6);
-        }
     }
 
     #[test]

@@ -34,6 +34,14 @@ for key in em.iterations em.cost_unit_ns kf.loglik_evals kf.cost_unit_ns \
     grep -q "\"name\":\"$key\"" "$tmp/metrics.jsonl" \
         || { echo "metrics smoke gate: missing $key in snapshot"; exit 1; }
 done
+# Stage-1 EM runs once per distinct (θ-signature, medicine) cell: there is
+# at least one cell, and never more cells than prescription events.
+events="$(grep -o '"name":"em.events","value":[0-9]*' "$tmp/metrics.jsonl" \
+    | grep -o '[0-9]*$' || true)"
+cells="$(grep -o '"name":"em.cells","value":[0-9]*' "$tmp/metrics.jsonl" \
+    | grep -o '[0-9]*$' || true)"
+[[ "${cells:-0}" -gt 0 && "${cells:-0}" -le "${events:-0}" ]] \
+    || { echo "metrics smoke gate: em.cells ${cells:-missing}, em.events ${events:-missing}; expected 0 < cells <= events"; exit 1; }
 
 echo "==> malformed-input gate (typed errors, never a panic)"
 # Ids beyond the declared dims and empty dims must be rejected by the
