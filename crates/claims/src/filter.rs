@@ -98,8 +98,8 @@ impl FrequencyFilter {
             if diseases.is_empty() {
                 continue;
             }
-            let mut medicines = Vec::new();
-            let mut truth_links = Vec::new();
+            let mut medicines = Vec::with_capacity(r.medicines.len());
+            let mut truth_links = Vec::with_capacity(r.medicines.len());
             for (l, &m) in r.medicines.iter().enumerate() {
                 if !vocab.keeps_medicine(m) {
                     continue;

@@ -36,7 +36,7 @@ pub use pipeline::{PipelineConfig, SeriesReport, TrendPipeline, TrendReport};
 pub use session::{AnalysisSession, FitCache, Stage1Reproduce, Stage2Detect};
 
 use mic_claims::{ClaimsDataset, MicRecord, Month, MonthlyDataset};
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use mic_linkmodel::{reproduce_panel, EmOptions, PrescriptionPanel};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -67,11 +67,7 @@ pub(crate) fn group_panels<K: Copy + Eq + Hash>(
     split
         .into_iter()
         .map(|(k, months)| {
-            let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-            for month in &months {
-                let model = MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, em);
-                panel.extend_with(month, &model);
-            }
+            let panel = reproduce_panel(&months, ds.n_diseases, ds.n_medicines, em);
             (k, panel)
         })
         .collect()

@@ -103,16 +103,15 @@ mod tests {
     use mic_claims::{
         DiseaseKind, MedicineClass, Month, SeasonalProfile, Simulator, WorldBuilder, YearMonth,
     };
-    use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+    use mic_linkmodel::{reproduce_panel, EmOptions, PrescriptionPanel};
 
     fn build_panel(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-        let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-        for month in &ds.months {
-            let model =
-                MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-            panel.extend_with(month, &model);
-        }
-        panel
+        reproduce_panel(
+            &ds.months,
+            ds.n_diseases,
+            ds.n_medicines,
+            &EmOptions::default(),
+        )
     }
 
     #[test]

@@ -342,20 +342,14 @@ mod tests {
             assert_eq!(x.lambda.to_bits(), y.lambda.to_bits());
         }
         assert_eq!(a.panel.horizon(), b.panel.horizon());
-        // iter_prescriptions walks a HashMap — sort before comparing.
-        let collect = |r: &TrendReport| {
-            let mut v: Vec<_> = r
-                .panel
-                .iter_prescriptions()
-                .map(|(d, m, s)| ((d.0, m.0), s.to_vec()))
-                .collect();
-            v.sort_by_key(|&(k, _)| k);
-            v
-        };
-        for ((ka, sa), (kb, sb)) in collect(a).iter().zip(&collect(b)) {
-            assert_eq!(ka, kb);
+        for ((da, ma, sa), (db, mb, sb)) in a
+            .panel
+            .iter_prescriptions()
+            .zip(b.panel.iter_prescriptions())
+        {
+            assert_eq!((da, ma), (db, mb));
             for (va, vb) in sa.iter().zip(sb) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "panel cell {ka:?}");
+                assert_eq!(va.to_bits(), vb.to_bits(), "panel cell {da}/{ma}");
             }
         }
     }

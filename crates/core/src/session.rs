@@ -37,7 +37,9 @@ use crate::pipeline::{PipelineConfig, SeriesReport, TrendReport};
 use mic_claims::{
     ClaimsDataset, ClaimsError, FilteredVocabulary, FrequencyFilter, MonthlyDataset, YearMonth,
 };
-use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel, PrescriptionPanel, SeriesKey};
+use mic_linkmodel::{
+    EmOptions, EmWorkspace, MedicationModel, MonthColumn, PrescriptionPanel, SeriesKey,
+};
 use mic_par::{default_threads, parallel_map, parallel_map_with};
 use mic_statespace::{search, Algorithm, ChangePoint, FitOptions, SearchPlan, WarmStart};
 use std::collections::HashMap;
@@ -75,17 +77,22 @@ impl Stage1Reproduce {
         }
     }
 
-    /// Parallel filter + *independent* EM fit of a batch of months — the
-    /// cost-dominant half of Stage 1. One [`EmWorkspace`] per worker; the
-    /// result is identical at any thread count. Continuity refinement is
-    /// sequential by nature and left to the caller (see
-    /// [`AnalysisSession::append_months`]).
+    /// Parallel filter + *independent* EM fit and reproduced column of a
+    /// batch of months — the cost-dominant half of Stage 1. One
+    /// [`EmWorkspace`] per worker; the result is identical at any thread
+    /// count. Continuity refinement is sequential by nature and left to the
+    /// caller (see [`AnalysisSession::append_months`]).
     pub fn fit_months(
         &self,
         months: &[MonthlyDataset],
         n_diseases: usize,
         n_medicines: usize,
-    ) -> Vec<(MonthlyDataset, FilteredVocabulary, MedicationModel)> {
+    ) -> Vec<(
+        MonthlyDataset,
+        FilteredVocabulary,
+        MedicationModel,
+        MonthColumn,
+    )> {
         parallel_map_with(
             months,
             worker_threads(self.threads),
@@ -94,11 +101,12 @@ impl Stage1Reproduce {
                 let (filtered, vocab) = self.filter.filter_month(month, n_diseases, n_medicines);
                 let model =
                     MedicationModel::fit_with(&filtered, n_diseases, n_medicines, &self.em, ws);
+                let column = ws.column(self.em.smoothing);
                 mic_obs::counter("pipeline.stage1_fits", 1);
                 // Publish this worker's collector so periodic `--progress`
                 // snapshots see Stage-1 work as it completes.
                 mic_obs::flush();
-                (filtered, vocab, model)
+                (filtered, vocab, model, column)
             },
         )
     }
@@ -401,10 +409,11 @@ impl AnalysisSession {
     }
 
     /// Absorb a batch of months — Stage 1, the only Stage-1 driver: the
-    /// independent EM fits fan out over Stage 1's worker threads, then the
-    /// sequential continuity refinement and panel extension chain through
-    /// the months serially. The result does not depend on how the months
-    /// are split into calls.
+    /// independent EM fits and their reproduced columns fan out over Stage
+    /// 1's worker threads, then the sequential continuity refinement (which
+    /// recomputes a refined month's column) and panel extension chain
+    /// through the months serially. The result does not depend on how the
+    /// months are split into calls.
     pub fn append_months(&mut self, months: &[MonthlyDataset]) -> Result<(), ClaimsError> {
         let _span = mic_obs::span("pipeline.stage1");
         for (i, month) in months.iter().enumerate() {
@@ -414,32 +423,20 @@ impl AnalysisSession {
             .stage1
             .fit_months(months, self.n_diseases, self.n_medicines);
         let mut ws = EmWorkspace::new();
-        for (month, (filtered, vocab, mut model)) in months.iter().zip(fitted) {
+        let (continuity, em) = (self.stage1.continuity, self.stage1.em);
+        for (month, (filtered, vocab, mut model, mut column)) in months.iter().zip(fitted) {
             if let Some(prev) = self.models.last() {
-                model.refine_next(
-                    &filtered,
-                    prev,
-                    self.stage1.continuity,
-                    &self.stage1.em,
-                    &mut ws,
-                );
+                model.refine_next(&filtered, prev, continuity, &em, &mut ws);
+                if continuity > 0.0 {
+                    column = ws.column(em.smoothing);
+                }
             }
-            self.absorb(month, &filtered, &vocab, model);
+            self.record_drops(month, &filtered, &vocab);
+            self.panel.extend_with(column);
+            self.models.push(model);
+            mic_obs::counter("session.appends", 1);
         }
         Ok(())
-    }
-
-    fn absorb(
-        &mut self,
-        month: &MonthlyDataset,
-        filtered: &MonthlyDataset,
-        vocab: &FilteredVocabulary,
-        model: MedicationModel,
-    ) {
-        self.record_drops(month, filtered, vocab);
-        self.panel.extend_with(filtered, &model);
-        self.models.push(model);
-        mic_obs::counter("session.appends", 1);
     }
 
     /// Stage 2 over the current window, served from the [`FitCache`] where

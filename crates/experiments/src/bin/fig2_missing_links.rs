@@ -6,8 +6,8 @@
 //! while the proposed latent model sends the analgesic's series to ≈ 0.
 
 use mic_experiments::output::{emit_table, print_series, section};
-use mic_experiments::{hypertension_world, simulate};
-use mic_linkmodel::{CooccurrenceModel, EmOptions, MedicationModel, PrescriptionPanel};
+use mic_experiments::{hypertension_world, reproduce, simulate};
+use mic_linkmodel::CooccurrenceModel;
 use mic_trend::report::TextTable;
 
 fn main() {
@@ -16,25 +16,16 @@ fn main() {
     let t = ds.horizon();
 
     // Cooccurrence-based series (Fig. 2a).
-    let mut cooc_depressor = Vec::with_capacity(t);
-    let mut cooc_analgesic = Vec::with_capacity(t);
+    let cooc = |m| -> Vec<f64> {
+        ds.months
+            .iter()
+            .map(|month| CooccurrenceModel::cooccurrence_count(month, scenario.hypertension, m))
+            .collect()
+    };
+    let cooc_depressor = cooc(scenario.depressor);
+    let cooc_analgesic = cooc(scenario.analgesic);
     // Proposed-model series (Fig. 2b).
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-    for month in &ds.months {
-        cooc_depressor.push(CooccurrenceModel::cooccurrence_count(
-            month,
-            scenario.hypertension,
-            scenario.depressor,
-        ));
-        cooc_analgesic.push(CooccurrenceModel::cooccurrence_count(
-            month,
-            scenario.hypertension,
-            scenario.analgesic,
-        ));
-        let model =
-            MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        panel.extend_with(month, &model);
-    }
+    let panel = reproduce(&ds);
     let zero = vec![0.0; t];
     let ours_depressor = panel
         .prescription_series(scenario.hypertension, scenario.depressor)

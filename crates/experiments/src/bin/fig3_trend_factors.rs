@@ -3,18 +3,7 @@
 //! medicine gaining a new indication.
 
 use mic_experiments::output::{print_series, section};
-use mic_experiments::{indication_world, new_medicine_world, seasonal_world, simulate};
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
-
-fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-    for month in &ds.months {
-        let model =
-            MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        panel.extend_with(month, &model);
-    }
-    panel
-}
+use mic_experiments::{indication_world, new_medicine_world, reproduce, seasonal_world, simulate};
 
 fn main() {
     // (a) Seasonality.

@@ -7,19 +7,8 @@
 //! entry.
 
 use mic_experiments::output::{print_series, section};
-use mic_experiments::{generic_world, new_medicine_world, seasonal_world, simulate};
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use mic_experiments::{generic_world, new_medicine_world, reproduce, seasonal_world, simulate};
 use mic_statespace::{search, FitOptions, SearchPlan};
-
-fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-    for month in &ds.months {
-        let model =
-            MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        panel.extend_with(month, &model);
-    }
-    panel
-}
 
 fn show_decomposition(title: &str, ys: &[f64], seasonal: bool, opts: &FitOptions) {
     section(title);

@@ -8,20 +8,10 @@
 
 use mic_claims::{DiseaseKind, MedicineClass, Month, SeasonalProfile, WorldBuilder, YearMonth};
 use mic_experiments::output::{print_series, section};
-use mic_experiments::{indication_world, simulate, PAPER_MONTHS};
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel, SeriesKey};
+use mic_experiments::{indication_world, reproduce, simulate, PAPER_MONTHS};
+use mic_linkmodel::SeriesKey;
 use mic_statespace::FitOptions;
 use mic_trend::{classify_change, ChangeCause, PipelineConfig, Stage2Detect};
-
-fn reproduce(ds: &mic_claims::ClaimsDataset) -> PrescriptionPanel {
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-    for month in &ds.months {
-        let model =
-            MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        panel.extend_with(month, &model);
-    }
-    panel
-}
 
 fn main() {
     let fit = FitOptions {

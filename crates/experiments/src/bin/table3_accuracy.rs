@@ -7,11 +7,11 @@
 //! ranking measures.
 
 use mic_experiments::output::{emit_table, section};
-use mic_experiments::{evaluation_spec, simulate};
+use mic_experiments::{evaluation_spec, reproduce, simulate};
 use mic_linkmodel::eval::evaluate_prescription_relevance;
 use mic_linkmodel::{
-    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, PrescriptionPanel,
-    SplitOptions, UnigramModel,
+    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, SplitOptions,
+    UnigramModel,
 };
 use mic_stats::{cohen_d_paired, paired_t_test, Summary};
 use mic_trend::report::TextTable;
@@ -28,9 +28,6 @@ fn main() {
     let mut ppl_unigram = Vec::new();
     let mut ppl_cooc = Vec::new();
     let mut ppl_proposed = Vec::new();
-    // Also accumulate panels for the relevance evaluation (trained on the
-    // full months, as in the paper).
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
     let mut cooc_totals: HashMap<(u32, u32), f64> = HashMap::new();
 
     for month in &ds.months {
@@ -43,9 +40,6 @@ fn main() {
             ppl_cooc.push(perplexity(&cooc, month, &held));
             ppl_proposed.push(perplexity(&proposed, month, &held));
         }
-        // Full-month fit for the panel.
-        let full_model = MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &em);
-        panel.extend_with(month, &full_model);
         for r in &month.records {
             let mut counts: HashMap<u32, f64> = HashMap::new();
             for &m in &r.medicines {
@@ -60,6 +54,8 @@ fn main() {
     }
 
     // ---- Prescription relevance over the 100 most frequent diseases ----
+    // The panel is trained on the full months, as in the paper.
+    let panel = reproduce(&ds);
     let top = panel.top_diseases(100.min(ds.n_diseases));
     let relevant = |d, m| world.relevant(d, m);
     let ours =

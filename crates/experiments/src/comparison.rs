@@ -3,9 +3,9 @@
 //! long tail of prescription pairs so a single core finishes in minutes),
 //! and run exact/approximate change-point searches over them.
 
-use crate::scenarios::{evaluation_spec, simulate};
+use crate::scenarios::{evaluation_spec, reproduce, simulate};
 use mic_claims::ClaimsDataset;
-use mic_linkmodel::{EmOptions, MedicationModel, PrescriptionPanel, SeriesKey};
+use mic_linkmodel::{PrescriptionPanel, SeriesKey};
 use mic_statespace::{search, ChangePointSearch, FitOptions, SearchPlan};
 use std::time::Duration;
 
@@ -32,12 +32,7 @@ impl EvaluationPanel {
 pub fn build_evaluation_panel(max_prescriptions: usize) -> EvaluationPanel {
     let world = evaluation_spec().generate();
     let dataset = simulate(&world, 13);
-    let em = EmOptions::default();
-    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
-    for month in &dataset.months {
-        let model = MedicationModel::fit(month, dataset.n_diseases, dataset.n_medicines, &em);
-        panel.extend_with(month, &model);
-    }
+    let panel = reproduce(&dataset);
     let keys = panel.filtered_keys(10.0);
     let mut diseases = Vec::new();
     let mut medicines = Vec::new();

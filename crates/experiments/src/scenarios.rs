@@ -9,6 +9,7 @@ use mic_claims::{
     ClaimsDataset, DiseaseId, DiseaseKind, MarketEvent, MedicineClass, MedicineId, Month,
     SeasonalProfile, Simulator, World, WorldBuilder, WorldSpec, YearMonth,
 };
+use mic_linkmodel::{reproduce_panel, EmOptions, PrescriptionPanel};
 
 /// The paper's 43-month window starting March 2013.
 pub const PAPER_MONTHS: u32 = 43;
@@ -428,6 +429,16 @@ pub fn evaluation_spec() -> WorldSpec {
 /// Simulate a scenario world with a fixed seed.
 pub fn simulate(world: &World, seed: u64) -> ClaimsDataset {
     Simulator::new(world, seed).run()
+}
+
+/// The reproduced panel of `ds`: independent default-option EM fits.
+pub fn reproduce(ds: &ClaimsDataset) -> PrescriptionPanel {
+    reproduce_panel(
+        &ds.months,
+        ds.n_diseases,
+        ds.n_medicines,
+        &EmOptions::default(),
+    )
 }
 
 // Small extension trait impl: the generic scenario needs to set a release

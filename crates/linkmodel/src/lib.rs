@@ -14,13 +14,14 @@
 //!   Table III evaluation;
 //! - [`predict`] — held-out splitting and the perplexity measure (Eq. 11);
 //! - [`reproduce`] — monthly prescription/disease/medicine time-series
-//!   reproduction (Eqs. 7–8) into a sparse [`reproduce::PrescriptionPanel`];
+//!   reproduction (Eqs. 7–8) into a sparse [`PrescriptionPanel`] ([`reproduce_panel`]);
 //! - [`eval`] — AP@10 / NDCG@10 prescription-relevance evaluation against
 //!   the world's ground-truth indications;
 //! - [`workspace`] — the allocation-free EM engine behind
 //!   [`MedicationModel::fit`], one E step per distinct (θ-signature,
-//!   medicine) cell; `tests/workspace_parity.rs` holds it to a per-event
-//!   `HashMap` reference implementation at 1e-12.
+//!   medicine) cell, which also emits each month's Eq. 7 counts from those
+//!   cells; `tests/workspace_parity.rs` holds both to per-event reference
+//!   implementations at 1e-12.
 //!
 //! # Example: attribute prescriptions to diseases
 //!
@@ -57,5 +58,5 @@ pub mod workspace;
 pub use baseline::{CooccurrenceModel, UnigramModel};
 pub use model::{EmOptions, MedicationModel};
 pub use predict::{perplexity, split_records, MedicinePredictor, SplitOptions};
-pub use reproduce::{PrescriptionPanel, SeriesKey};
+pub use reproduce::{reproduce_panel, MonthColumn, PrescriptionPanel, SeriesKey};
 pub use workspace::EmWorkspace;

@@ -16,7 +16,6 @@
 
 use crate::workspace::EmWorkspace;
 use mic_claims::{DiseaseId, MedicineId, MonthlyDataset};
-use std::collections::HashMap;
 
 /// EM hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -39,31 +38,35 @@ impl Default for EmOptions {
     }
 }
 
-/// Sparse disease-conditional medicine distribution: row `d` maps medicine →
-/// expected count; probabilities are read through the smoothed transform
-/// `φ_dm = (count + s) / (total + s·M)`.
-///
-/// Since the [`EmWorkspace`] rebuild this is purely the fitted model's
-/// *query-time* representation — the EM hot loop runs on the workspace's
-/// dense buffers and converts back once at convergence.
+/// `Φ` as sorted sparse rows over the global ids: row `d` is
+/// `entries[off[d]..off[d + 1]]`, its `(medicine, expected count)` pairs in
+/// ascending medicine order, with total `totals[d]`. The [`EmWorkspace`]
+/// writes the rows once from its dense buffer and reads them back for the
+/// tracked fit's refine pass.
 #[derive(Clone, Debug)]
-pub(crate) struct PhiRow {
-    pub(crate) counts: HashMap<u32, f64>,
-    pub(crate) total: f64,
+pub(crate) struct SparsePhi {
+    pub(crate) off: Vec<usize>,
+    pub(crate) entries: Vec<(u32, f64)>,
+    pub(crate) totals: Vec<f64>,
 }
 
-impl PhiRow {
-    pub(crate) fn empty() -> PhiRow {
-        PhiRow {
-            counts: HashMap::new(),
-            total: 0.0,
+impl SparsePhi {
+    pub(crate) fn new() -> SparsePhi {
+        SparsePhi {
+            off: vec![0],
+            entries: Vec::new(),
+            totals: Vec::new(),
         }
     }
 
-    #[inline]
-    fn prob(&self, m: MedicineId, smoothing: f64, n_medicines: usize) -> f64 {
-        let raw = self.counts.get(&m.0).copied().unwrap_or(0.0);
-        (raw + smoothing) / (self.total + smoothing * n_medicines as f64)
+    /// Close the row being built in `entries` with its total.
+    pub(crate) fn end_row(&mut self, total: f64) {
+        self.off.push(self.entries.len());
+        self.totals.push(total);
+    }
+
+    pub(crate) fn row(&self, d: usize) -> &[(u32, f64)] {
+        &self.entries[self.off[d]..self.off[d + 1]]
     }
 }
 
@@ -75,8 +78,8 @@ pub struct MedicationModel {
     smoothing: f64,
     /// Disease diagnosis distribution `η` (Eq. 4), dense.
     eta: Vec<f64>,
-    /// Sparse `Φ` rows indexed by disease.
-    phi: Vec<PhiRow>,
+    /// `Φ`, one sorted sparse row per disease.
+    phi: SparsePhi,
     /// Final training log-likelihood.
     pub log_likelihood: f64,
     /// EM iterations actually run.
@@ -165,7 +168,7 @@ impl MedicationModel {
             n_medicines,
             smoothing: opts.smoothing,
             eta,
-            phi: ws.export_phi(n_diseases, None),
+            phi: ws.export_phi(None),
             log_likelihood: ll,
             iterations,
         }
@@ -190,36 +193,34 @@ impl MedicationModel {
             (0.0..1.0).contains(&continuity),
             "continuity must be in [0, 1)"
         );
-        if continuity > 0.0 {
-            self.refine_with(month, &prev.phi, continuity, opts, ws);
+        if continuity == 0.0 {
+            return;
         }
-    }
-
-    /// The tracked fit's refine pass for one month: resume EM from this
-    /// model's `Φ` under the previous month's temporal prior.
-    fn refine_with(
-        &mut self,
-        month: &MonthlyDataset,
-        prev_phi: &[PhiRow],
-        continuity: f64,
-        opts: &EmOptions,
-        ws: &mut EmWorkspace,
-    ) {
         ws.compile(month, self.n_diseases, self.n_medicines);
         ws.import_phi(&self.phi);
-        ws.set_prior(prev_phi, continuity);
+        ws.set_prior(&prev.phi, continuity);
         let (ll, iterations) = drive_em(opts, || ws.em_step(opts.smoothing));
         if iterations > 0 {
-            self.phi = ws.export_phi(self.n_diseases, Some((prev_phi, continuity)));
+            self.phi = ws.export_phi(Some((&prev.phi, continuity)));
             self.log_likelihood = ll;
             self.iterations = iterations;
         }
     }
 
+    /// `φ_dm` of expected count `count` in row `d`:
+    /// `(count + s) / (total + s·M)`.
+    fn smoothed(&self, d: usize, count: f64) -> f64 {
+        (count + self.smoothing) / (self.phi.totals[d] + self.smoothing * self.n_medicines as f64)
+    }
+
     /// Smoothed `φ_dm`.
     #[inline]
     pub fn phi_prob(&self, d: DiseaseId, m: MedicineId) -> f64 {
-        self.phi[d.index()].prob(m, self.smoothing, self.n_medicines)
+        let row = self.phi.row(d.index());
+        let count = row
+            .binary_search_by_key(&m.0, |e| e.0)
+            .map_or(0.0, |i| row[i].1);
+        self.smoothed(d.index(), count)
     }
 
     /// `η_d` (Eq. 4).
@@ -275,15 +276,11 @@ impl MedicationModel {
     }
 
     /// Medicines with non-smoothing mass for disease `d`, as
-    /// `(medicine, φ_dm)` pairs in arbitrary order.
+    /// `(medicine, φ_dm)` pairs in ascending medicine order.
     pub fn phi_row(&self, d: DiseaseId) -> Vec<(MedicineId, f64)> {
-        let row = &self.phi[d.index()];
-        row.counts
-            .iter()
-            .map(|(&m, _)| {
-                let mid = MedicineId(m);
-                (mid, row.prob(mid, self.smoothing, self.n_medicines))
-            })
+        let row = self.phi.row(d.index());
+        row.iter()
+            .map(|&(m, c)| (MedicineId(m), self.smoothed(d.index(), c)))
             .collect()
     }
 
@@ -565,6 +562,46 @@ mod tests {
                     .map(|m| model.phi_prob(DiseaseId(d), MedicineId(m)))
                     .sum();
                 assert!((total - 1.0).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// Rows come back in ascending medicine order, also after a tracked
+    /// refine merges in prior mass on medicines absent from the month; an
+    /// absent pair reads as pure smoothing, `s / (total + s·M)`.
+    #[test]
+    fn phi_rows_are_sorted_and_absent_pairs_smoothed() {
+        let months = vec![
+            MonthlyDataset {
+                month: Month(0),
+                records: vec![record(vec![(0, 1)], vec![5, 1, 5])],
+            },
+            MonthlyDataset {
+                month: Month(1),
+                records: vec![
+                    record(vec![(0, 1)], vec![3, 0, 2]),
+                    record(vec![(1, 1), (0, 1)], vec![4, 2]),
+                ],
+            },
+        ];
+        let opts = EmOptions::default();
+        let tracked = tracked_chain(&months, 3, 7, &opts, 0.5);
+        let medicines = |model: &MedicationModel, d: u32| -> Vec<u32> {
+            let row = model.phi_row(DiseaseId(d));
+            row.iter().map(|&(m, _)| m.0).collect()
+        };
+        assert_eq!(medicines(&tracked[0], 0), [1, 5]);
+        assert_eq!(medicines(&tracked[1], 0), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(medicines(&tracked[1], 1), [2, 4]);
+        for model in &tracked {
+            for d in 0..3u32 {
+                let row = model.phi_row(DiseaseId(d));
+                for (m, p) in row {
+                    assert_eq!(p, model.phi_prob(DiseaseId(d), m));
+                }
+                let total = model.phi.totals[d as usize];
+                let absent = opts.smoothing / (total + opts.smoothing * 7.0);
+                assert_eq!(model.phi_prob(DiseaseId(d), MedicineId(6)), absent);
             }
         }
     }

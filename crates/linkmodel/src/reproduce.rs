@@ -4,13 +4,19 @@
 //! prescription tensor `X_P ∈ R^{D×M×T}` via the responsibilities (Eq. 7):
 //! `x_dmt = Σ_r Σ_l q_rld · 1(m_rl = m)`, from which disease series
 //! `x_dt = Σ_m x_dmt` and medicine series `x_mt = Σ_d x_dmt` follow (Eq. 8).
-//! `X_P` is extremely sparse (the paper has ~207k non-trivial pairs out of
-//! 9,173 × 9,346 possible), so the panel stores prescription series in a
-//! hash map keyed by the pair and the marginals densely.
+//!
+//! Eq. 7's count is the expected count Eq. 5's M step sums, so the
+//! [`EmWorkspace`] that fitted a month emits it once per (θ-signature,
+//! medicine) cell under the final `Φ` ([`EmWorkspace::column`]) and the
+//! panel merges that [`MonthColumn`]. `X_P` is extremely sparse (the paper
+//! has ~207k non-trivial pairs out of 9,173 × 9,346 possible), so the panel
+//! stores prescription series in an ordered map keyed by the pair and the
+//! marginals densely.
 
-use crate::model::MedicationModel;
-use mic_claims::{DiseaseId, MedicineId, MonthlyDataset};
-use std::collections::HashMap;
+use crate::model::{EmOptions, MedicationModel};
+use crate::workspace::EmWorkspace;
+use mic_claims::{DiseaseId, MedicineId, Month, MonthlyDataset};
+use std::collections::{BTreeMap, HashMap};
 
 /// Identifies one reproduced time series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,12 +36,37 @@ impl std::fmt::Display for SeriesKey {
     }
 }
 
+/// One month's reproduced prescription counts (Eq. 7): `x_dmt` for every
+/// `(disease, medicine)` pair with positive mass, in ascending pair order.
+#[derive(Clone, Debug)]
+pub struct MonthColumn {
+    pub month: Month,
+    pub counts: Vec<(DiseaseId, MedicineId, f64)>,
+}
+
+/// The panel of a run of months labelled `0, 1, …`: each month fitted
+/// independently through one workspace, whose column is merged in order.
+pub fn reproduce_panel(
+    months: &[MonthlyDataset],
+    n_diseases: usize,
+    n_medicines: usize,
+    opts: &EmOptions,
+) -> PrescriptionPanel {
+    let mut ws = EmWorkspace::new();
+    let mut panel = PrescriptionPanel::empty(n_diseases, n_medicines, 0);
+    for month in months {
+        MedicationModel::fit_with(month, n_diseases, n_medicines, opts, &mut ws);
+        panel.extend_with(ws.column(opts.smoothing));
+    }
+    panel
+}
+
 /// Reproduced monthly time series for prescriptions, diseases, and
 /// medicines.
 #[derive(Clone, Debug)]
 pub struct PrescriptionPanel {
     horizon: usize,
-    prescriptions: HashMap<(u32, u32), Vec<f64>>,
+    prescriptions: BTreeMap<(u32, u32), Vec<f64>>,
     diseases: Vec<Vec<f64>>,
     medicines: Vec<Vec<f64>>,
 }
@@ -46,7 +77,7 @@ impl PrescriptionPanel {
     pub fn empty(n_diseases: usize, n_medicines: usize, horizon: usize) -> PrescriptionPanel {
         PrescriptionPanel {
             horizon,
-            prescriptions: HashMap::new(),
+            prescriptions: BTreeMap::new(),
             diseases: vec![vec![0.0; horizon]; n_diseases],
             medicines: vec![vec![0.0; horizon]; n_medicines],
         }
@@ -89,7 +120,7 @@ impl PrescriptionPanel {
         }
     }
 
-    /// Iterate all prescription series.
+    /// Iterate all prescription series, in ascending pair order.
     pub fn iter_prescriptions(&self) -> impl Iterator<Item = (DiseaseId, MedicineId, &[f64])> {
         self.prescriptions
             .iter()
@@ -107,7 +138,7 @@ impl PrescriptionPanel {
 
     /// Keys of every series whose total mass over the window is at least
     /// `min_total` — the paper's Section VI series filter (threshold 10).
-    /// Sorted for deterministic iteration.
+    /// Sorted: diseases, then medicines, then pairs, each ascending.
     pub fn filtered_keys(&self, min_total: f64) -> Vec<SeriesKey> {
         let mut keys = Vec::new();
         for (d, series) in self.diseases.iter().enumerate() {
@@ -125,19 +156,18 @@ impl PrescriptionPanel {
                 keys.push(SeriesKey::Prescription(DiseaseId(d), MedicineId(m)));
             }
         }
-        keys.sort();
         keys
     }
 
     /// Extend the panel by one month: grow every series by one point and
-    /// accumulate month `t`'s reproduced counts (Eq. 7) into the new column.
-    /// The month must be the next one after the current horizon.
+    /// merge the month's reproduced counts into the new column. The column
+    /// must be the next month after the current horizon.
     ///
     /// This is the one way a panel grows: a batch run extends an empty
     /// panel month by month, exactly as an incremental session does. Only
     /// month `t`'s records ever touch column `t`.
-    pub fn extend_with(&mut self, month: &MonthlyDataset, model: &MedicationModel) {
-        let t = month.month.index();
+    pub fn extend_with(&mut self, column: MonthColumn) {
+        let t = column.month.index();
         assert_eq!(
             t, self.horizon,
             "month {t} is not the next month (horizon {})",
@@ -150,19 +180,12 @@ impl PrescriptionPanel {
         for series in self.prescriptions.values_mut() {
             series.push(0.0);
         }
-        for r in &month.records {
-            for &m in &r.medicines {
-                for (d, q) in model.responsibilities(&r.diseases, m) {
-                    if q <= 0.0 {
-                        continue;
-                    }
-                    self.prescriptions
-                        .entry((d.0, m.0))
-                        .or_insert_with(|| vec![0.0; t + 1])[t] += q;
-                    self.diseases[d.index()][t] += q;
-                    self.medicines[m.index()][t] += q;
-                }
-            }
+        for (d, m, x) in column.counts {
+            self.prescriptions
+                .entry((d.0, m.0))
+                .or_insert_with(|| vec![0.0; t + 1])[t] += x;
+            self.diseases[d.index()][t] += x;
+            self.medicines[m.index()][t] += x;
         }
     }
 
@@ -187,7 +210,6 @@ impl PrescriptionPanel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::EmOptions;
     use mic_claims::{HospitalId, MicRecord, Month, PatientId};
 
     fn record(diseases: Vec<(u32, u32)>, meds: Vec<u32>) -> MicRecord {
@@ -211,15 +233,6 @@ mod tests {
         }
     }
 
-    fn build_panel(months: Vec<MonthlyDataset>, n_d: usize, n_m: usize) -> PrescriptionPanel {
-        let mut panel = PrescriptionPanel::empty(n_d, n_m, 0);
-        for m in &months {
-            let model = MedicationModel::fit(m, n_d, n_m, &EmOptions::default());
-            panel.extend_with(m, &model);
-        }
-        panel
-    }
-
     #[test]
     fn responsibilities_conserve_prescription_mass() {
         // Total panel mass per month must equal the number of prescriptions.
@@ -233,7 +246,7 @@ mod tests {
             ),
             month(1, vec![record(vec![(0, 2)], vec![0, 0, 1])]),
         ];
-        let panel = build_panel(months, 2, 2);
+        let panel = reproduce_panel(&months, 2, 2, &EmOptions::default());
         let t0: f64 = (0..2).map(|d| panel.disease_series(DiseaseId(d))[0]).sum();
         assert!((t0 - 3.0).abs() < 1e-9, "month 0 mass = {t0}");
         let t1: f64 = (0..2).map(|d| panel.disease_series(DiseaseId(d))[1]).sum();
@@ -254,7 +267,7 @@ mod tests {
                 record(vec![(0, 2)], vec![0]),
             ],
         )];
-        let panel = build_panel(months, 2, 2);
+        let panel = reproduce_panel(&months, 2, 2, &EmOptions::default());
         for d in 0..2u32 {
             let marginal = panel.disease_series(DiseaseId(d))[0];
             let from_pairs: f64 = (0..2u32)
@@ -271,7 +284,7 @@ mod tests {
     #[test]
     fn single_disease_records_attribute_fully() {
         let months = vec![month(0, vec![record(vec![(0, 1)], vec![0, 0])])];
-        let panel = build_panel(months, 1, 1);
+        let panel = reproduce_panel(&months, 1, 1, &EmOptions::default());
         let series = panel
             .prescription_series(DiseaseId(0), MedicineId(0))
             .unwrap();
@@ -284,7 +297,7 @@ mod tests {
             month(0, vec![record(vec![(0, 1)], vec![0; 12])]),
             month(1, vec![record(vec![(1, 1)], vec![1])]),
         ];
-        let panel = build_panel(months, 2, 2);
+        let panel = reproduce_panel(&months, 2, 2, &EmOptions::default());
         let keys = panel.filtered_keys(10.0);
         assert!(keys.contains(&SeriesKey::Disease(DiseaseId(0))));
         assert!(keys.contains(&SeriesKey::Medicine(MedicineId(0))));
@@ -302,7 +315,7 @@ mod tests {
                 record(vec![(1, 1)], vec![0, 0, 0]),
             ],
         )];
-        let panel = build_panel(months, 3, 1);
+        let panel = reproduce_panel(&months, 3, 1, &EmOptions::default());
         let top = panel.top_diseases(2);
         assert_eq!(top[0], DiseaseId(1));
         assert_eq!(top[1], DiseaseId(0));
@@ -311,10 +324,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "is not the next month")]
     fn extend_with_rejects_out_of_order_month() {
-        let m = month(1, vec![]);
-        let model = MedicationModel::fit(&m, 1, 1, &EmOptions::default());
-        let mut panel = PrescriptionPanel::empty(1, 1, 0);
-        panel.extend_with(&m, &model);
+        reproduce_panel(&[month(1, vec![])], 1, 1, &EmOptions::default());
     }
 
     #[test]

@@ -26,21 +26,23 @@
 //!   zero heap allocations**; the responsibility scratch is sized to the
 //!   widest record at compile time.
 //!
-//! The sparse `PhiRow` representation survives only as the fitted model's
-//! query-time structure: [`EmWorkspace::export_phi`] converts the dense
-//! counts back after convergence. A temporal prior (the tracked fit's
-//! previous-month `Φ`, weighted by `continuity`) is folded in as constant
-//! per-iteration base counts, including the carried-over mass of medicines
-//! and diseases absent from the current month, so the workspace path agrees
-//! with the reference implementation (the oracle in
+//! The workspace is the one place Eq. 6 runs. After convergence
+//! `EmWorkspace::export_phi` writes the dense counts once as the model's
+//! sorted sparse rows, and [`EmWorkspace::column`] makes one more pass over
+//! the cells to emit the month's reproduced counts (Eq. 7). A temporal prior
+//! (the tracked fit's previous-month `Φ`, weighted by `continuity`) is
+//! folded in as constant per-iteration base counts, with the carried-over
+//! mass of medicines and diseases absent from the month added at export, so
+//! the workspace agrees with the reference implementations (the oracles in
 //! `tests/workspace_parity.rs`) to rounding.
 //!
 //! Every buffer is reused across months (and across fits, via
 //! `parallel_map_with`'s per-worker state), so Stage 1's per-fit heap
 //! traffic is one-time workspace growth that amortises to zero.
 
-use crate::model::PhiRow;
-use mic_claims::{MicRecord, MonthlyDataset};
+use crate::model::SparsePhi;
+use crate::reproduce::MonthColumn;
+use mic_claims::{DiseaseId, MedicineId, MicRecord, Month, MonthlyDataset};
 use std::ops::Range;
 
 const ABSENT: u32 = u32::MAX;
@@ -61,12 +63,14 @@ fn usable(r: &MicRecord) -> bool {
     r.total_diagnoses() > 0 && !r.medicines.is_empty()
 }
 
-/// The month-local index of global id `g`, assigned on first sight.
-fn local_index(global_to_local: &mut [u32], local_to_global: &mut Vec<u32>, g: u32) {
-    let slot = &mut global_to_local[g as usize];
-    if *slot == ABSENT {
-        *slot = local_to_global.len() as u32;
-        local_to_global.push(g);
+/// The `(read, write)` halves of a double buffer whose current half is
+/// `cur`.
+fn read_write(bufs: &mut [Vec<f64>; 2], cur: usize) -> (&[f64], &mut [f64]) {
+    let [a, b] = bufs;
+    if cur == 0 {
+        (a, b)
+    } else {
+        (b, a)
     }
 }
 
@@ -79,6 +83,7 @@ fn local_index(global_to_local: &mut [u32], local_to_global: &mut Vec<u32>, g: u
 #[derive(Clone, Debug, Default)]
 pub struct EmWorkspace {
     // --- compiled month ---
+    month: Month,
     /// Per record of the month: offset into `d_local` / `theta`; length
     /// `n_records + 1`. Unusable records have an empty range.
     rec_off: Vec<u32>,
@@ -95,7 +100,9 @@ pub struct EmWorkspace {
     /// Compile scratch: per local medicine, its latest cell.
     cell_of_med: Vec<u32>,
     // --- month-local vocabulary remaps ---
+    /// Diseases in order of first appearance.
     d_local_to_global: Vec<u32>,
+    /// Medicines in ascending global order.
     m_local_to_global: Vec<u32>,
     /// Scratch remaps sized to the global vocabularies (`ABSENT` = not in
     /// this month).
@@ -112,13 +119,9 @@ pub struct EmWorkspace {
     /// In-vocabulary prior base counts (`prev Φ · weight`), dense; empty
     /// when no prior is set.
     prior_counts: Vec<f64>,
-    /// Prior row totals per local disease (includes out-of-vocabulary mass).
+    /// Prior row totals per local disease (includes the mass on medicines
+    /// absent from this month).
     prior_totals: Vec<f64>,
-    /// Prior entries for medicines absent from this month:
-    /// `(global medicine, scaled count)` grouped per local disease row.
-    oov: Vec<(u32, f64)>,
-    /// Row offsets into `oov`; length `n_d_local + 1`.
-    oov_off: Vec<u32>,
     has_prior: bool,
     // --- responsibility scratch, sized to the widest record ---
     q: Vec<f64>,
@@ -144,6 +147,7 @@ impl EmWorkspace {
     /// prior.
     pub fn compile(&mut self, month: &MonthlyDataset, n_diseases: usize, n_medicines: usize) {
         mic_obs::counter("em.workspace_compiles", 1);
+        self.month = month.month;
         self.n_medicines_global = n_medicines;
         self.has_prior = false;
         self.d_local_to_global.clear();
@@ -160,21 +164,25 @@ impl EmWorkspace {
         let mut events = 0usize;
         for r in month.records.iter().filter(|r| usable(r)) {
             for &(d, _) in &r.diseases {
-                local_index(
-                    &mut self.d_global_to_local,
-                    &mut self.d_local_to_global,
-                    d.0,
-                );
+                let slot = &mut self.d_global_to_local[d.index()];
+                if *slot == ABSENT {
+                    *slot = self.d_local_to_global.len() as u32;
+                    self.d_local_to_global.push(d.0);
+                }
             }
             for &m in &r.medicines {
-                local_index(
-                    &mut self.m_global_to_local,
-                    &mut self.m_local_to_global,
-                    m.0,
-                );
+                self.m_global_to_local[m.index()] = 0;
             }
             max_record_diseases = max_record_diseases.max(r.diseases.len());
             events += r.medicines.len();
+        }
+        // Medicines are numbered in ascending global order, so a dense Φ row
+        // reads out as a sorted sparse row.
+        for (g, slot) in self.m_global_to_local.iter_mut().enumerate() {
+            if *slot != ABSENT {
+                *slot = self.m_local_to_global.len() as u32;
+                self.m_local_to_global.push(g as u32);
+            }
         }
         self.q.clear();
         self.q.resize(max_record_diseases, 0.0);
@@ -261,26 +269,24 @@ impl EmWorkspace {
         mic_obs::counter("em.cells", self.cells.len() as u64);
     }
 
-    /// Load an existing fitted `Φ` (global sparse rows) into the current
-    /// dense buffer — the tracked fit's refine pass resumes EM from the
-    /// independent fit's estimate. Rows for diseases outside this month's
-    /// vocabulary must be empty (an independent fit of this month never
-    /// produces them).
-    pub(crate) fn import_phi(&mut self, phi: &[PhiRow]) {
+    /// Load an existing fitted `Φ` into the current dense buffer — the
+    /// tracked fit's refine pass resumes EM from the independent fit's
+    /// estimate. Rows for diseases outside this month's vocabulary must be
+    /// empty (an independent fit of this month never produces them).
+    pub(crate) fn import_phi(&mut self, phi: &SparsePhi) {
         let nm = self.n_m_local();
         let counts = &mut self.counts[self.cur];
         let totals = &mut self.totals[self.cur];
-        counts.iter_mut().for_each(|c| *c = 0.0);
-        totals.iter_mut().for_each(|t| *t = 0.0);
-        for (g, row) in phi.iter().enumerate() {
-            let d = self.d_global_to_local[g];
+        counts.fill(0.0);
+        totals.fill(0.0);
+        for (g, &d) in self.d_global_to_local.iter().enumerate() {
             if d == ABSENT {
-                debug_assert!(row.counts.is_empty(), "mass for out-of-month disease {g}");
+                debug_assert!(phi.row(g).is_empty(), "mass for out-of-month disease {g}");
                 continue;
             }
             let d = d as usize;
-            totals[d] = row.total;
-            for (&m, &c) in &row.counts {
+            totals[d] = phi.totals[g];
+            for &(m, c) in phi.row(g) {
                 let ml = self.m_global_to_local[m as usize];
                 debug_assert_ne!(ml, ABSENT, "mass for out-of-month medicine {m}");
                 counts[d * nm + ml as usize] = c;
@@ -290,32 +296,21 @@ impl EmWorkspace {
 
     /// Install the tracked fit's temporal prior: the previous month's `Φ`
     /// scaled by `weight` becomes the constant M-step base counts. Mass on
-    /// medicines absent from this month is carried separately (it affects
-    /// row totals and the exported `Φ`, but no dense cell).
-    pub(crate) fn set_prior(&mut self, prev: &[PhiRow], weight: f64) {
+    /// medicines absent from this month enters the row totals only;
+    /// [`EmWorkspace::export_phi`] reads those entries from `prev` itself.
+    pub(crate) fn set_prior(&mut self, prev: &SparsePhi, weight: f64) {
         let nm = self.n_m_local();
         self.prior_counts.clear();
         self.prior_counts.resize(self.n_d_local() * nm, 0.0);
         self.prior_totals.clear();
-        self.prior_totals.resize(self.n_d_local(), 0.0);
-        self.oov.clear();
-        self.oov_off.clear();
-        self.oov_off.push(0);
-        for d in 0..self.n_d_local() {
-            let row = &prev[self.d_local_to_global[d] as usize];
-            self.prior_totals[d] = row.total * weight;
-            // Deterministic order for the out-of-vocabulary tail (HashMap
-            // iteration order is arbitrary; the exported values are
-            // per-entry products, so only the listing order needs pinning).
-            let mut entries: Vec<(&u32, &f64)> = row.counts.iter().collect();
-            entries.sort_unstable_by_key(|(&m, _)| m);
-            for (&m, &c) in entries {
-                match self.m_global_to_local[m as usize] {
-                    ABSENT => self.oov.push((m, c * weight)),
-                    ml => self.prior_counts[d * nm + ml as usize] = c * weight,
+        for (d, &g) in self.d_local_to_global.iter().enumerate() {
+            self.prior_totals.push(prev.totals[g as usize] * weight);
+            for &(m, c) in prev.row(g as usize) {
+                let ml = self.m_global_to_local[m as usize];
+                if ml != ABSENT {
+                    self.prior_counts[d * nm + ml as usize] = c * weight;
                 }
             }
-            self.oov_off.push(self.oov.len() as u32);
         }
         self.has_prior = true;
     }
@@ -332,27 +327,15 @@ impl EmWorkspace {
         let _step = mic_obs::span("em.step");
         mic_obs::counter("em.iterations", 1);
         let nm = self.n_m_local();
-        let nxt = 1 - self.cur;
         let smooth_denom = smoothing * self.n_medicines_global as f64;
-        // Split the double buffer into disjoint (read, write) halves.
-        let (a, b) = self.counts.split_at_mut(1);
-        let (counts_cur, counts_nxt) = if self.cur == 0 {
-            (&a[0], &mut b[0])
-        } else {
-            (&b[0], &mut a[0])
-        };
-        let (a, b) = self.totals.split_at_mut(1);
-        let (totals_cur, totals_nxt) = if self.cur == 0 {
-            (&a[0], &mut b[0])
-        } else {
-            (&b[0], &mut a[0])
-        };
+        let (counts_cur, counts_nxt) = read_write(&mut self.counts, self.cur);
+        let (totals_cur, totals_nxt) = read_write(&mut self.totals, self.cur);
         if self.has_prior {
             counts_nxt.copy_from_slice(&self.prior_counts);
             totals_nxt.copy_from_slice(&self.prior_totals);
         } else {
-            counts_nxt.iter_mut().for_each(|c| *c = 0.0);
-            totals_nxt.iter_mut().for_each(|t| *t = 0.0);
+            counts_nxt.fill(0.0);
+            totals_nxt.fill(0.0);
         }
         let mut ll = 0.0;
         let mut cells_start = 0;
@@ -389,52 +372,104 @@ impl EmWorkspace {
             }
             cells_start = cells_end;
         }
-        self.cur = nxt;
+        self.cur = 1 - self.cur;
         ll
     }
 
-    /// Convert the current dense `Φ` back into the model's sparse global
-    /// [`PhiRow`] representation; with a prior set, rows for diseases absent
-    /// from this month carry the scaled previous-month mass (exactly as the
-    /// reference M-step's prior initialisation leaves them).
-    pub(crate) fn export_phi(
-        &self,
-        n_diseases: usize,
-        prior: Option<(&[PhiRow], f64)>,
-    ) -> Vec<PhiRow> {
+    /// The reproduced counts of the compiled month under the current `Φ`
+    /// (Eq. 7): per cell, the responsibilities `q_d = θ_d·φ_dm / Σ θ·φ`
+    /// (Eq. 6, a uniform split when the sum is not positive) times the
+    /// cell's multiplicity, summed per `(disease, medicine)`. Call it right
+    /// after the fit or refine pass whose `Φ` it should apply; the spare
+    /// `Φ` buffer serves as the accumulator.
+    pub fn column(&mut self, smoothing: f64) -> MonthColumn {
         let nm = self.n_m_local();
-        let counts = &self.counts[self.cur];
+        let smooth_denom = smoothing * self.n_medicines_global as f64;
+        let (counts, x) = read_write(&mut self.counts, self.cur);
         let totals = &self.totals[self.cur];
-        let mut phi: Vec<PhiRow> = (0..n_diseases).map(|_| PhiRow::empty()).collect();
-        for d in 0..self.n_d_local() {
-            let row = &mut phi[self.d_local_to_global[d] as usize];
-            row.total = totals[d];
-            for m in 0..nm {
-                let c = counts[d * nm + m];
-                if c > 0.0 {
-                    row.counts.insert(self.m_local_to_global[m], c);
+        x.fill(0.0);
+        let mut cells_start = 0;
+        for sig in &self.sigs {
+            let (d0, d1) = (sig.entries.0 as usize, sig.entries.1 as usize);
+            let cells_end = sig.cells_end as usize;
+            for &(m, w) in &self.cells[cells_start..cells_end] {
+                let (m, w) = (m as usize, f64::from(w));
+                let mut denom = 0.0;
+                for k in d0..d1 {
+                    let d = self.d_local[k] as usize;
+                    let phi = (counts[d * nm + m] + smoothing) / (totals[d] + smooth_denom);
+                    self.q[k - d0] = self.theta[k] * phi;
+                    denom += self.q[k - d0];
+                }
+                if denom <= 0.0 {
+                    // No mass anywhere in the bag: an even split.
+                    self.q[..d1 - d0].fill(1.0);
+                    denom = (d1 - d0) as f64;
+                }
+                for k in d0..d1 {
+                    let q = self.q[k - d0] / denom;
+                    if q > 0.0 {
+                        x[self.d_local[k] as usize * nm + m] += w * q;
+                    }
                 }
             }
-            if self.has_prior {
-                for &(m, c) in &self.oov[self.oov_off[d] as usize..self.oov_off[d + 1] as usize] {
-                    if c > 0.0 {
-                        row.counts.insert(m, c);
-                    }
+            cells_start = cells_end;
+        }
+        let mut column = MonthColumn {
+            month: self.month,
+            counts: Vec::with_capacity(x.iter().filter(|&&v| v > 0.0).count()),
+        };
+        for (g, &d) in self.d_global_to_local.iter().enumerate() {
+            if d == ABSENT {
+                continue;
+            }
+            let row = &x[d as usize * nm..(d as usize + 1) * nm];
+            for (&m, &v) in self.m_local_to_global.iter().zip(row) {
+                if v > 0.0 {
+                    column.counts.push((DiseaseId(g as u32), MedicineId(m), v));
                 }
             }
         }
-        if let Some((prev, weight)) = prior {
-            // Diseases with prior mass but no appearance this month keep the
-            // scaled previous-month row.
-            for (g, row) in prev.iter().enumerate() {
-                if self.d_global_to_local[g] == ABSENT && !row.counts.is_empty() {
-                    let out = &mut phi[g];
-                    out.total = row.total * weight;
-                    for (&m, &c) in &row.counts {
-                        out.counts.insert(m, c * weight);
-                    }
+        column
+    }
+
+    /// Write the current dense `Φ` as the model's sorted sparse rows over
+    /// the global ids. With a prior set, each row also carries the scaled
+    /// previous-month mass of medicines absent from this month, and rows for
+    /// diseases absent from this month carry the scaled previous-month row
+    /// (exactly as the reference M-step's prior initialisation leaves them).
+    pub(crate) fn export_phi(&self, prior: Option<(&SparsePhi, f64)>) -> SparsePhi {
+        let nm = self.n_m_local();
+        let mut phi = SparsePhi::new();
+        for (g, &d) in self.d_global_to_local.iter().enumerate() {
+            let scaled = prior
+                .into_iter()
+                .flat_map(|(prev, weight)| prev.row(g).iter().map(move |&(m, c)| (m, c * weight)));
+            if d == ABSENT {
+                phi.entries.extend(scaled);
+                phi.end_row(match prior {
+                    Some((prev, weight)) if !prev.row(g).is_empty() => prev.totals[g] * weight,
+                    _ => 0.0,
+                });
+                continue;
+            }
+            // Merge the month's medicines with the prior's absent ones; both
+            // run in ascending global order.
+            let d = d as usize;
+            let mut absent = scaled
+                .filter(|&(m, c)| self.m_global_to_local[m as usize] == ABSENT && c > 0.0)
+                .peekable();
+            let row = &self.counts[self.cur][d * nm..(d + 1) * nm];
+            for (&m, &c) in self.m_local_to_global.iter().zip(row) {
+                while let Some(e) = absent.next_if(|e| e.0 < m) {
+                    phi.entries.push(e);
+                }
+                if c > 0.0 {
+                    phi.entries.push((m, c));
                 }
             }
+            phi.entries.extend(absent);
+            phi.end_row(self.totals[self.cur][d]);
         }
         phi
     }
@@ -478,8 +513,6 @@ mod tests {
             ws.totals[1],
             ws.prior_counts,
             ws.prior_totals,
-            ws.oov,
-            ws.oov_off,
             ws.q,
         ]
     }
@@ -503,12 +536,16 @@ mod tests {
             month: Month(1),
             records: month.records[..2].to_vec(),
         };
-        let prev: Vec<PhiRow> = (0..4)
-            .map(|d| PhiRow {
-                counts: [(d, 2.0), (3, 1.0)].into_iter().collect(),
-                total: 3.0,
-            })
-            .collect();
+        let mut prev = SparsePhi::new();
+        for row in [
+            &[(0, 2.0), (3, 1.0)][..],
+            &[(1, 2.0), (3, 1.0)],
+            &[(2, 2.0), (3, 1.0)],
+            &[(3, 1.0)],
+        ] {
+            prev.entries.extend_from_slice(row);
+            prev.end_row(3.0);
+        }
         let mut ws = EmWorkspace::new();
         for prior in [false, true] {
             ws.compile(&month, 4, 4);

@@ -5,7 +5,7 @@
 use mic_claims::{Simulator, WorldSpec};
 use mic_linkmodel::eval::evaluate_prescription_relevance;
 use mic_linkmodel::{
-    perplexity, split_records, CooccurrenceModel, EmOptions, MedicationModel, PrescriptionPanel,
+    perplexity, reproduce_panel, split_records, CooccurrenceModel, EmOptions, MedicationModel,
     SplitOptions, UnigramModel,
 };
 
@@ -72,13 +72,15 @@ fn proposed_model_ranking_beats_cooccurrence() {
     let ds = Simulator::new(&world, 22).run();
 
     // Reproduce the panel with the proposed model.
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
+    let panel = reproduce_panel(
+        &ds.months,
+        ds.n_diseases,
+        ds.n_medicines,
+        &EmOptions::default(),
+    );
     // Cooccurrence "panel": total cooccurrence counts per pair.
     let mut cooc_totals: std::collections::HashMap<(u32, u32), f64> = Default::default();
     for month in &ds.months {
-        let model =
-            MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        panel.extend_with(month, &model);
         for r in &month.records {
             let mut med_counts: std::collections::HashMap<u32, f64> = Default::default();
             for &m in &r.medicines {
@@ -117,12 +119,14 @@ fn reproduced_series_track_true_links() {
     // counts: the model's attribution should be strongly informative.
     let world = spec().generate();
     let ds = Simulator::new(&world, 23).run();
-    let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
+    let panel = reproduce_panel(
+        &ds.months,
+        ds.n_diseases,
+        ds.n_medicines,
+        &EmOptions::default(),
+    );
     let mut truth: std::collections::HashMap<(u32, u32), Vec<f64>> = Default::default();
     for month in &ds.months {
-        let model =
-            MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-        panel.extend_with(month, &model);
         for r in &month.records {
             for (l, &m) in r.medicines.iter().enumerate() {
                 let d = r.truth_links[l];

@@ -3,10 +3,14 @@
 //! here as [`RefModel`]) to within 1e-12 on `Φ`, the log-likelihood, and
 //! the iteration count — including the tracked fit's `continuity > 0`
 //! temporal-prior path, whose prior mass on entities absent from the
-//! current month must carry over identically.
+//! current month must carry over identically. The workspace's per-cell
+//! Eq. 7 column must likewise match the per-event panel pass it replaced
+//! (kept here as [`ref_column`]).
 
-use mic_claims::{DiseaseId, MedicineId, MonthlyDataset, Simulator, WorldSpec};
-use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel};
+use mic_claims::{
+    DiseaseId, FrequencyFilter, MedicineId, Month, MonthlyDataset, Simulator, WorldSpec,
+};
+use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel, PrescriptionPanel};
 use std::collections::HashMap;
 
 const TOL: f64 = 1e-12;
@@ -419,4 +423,137 @@ fn cell_compressed_fit_matches_reference_on_duplicated_months() {
             assert_models_match(f, g, &format!("continuity={continuity} month {t}"));
         }
     }
+}
+
+/// One month of the reference panel: pair counts and both marginals.
+struct RefColumn {
+    pairs: HashMap<(u32, u32), f64>,
+    diseases: Vec<f64>,
+    medicines: Vec<f64>,
+}
+
+/// The Eq. 7 oracle: the per-event pass the panel used to run, one
+/// `responsibilities` call per prescription event in record order.
+fn ref_column(month: &MonthlyDataset, model: &MedicationModel) -> RefColumn {
+    let mut out = RefColumn {
+        pairs: HashMap::new(),
+        diseases: vec![0.0; model.n_diseases()],
+        medicines: vec![0.0; model.n_medicines()],
+    };
+    for r in &month.records {
+        for &m in &r.medicines {
+            for (d, q) in model.responsibilities(&r.diseases, m) {
+                if q <= 0.0 {
+                    continue;
+                }
+                *out.pairs.entry((d.0, m.0)).or_insert(0.0) += q;
+                out.diseases[d.index()] += q;
+                out.medicines[m.index()] += q;
+            }
+        }
+    }
+    out
+}
+
+fn assert_close(a: f64, b: f64, what: &str) {
+    assert!(
+        (a - b).abs() <= TOL * a.abs().max(b.abs()),
+        "{what}: {a} vs {b}"
+    );
+}
+
+/// Reproduce `months` the way the session does — independent fit and
+/// column per month, then the tracked refine and a recomputed column —
+/// and hold every month's column to the per-event oracle.
+fn assert_columns_match_oracle(months: &[MonthlyDataset], n_d: usize, n_m: usize, what: &str) {
+    let opts = EmOptions::default();
+    for continuity in [0.0, 0.5] {
+        let mut ws = EmWorkspace::new();
+        let mut panel = PrescriptionPanel::empty(n_d, n_m, 0);
+        let mut models: Vec<MedicationModel> = Vec::new();
+        for month in months {
+            let mut model = MedicationModel::fit_with(month, n_d, n_m, &opts, &mut ws);
+            let mut column = ws.column(opts.smoothing);
+            if let Some(prev) = models.last() {
+                model.refine_next(month, prev, continuity, &opts, &mut ws);
+                if continuity > 0.0 {
+                    column = ws.column(opts.smoothing);
+                }
+            }
+            panel.extend_with(column);
+            models.push(model);
+        }
+        for (t, (month, model)) in months.iter().zip(&models).enumerate() {
+            let what = format!("{what}, continuity={continuity}, month {t}");
+            let oracle = ref_column(month, model);
+            let mut pairs = 0;
+            for (d, m, series) in panel.iter_prescriptions() {
+                let want = oracle.pairs.get(&(d.0, m.0)).copied().unwrap_or(0.0);
+                assert_close(series[t], want, &format!("{what}: x[{d},{m}]"));
+                pairs += usize::from(series[t] > 0.0);
+            }
+            assert_eq!(pairs, oracle.pairs.len(), "{what}: pairs with mass");
+            for (d, &want) in oracle.diseases.iter().enumerate() {
+                let got = panel.disease_series(DiseaseId(d as u32))[t];
+                assert_close(got, want, &format!("{what}: x[{d},·]"));
+            }
+            for (m, &want) in oracle.medicines.iter().enumerate() {
+                let got = panel.medicine_series(MedicineId(m as u32))[t];
+                assert_close(got, want, &format!("{what}: x[·,{m}]"));
+            }
+        }
+    }
+}
+
+#[test]
+fn column_matches_per_event_oracle_on_simulated_months() {
+    let world = spec(14).generate();
+    let ds = Simulator::new(&world, 31).run();
+    assert_columns_match_oracle(&ds.months, ds.n_diseases, ds.n_medicines, "simulated");
+    let ds = Simulator::new(&spec(13).generate(), 13).run();
+    assert_columns_match_oracle(&ds.months, ds.n_diseases, ds.n_medicines, "churning");
+}
+
+#[test]
+fn column_matches_per_event_oracle_on_filtered_months() {
+    let world = spec(13).generate();
+    let ds = Simulator::new(&world, 17).run();
+    let filter = FrequencyFilter {
+        min_monthly_count: 8,
+    };
+    let filtered: Vec<MonthlyDataset> = ds
+        .months
+        .iter()
+        .map(|m| filter.filter_month(m, ds.n_diseases, ds.n_medicines).0)
+        .collect();
+    let events = |months: &[MonthlyDataset]| -> usize {
+        months
+            .iter()
+            .flat_map(|m| &m.records)
+            .map(|r| r.medicines.len())
+            .sum()
+    };
+    assert!(
+        events(&filtered) < events(&ds.months),
+        "the filter must drop prescriptions"
+    );
+    assert_columns_match_oracle(&filtered, ds.n_diseases, ds.n_medicines, "filtered");
+}
+
+#[test]
+fn column_matches_per_event_oracle_on_degenerate_months() {
+    // Duplicated months hold records without diagnoses and without
+    // medicines; an empty month sits between two populated ones.
+    let mut months = duplicated_months();
+    months.insert(
+        1,
+        MonthlyDataset {
+            month: Month(1),
+            records: vec![],
+        },
+    );
+    for (t, month) in months.iter_mut().enumerate() {
+        month.month = Month(t as u32);
+    }
+    assert_columns_match_oracle(&months, 6, 7, "degenerate");
 }

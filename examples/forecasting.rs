@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example forecasting`
 
 use prescription_trends::claims::{Simulator, WorldSpec};
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use prescription_trends::linkmodel::{reproduce_panel, EmOptions};
 use prescription_trends::statespace::forecast::{compare_forecasts, ForecastOptions};
 use prescription_trends::trend::report::sparkline;
 
@@ -24,16 +24,12 @@ fn main() {
     };
     let world = spec.generate();
     let dataset = Simulator::new(&world, 55).run();
-    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
-    for month in &dataset.months {
-        let model = MedicationModel::fit(
-            month,
-            dataset.n_diseases,
-            dataset.n_medicines,
-            &EmOptions::default(),
-        );
-        panel.extend_with(month, &model);
-    }
+    let panel = reproduce_panel(
+        &dataset.months,
+        dataset.n_diseases,
+        dataset.n_medicines,
+        &EmOptions::default(),
+    );
 
     // Forecast the busiest medicine series: train on 31 months, predict 12.
     let mut candidates: Vec<(usize, f64)> = (0..dataset.n_medicines)

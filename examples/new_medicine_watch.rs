@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example new_medicine_watch`
 
 use prescription_trends::claims::{MedicineId, Simulator, WorldSpec};
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel, SeriesKey};
+use prescription_trends::linkmodel::{reproduce_panel, EmOptions, SeriesKey};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::report::{sparkline, TextTable};
 use prescription_trends::trend::{PipelineConfig, Stage2Detect};
@@ -28,16 +28,12 @@ fn main() {
     let dataset = Simulator::new(&world, 99).run();
 
     // Reproduce medicine series.
-    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
-    for month in &dataset.months {
-        let model = MedicationModel::fit(
-            month,
-            dataset.n_diseases,
-            dataset.n_medicines,
-            &EmOptions::default(),
-        );
-        panel.extend_with(month, &model);
-    }
+    let panel = reproduce_panel(
+        &dataset.months,
+        dataset.n_diseases,
+        dataset.n_medicines,
+        &EmOptions::default(),
+    );
 
     // Analyse every medicine series with an upward slope-shift change.
     let stage2 = Stage2Detect::from_config(&PipelineConfig {

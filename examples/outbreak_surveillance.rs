@@ -8,7 +8,7 @@
 use prescription_trends::claims::{
     DiseaseKind, MedicineClass, Month, SeasonalProfile, Simulator, WorldBuilder, YearMonth,
 };
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use prescription_trends::linkmodel::{reproduce_panel, EmOptions};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::outbreak::{detect_outbreaks, OutbreakConfig};
 use prescription_trends::trend::report::sparkline;
@@ -56,16 +56,12 @@ fn main() {
     let dataset = Simulator::new(&world, 20).run();
 
     // Reproduce disease series.
-    let mut panel = PrescriptionPanel::empty(dataset.n_diseases, dataset.n_medicines, 0);
-    for month in &dataset.months {
-        let model = MedicationModel::fit(
-            month,
-            dataset.n_diseases,
-            dataset.n_medicines,
-            &EmOptions::default(),
-        );
-        panel.extend_with(month, &model);
-    }
+    let panel = reproduce_panel(
+        &dataset.months,
+        dataset.n_diseases,
+        dataset.n_medicines,
+        &EmOptions::default(),
+    );
 
     for (name, d) in [
         ("influenza", influenza),

@@ -4,7 +4,7 @@
 use prescription_trends::claims::{
     DiseaseId, HospitalId, MedicineId, MicRecord, Month, MonthlyDataset, PatientId,
 };
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel};
+use prescription_trends::linkmodel::{reproduce_panel, EmOptions, MedicationModel};
 use prescription_trends::statespace::{
     fit_structural, search, FitOptions, SearchPlan, StructuralSpec,
 };
@@ -90,11 +90,7 @@ fn panel_with_months_that_are_empty() {
             records: vec![record(vec![(0, 1)], vec![0, 0])],
         },
     ];
-    let mut panel = PrescriptionPanel::empty(1, 1, 0);
-    for m in &months {
-        let model = MedicationModel::fit(m, 1, 1, &EmOptions::default());
-        panel.extend_with(m, &model);
-    }
+    let panel = reproduce_panel(&months, 1, 1, &EmOptions::default());
     let series = panel
         .prescription_series(DiseaseId(0), MedicineId(0))
         .unwrap();

@@ -2,7 +2,7 @@
 //! randomised worlds.
 
 use prescription_trends::claims::{Simulator, WorldSpec};
-use prescription_trends::linkmodel::{EmOptions, MedicationModel, PrescriptionPanel, SeriesKey};
+use prescription_trends::linkmodel::{reproduce_panel, EmOptions, SeriesKey};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect};
 use proptest::prelude::*;
@@ -37,13 +37,11 @@ proptest! {
         // marginals agree.
         let world = spec.generate();
         let ds = Simulator::new(&world, spec.seed ^ 1).run();
-        let mut panel = PrescriptionPanel::empty(ds.n_diseases, ds.n_medicines, 0);
-        let mut expected = 0.0;
-        for month in &ds.months {
-            let model = MedicationModel::fit(month, ds.n_diseases, ds.n_medicines, &EmOptions::default());
-            panel.extend_with(month, &model);
-            expected += month.records.iter().map(|r| r.medicines.len()).sum::<usize>() as f64;
-        }
+        let panel = reproduce_panel(&ds.months, ds.n_diseases, ds.n_medicines, &EmOptions::default());
+        let expected: f64 = ds.months.iter()
+            .flat_map(|month| &month.records)
+            .map(|r| r.medicines.len() as f64)
+            .sum();
         let d_mass: f64 = (0..ds.n_diseases)
             .map(|d| panel.disease_series(prescription_trends::claims::DiseaseId(d as u32)).iter().sum::<f64>())
             .sum();
