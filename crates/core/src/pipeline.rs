@@ -23,8 +23,13 @@ pub struct PipelineConfig {
     pub em: EmOptions,
     /// State-space fitting budget.
     pub fit: FitOptions,
-    /// Use the binary-search change-point detection (Algorithm 2) instead of
-    /// the exhaustive search (Algorithm 1).
+    /// Use the screened change-point search instead of the exhaustive
+    /// search (Algorithm 1): fit the no-change baseline, score every
+    /// candidate once at the baseline's variances, and fit only the best
+    /// two (`mic_statespace::Algorithm::Screened`; series with fewer than
+    /// 24 scored months run Algorithm 2). A cold screened positive is also
+    /// an Algorithm 1 positive. Algorithm 2 (binary search) stays available
+    /// through `mic_statespace::search` for the Table V/VI reproductions.
     pub approximate_search: bool,
     /// Include the seasonal component (the paper always does for its full
     /// model; disable for small-T tests).

@@ -108,17 +108,29 @@ pub fn detected_changes_table(reports: &[&SeriesReport], k: usize) -> TextTable 
 }
 
 /// A crude ASCII sparkline for eyeballing a series in the terminal.
+///
+/// Each value takes the level nearest its position in `[min, max]`, and a
+/// value halfway between two levels takes the upper one. Integer counts
+/// land exactly halfway, so a value a few ulps below halfway (a different
+/// summation order) also takes the upper level: every boundary is moved
+/// down by a margin over three times wider than a ≤1e-12 relative change
+/// of the series can shift a position, and at most a tenth of a level. A
+/// series whose spread is below 1e-9 of its magnitude is drawn flat, as a
+/// constant one is.
 pub fn sparkline(xs: &[f64]) -> String {
     const LEVELS: &[char] = &['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if xs.is_empty() {
-        return String::new();
-    }
     let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let range = (max - min).max(1e-12);
+    let range = max - min;
+    let magnitude = min.abs().max(max.abs());
+    if range <= 1e-9 * magnitude {
+        return xs.iter().map(|_| LEVELS[0]).collect();
+    }
+    let top = (LEVELS.len() - 1) as f64;
+    let margin = 1e-10 * (magnitude / range).max(1.0);
     xs.iter()
         .map(|x| {
-            let idx = (((x - min) / range) * (LEVELS.len() - 1) as f64).round() as usize;
+            let idx = ((x - min) / range * top + margin).round() as usize;
             LEVELS[idx.min(LEVELS.len() - 1)]
         })
         .collect()
@@ -185,7 +197,28 @@ mod tests {
         assert!(s.starts_with('▁'));
         assert!(s.ends_with('█'));
         assert_eq!(sparkline(&[]), "");
-        // Constant series doesn't panic.
-        assert_eq!(sparkline(&[2.0, 2.0]).chars().count(), 2);
+        // Constant (or all-zero) series are drawn flat.
+        assert_eq!(sparkline(&[2.0, 2.0]), "▁▁");
+        assert_eq!(sparkline(&[0.0, 0.0, 0.0]), "▁▁▁");
+    }
+
+    #[test]
+    fn sparkline_levels_survive_last_bit_perturbations() {
+        // Counts 0..=14 (and the same on a large offset) put every odd value
+        // exactly halfway between two levels. A ≤1e-12 relative change of
+        // every value, either sign, must not flip a glyph.
+        for offset in [0.0, 1000.0] {
+            let xs: Vec<f64> = (0..15).map(|k| offset + k as f64).collect();
+            let exact = sparkline(&xs);
+            assert_eq!(exact, "▁▂▂▃▃▄▄▅▅▆▆▇▇██", "offset {offset}");
+            for rel in [1e-12, -1e-12, 1e-15, -1e-15] {
+                let perturbed: Vec<f64> = xs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| x * (1.0 + if i % 2 == 0 { rel } else { -rel }))
+                    .collect();
+                assert_eq!(sparkline(&perturbed), exact, "offset {offset}, rel {rel}");
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! - [`Stage1Reproduce`] — frequency filter + monthly EM fit + panel
 //!   extension (Eqs. 5–8);
 //! - [`Stage2Detect`] — AIC change-point search and λ decomposition per
-//!   series (Algorithms 1–2).
+//!   series (Algorithm 1, or the screened search).
 //!
 //! **Equivalence by construction**: the batch pipeline is a thin wrapper
 //! that feeds all months into a fresh session, and each appended month
@@ -87,12 +87,7 @@ impl Stage1Reproduce {
         months: &[MonthlyDataset],
         n_diseases: usize,
         n_medicines: usize,
-    ) -> Vec<(
-        MonthlyDataset,
-        FilteredVocabulary,
-        MedicationModel,
-        MonthColumn,
-    )> {
+    ) -> Vec<FittedMonth> {
         parallel_map_with(
             months,
             worker_threads(self.threads),
@@ -106,20 +101,44 @@ impl Stage1Reproduce {
                 // Publish this worker's collector so periodic `--progress`
                 // snapshots see Stage-1 work as it completes.
                 mic_obs::flush();
-                (filtered, vocab, model, column)
+                FittedMonth {
+                    kept_records: filtered.records.len(),
+                    filtered: (self.continuity != 0.0).then_some(filtered),
+                    vocab,
+                    model,
+                    column,
+                }
             },
         )
     }
 }
 
+/// One month through [`Stage1Reproduce::fit_months`].
+#[derive(Clone, Debug)]
+pub struct FittedMonth {
+    /// The frequency-filtered month, kept only when `continuity != 0`: the
+    /// continuity refinement is its only later reader, and without it each
+    /// month's filtered copy is dropped in the worker that made it.
+    pub filtered: Option<MonthlyDataset>,
+    pub vocab: FilteredVocabulary,
+    /// The month's independent EM fit.
+    pub model: MedicationModel,
+    /// The month's reproduced panel column under `model`.
+    pub column: MonthColumn,
+    /// Records the frequency filter kept.
+    pub kept_records: usize,
+}
+
 /// Stage 2 of the pipeline as an explicit type: the AIC change-point search
-/// (Algorithm 1 exact / Algorithm 2 binary) and λ decomposition for one
+/// (Algorithm 1 exact, or the screened search) and λ decomposition for one
 /// series, with an optional warm start from a cached optimum.
 #[derive(Clone, Debug)]
 pub struct Stage2Detect {
     /// Minimum total series mass over the window (paper: 10).
     pub min_total: f64,
     pub fit: FitOptions,
+    /// Run the screened search instead of Algorithm 1 (see
+    /// [`PipelineConfig::approximate_search`]).
     pub approximate: bool,
     pub seasonal: bool,
     /// Worker threads for the series fleet (0 = auto).
@@ -155,7 +174,7 @@ impl Stage2Detect {
         warm: Option<WarmStart>,
     ) -> (SeriesReport, WarmStart) {
         let algorithm = if self.approximate {
-            Algorithm::Approximate
+            Algorithm::Screened
         } else {
             Algorithm::Exact {
                 threads: self.search_threads,
@@ -380,7 +399,7 @@ impl AnalysisSession {
     fn record_drops(
         &self,
         month: &MonthlyDataset,
-        filtered: &MonthlyDataset,
+        kept_records: usize,
         vocab: &FilteredVocabulary,
     ) {
         // The frequency filter's silent drops, made visible: entities below
@@ -395,7 +414,7 @@ impl AnalysisSession {
         );
         mic_obs::counter(
             "pipeline.records_dropped",
-            (month.records.len() - filtered.records.len()) as u64,
+            (month.records.len() - kept_records) as u64,
         );
     }
 
@@ -424,14 +443,19 @@ impl AnalysisSession {
             .fit_months(months, self.n_diseases, self.n_medicines);
         let mut ws = EmWorkspace::new();
         let (continuity, em) = (self.stage1.continuity, self.stage1.em);
-        for (month, (filtered, vocab, mut model, mut column)) in months.iter().zip(fitted) {
-            if let Some(prev) = self.models.last() {
-                model.refine_next(&filtered, prev, continuity, &em, &mut ws);
-                if continuity > 0.0 {
-                    column = ws.column(em.smoothing);
-                }
+        for (month, fitted) in months.iter().zip(fitted) {
+            let FittedMonth {
+                filtered,
+                vocab,
+                mut model,
+                mut column,
+                kept_records,
+            } = fitted;
+            if let (Some(prev), Some(filtered)) = (self.models.last(), &filtered) {
+                model.refine_next(filtered, prev, continuity, &em, &mut ws);
+                column = ws.column(em.smoothing);
             }
-            self.record_drops(month, &filtered, &vocab);
+            self.record_drops(month, kept_records, &vocab);
             self.panel.extend_with(column);
             self.models.push(model);
             mic_obs::counter("session.appends", 1);

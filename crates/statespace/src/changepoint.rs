@@ -1,19 +1,42 @@
-//! AIC-driven change point detection: the paper's Algorithm 1 (exhaustive)
-//! and Algorithm 2 (binary search).
+//! AIC-driven change point detection: the paper's Algorithm 1 (exhaustive),
+//! Algorithm 2 (binary search), and the screened search the pipeline runs.
 //!
-//! Both algorithms fit the structural model once per candidate change point
-//! and compare AICs; the winner is then compared against the no-intervention
-//! model to decide whether a change point exists at all. Ties favour "no
-//! change" (Algorithm 1 scans `t ∈ {1..T, ∞}` with `≤`, so `∞` — evaluated
-//! last — wins ties; Algorithm 2's final `argmin` is given the same
-//! preference), which yields the structural guarantee exploited in
-//! Table VI: **the approximate search produces no false positives**, because
-//! its winning candidate is a member of the exhaustive candidate set.
+//! Algorithms 1 and 2 fit the structural model once per candidate change
+//! point they visit and compare AICs; the winner is then compared against
+//! the no-intervention model to decide whether a change point exists at
+//! all. Ties favour "no change" (Algorithm 1 scans `t ∈ {1..T, ∞}` with `≤`,
+//! so `∞` — evaluated last — wins ties; Algorithm 2's final `argmin` is
+//! given the same preference), which yields the structural guarantee
+//! exploited in Table VI: **the approximate search produces no false
+//! positives**, because its winning candidate is a member of the exhaustive
+//! candidate set, fitted exactly as Algorithm 1 fits it.
+//!
+//! The screened search ([`Algorithm::Screened`]) keeps that guarantee at
+//! about a third of Algorithm 2's fits. It fits the baseline first, scores
+//! every candidate of Algorithm 1 by one Kalman likelihood pass at the
+//! baseline's variances (λ is a filter state, so each pass still estimates
+//! its own λ), and fully fits only the two best-screened candidates, then
+//! steps one month at a time from the better of them while a neighbour's
+//! fit improves on it: one baseline fit, two candidate fits (plus the odd
+//! step) and `T − 3` filter passes per series.
 
 use crate::estimate::{comparable_skip, fit_structural_ws, FitOptions, FittedStructural};
-use crate::kalman::FilterWorkspace;
+use crate::kalman::{kalman_loglik, FilterWorkspace};
 use crate::structural::{lead, InterventionSpec, StructuralParams, StructuralSpec};
 use std::collections::HashMap;
+
+/// Candidates the screened search fits in full: the best two by screen
+/// score.
+const SCREEN_KEEP: usize = 2;
+
+/// Fewest observations the baseline's likelihood scores for which the
+/// screened search screens; a shorter series runs Algorithm 2 instead. The
+/// screen ranks candidates at the baseline's variances, which a short
+/// series estimates poorly: on two 24-month seasonal panels (11 scored
+/// months) the screened search moved 6 of 119 and 2 of 34 decisions away
+/// from both Algorithm 1 and Algorithm 2, and on panels with 30 or more
+/// scored months it moved none.
+const SCREEN_MIN_SCORED: usize = 24;
 
 /// Model-selection criterion for the change-point search. The paper uses
 /// AIC but notes the algorithms "can work with other criteria"; BIC's
@@ -112,11 +135,13 @@ pub struct ChangePointSearch {
     /// degenerate short-series result). Kept so resumable searches can seed
     /// the next baseline fit from here — see [`WarmStart`].
     pub no_change_params: StructuralParams,
-    /// Number of model fits actually performed (Table V's cost unit).
+    /// Number of model fits actually performed (Table V's cost unit; the
+    /// screened search's filter passes are not fits).
     pub fits_performed: usize,
-    /// AIC per evaluated candidate (candidate month → AIC); the exhaustive
-    /// search fills every month, the binary search only the probes. Useful
-    /// for the Fig. 5 sensitivity plot.
+    /// AIC per fitted candidate (candidate month → AIC); the exhaustive
+    /// search fills every month, the binary search only the probes and the
+    /// screened search the candidates it kept. Useful for the Fig. 5
+    /// sensitivity plot.
     pub aic_by_candidate: HashMap<usize, f64>,
 }
 
@@ -133,6 +158,16 @@ pub enum Algorithm {
     /// unimodality of AIC around the true change point (Fig. 5) to probe
     /// only `O(log T)` candidates.
     Approximate,
+    /// The screened search the pipeline runs: fit the no-change baseline,
+    /// score every candidate of Algorithm 1 by one likelihood pass at the
+    /// baseline's variances, fit only the best two (ties toward the later
+    /// month), and descend from the better one month at a time while a
+    /// neighbour's fit improves on it. About three fits and `T − 3` filter
+    /// passes per series; the winner is fitted as Algorithm 1 fits it, so a
+    /// screened positive is an exact positive and a matching decision has
+    /// the same AIC. A series with fewer than 24 scored observations runs
+    /// Algorithm 2, because the screen ranks short series poorly.
+    Screened,
 }
 
 /// How to run a change-point [`search`]. The default is the serial
@@ -197,7 +232,8 @@ impl Problem<'_> {
     /// of its model class.
     fn fit(&self, cp: Option<usize>, ws: &mut FilterWorkspace) -> FittedStructural {
         let spec = self.spec(cp);
-        let (skip, extra) = comparable_skip(&spec);
+        let mut extra = Vec::new();
+        let skip = comparable_skip(&spec, &mut extra);
         let seed = self.warm.map(|w| match cp {
             Some(_) => w.candidate,
             None => w.baseline,
@@ -285,9 +321,19 @@ impl SearchContext<'_> {
         best
     }
 
-    fn finish(mut self, best_cp: usize, best_aic: f64) -> ChangePointSearch {
+    /// The no-change baseline fit.
+    fn fit_baseline(&mut self) -> FittedStructural {
         self.fits += 1;
-        let no_change = self.problem.fit(None, &mut self.ws);
+        self.problem.fit(None, &mut self.ws)
+    }
+
+    /// Decide between the best candidate and the baseline `no_change`.
+    fn finish(
+        mut self,
+        best_cp: usize,
+        best_aic: f64,
+        no_change: FittedStructural,
+    ) -> ChangePointSearch {
         let aic_no_change = self.criterion.score(&no_change);
         let criterion = self.criterion;
         let aic_by_candidate: HashMap<usize, f64> = self
@@ -344,7 +390,8 @@ impl SearchContext<'_> {
         }
         self.fits = fits.len();
         self.cache.extend(cands.into_iter().zip(fits));
-        let r = self.finish(best_cp, best_aic);
+        let no_change = self.fit_baseline();
+        let r = self.finish(best_cp, best_aic, no_change);
         mic_obs::counter("kf.candidates_exact", r.aic_by_candidate.len() as u64);
         mic_obs::counter("kf.fits_exact", r.fits_performed as u64);
         r
@@ -379,14 +426,27 @@ impl SearchContext<'_> {
         // 2. hill-descend ±1/±2 around that point (a handful of extra fits),
         //    which recovers near-misses on gradual ramps whose AIC valley is
         //    shallow and slightly off the probe grid.
-        let (mut best_cp, mut best_aic) = self
+        let best = self
             .best_cached()
             .expect("search probed at least two candidates");
+        let (best_cp, best_aic) = self.descend(best, &[-2, -1, 1, 2]);
+        let no_change = self.fit_baseline();
+        let r = self.finish(best_cp, best_aic, no_change);
+        mic_obs::counter("kf.candidates_approx", r.aic_by_candidate.len() as u64);
+        mic_obs::counter("kf.fits_approx", r.fits_performed as u64);
+        r
+    }
+
+    /// Move `best` to a neighbouring candidate `best + δ` (`δ ∈ deltas`,
+    /// in order) while that neighbour's fit has a strictly lower score.
+    fn descend(&mut self, best: (usize, f64), deltas: &[i64]) -> (usize, f64) {
+        let (mut best_cp, mut best_aic) = best;
+        let end = candidates(self.problem.ys.len()).end;
         loop {
             let mut improved = false;
-            for delta in [-2i64, -1, 1, 2] {
+            for &delta in deltas {
                 let cand = best_cp as i64 + delta;
-                if cand < 1 || cand as usize >= right_end {
+                if cand < 1 || cand as usize >= end {
                     continue;
                 }
                 let score = self.aic_at(cand as usize);
@@ -397,13 +457,85 @@ impl SearchContext<'_> {
                 }
             }
             if !improved {
-                break;
+                return (best_cp, best_aic);
             }
         }
-        let r = self.finish(best_cp, best_aic);
-        mic_obs::counter("kf.candidates_approx", r.aic_by_candidate.len() as u64);
-        mic_obs::counter("kf.fits_approx", r.fits_performed as u64);
+    }
+
+    /// The screened search (see [`Algorithm::Screened`]). It records under
+    /// Algorithm 2's `kf.search.approx` span, the pipeline's approximate
+    /// mode, and hands a series with fewer than [`SCREEN_MIN_SCORED`]
+    /// scored observations to Algorithm 2.
+    fn screened(mut self) -> ChangePointSearch {
+        let lead = lead(self.problem.seasonal);
+        if self.problem.ys.len() < lead + 1 + SCREEN_MIN_SCORED {
+            return self.approximate();
+        }
+        let _span = mic_obs::span("kf.search.approx");
+        mic_obs::counter("kf.searches_screened", 1);
+        let no_change = self.fit_baseline();
+        let mut screened = self.screen(&no_change.params);
+        // Best first; ties toward the later month, as Algorithm 1's `≤`.
+        screened.sort_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+        // A change point inside the lead puts a trend on the whole scored
+        // span, whichever month it is, so those candidates are near-copies
+        // of one model: fit only the best of them, and do not start a
+        // descent from it.
+        let best_in_lead = screened.iter().map(|&(cp, _)| cp).find(|&cp| cp < lead);
+        let kept: Vec<usize> = screened
+            .iter()
+            .map(|&(cp, _)| cp)
+            .filter(|&cp| cp >= lead || Some(cp) == best_in_lead)
+            .take(SCREEN_KEEP)
+            .collect();
+        for cp in kept {
+            self.aic_at(cp);
+        }
+        let best = self
+            .best_cached()
+            .expect("the search fitted SCREEN_KEEP candidates");
+        let (best_cp, best_aic) = if best.0 >= lead {
+            self.descend(best, &[-1, 1])
+        } else {
+            best
+        };
+        let r = self.finish(best_cp, best_aic, no_change);
+        mic_obs::counter("kf.fits_screened", r.fits_performed as u64);
         r
+    }
+
+    /// `(candidate, AIC)` of every candidate month with the variances fixed
+    /// at `params`: one [`kalman_loglik`] pass each, in the search's
+    /// workspace and on one SSM whose λ loading and exclusions are rewritten
+    /// per candidate, so the loop allocates nothing. Every candidate has the
+    /// same parameter count and scores the same number of observations, so
+    /// AIC and BIC rank them alike. A non-finite likelihood scores `+∞`.
+    fn screen(&mut self, params: &StructuralParams) -> Vec<(usize, f64)> {
+        let (ys, seasonal) = (self.problem.ys, self.problem.seasonal);
+        let cands = candidates(ys.len());
+        let mut spec = self.problem.spec(Some(cands.start));
+        let mut ssm = spec.build(&StructuralParams::ZERO, ys.len());
+        params.write_into(seasonal, &mut ssm);
+        let k = (spec.state_dim() + spec.n_variance_params()) as f64;
+        // Screen passes are C_KF evaluations like an optimiser's.
+        mic_obs::counter("kf.loglik_evals", cands.len() as u64);
+        mic_obs::counter("kf.screen_evals", cands.len() as u64);
+        cands
+            .map(|change_point| {
+                spec.intervention = InterventionSpec::SlopeShift { change_point };
+                spec.intervention.write_into(seasonal, &mut ssm);
+                ssm.n_diffuse = comparable_skip(&spec, &mut ssm.extra_skips);
+                let eval_span = mic_obs::span("kf.loglik");
+                let loglik = kalman_loglik(&ssm, ys, &mut self.ws);
+                eval_span.end();
+                let aic = if loglik.is_finite() {
+                    -2.0 * loglik + 2.0 * k
+                } else {
+                    f64::INFINITY
+                };
+                (change_point, aic)
+            })
+            .collect()
     }
 }
 
@@ -416,8 +548,8 @@ pub(crate) fn candidates(n: usize) -> std::ops::Range<usize> {
     1..n.saturating_sub(2)
 }
 
-/// Search `ys` for a change point as `plan` says: Algorithm 1 or 2, under
-/// its criterion, cold or warm-started.
+/// Search `ys` for a change point as `plan` says: Algorithm 1, Algorithm 2
+/// or the screened search, under its criterion, cold or warm-started.
 pub fn search(
     ys: &[f64],
     seasonal: bool,
@@ -442,6 +574,7 @@ pub fn search(
     match plan.algorithm {
         Algorithm::Exact { threads } => ctx.exact(threads),
         Algorithm::Approximate => ctx.approximate(),
+        Algorithm::Screened => ctx.screened(),
     }
 }
 
@@ -490,6 +623,14 @@ mod tests {
 
     fn approx(ys: &[f64], seasonal: bool) -> ChangePointSearch {
         search(ys, seasonal, &fast_opts(), &SearchPlan::approximate())
+    }
+
+    fn screened(ys: &[f64], seasonal: bool) -> ChangePointSearch {
+        let plan = SearchPlan {
+            algorithm: Algorithm::Screened,
+            ..SearchPlan::default()
+        };
+        search(ys, seasonal, &fast_opts(), &plan)
     }
 
     fn exact_bic(ys: &[f64]) -> ChangePointSearch {
@@ -583,6 +724,130 @@ mod tests {
     }
 
     #[test]
+    fn screen_scores_each_candidate_as_a_freshly_built_model() {
+        // Rewriting one SSM's λ loading and exclusions per candidate gives
+        // the same likelihood, bit for bit, as building each candidate's
+        // model afresh at the same variances.
+        let params = StructuralParams {
+            var_eps: 0.3,
+            var_level: 0.05,
+            var_seasonal: 0.01,
+        };
+        for (ys, seasonal) in [
+            (slope_break_series(43, 25, 1.5, 11), false),
+            (slope_break_series(43, 30, 0.8, 12), true),
+        ] {
+            let problem = Problem {
+                ys: &ys,
+                seasonal,
+                opts: &fast_opts(),
+                warm: None,
+            };
+            let mut ctx = SearchContext {
+                problem,
+                criterion: SelectionCriterion::Aic,
+                cache: HashMap::new(),
+                fits: 0,
+                ws: FilterWorkspace::default(),
+            };
+            let cands: Vec<usize> = candidates(ys.len()).collect();
+            let screened = ctx.screen(&params);
+            assert_eq!(screened.len(), cands.len());
+            for (&cp, &(screened_cp, aic)) in cands.iter().zip(&screened) {
+                assert_eq!(cp, screened_cp);
+                let spec = ctx.problem.spec(Some(cp));
+                let mut ssm = spec.build(&params, ys.len());
+                ssm.n_diffuse = comparable_skip(&spec, &mut ssm.extra_skips);
+                let loglik = crate::kalman::kalman_filter(&ssm, &ys).loglik;
+                let k = (spec.state_dim() + spec.n_variance_params()) as f64;
+                let expected = -2.0 * loglik + 2.0 * k;
+                assert_eq!(
+                    aic.to_bits(),
+                    expected.to_bits(),
+                    "seasonal {seasonal}, cp {cp}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn screened_fits_three_models_and_matches_exact() {
+        for (ys, seasonal, what) in [
+            (slope_break_series(43, 25, 1.5, 11), false, "break"),
+            (flat_series(43, 12), false, "flat"),
+            (slope_break_series(60, 40, 0.6, 17), true, "seasonal break"),
+        ] {
+            let exact = exact(&ys, seasonal);
+            let s = screened(&ys, seasonal);
+            assert_eq!(s.change_point, exact.change_point, "{what}");
+            assert_eq!(s.aic.to_bits(), exact.aic.to_bits(), "{what}");
+            // The baseline, the two best-screened candidates, and at most a
+            // short descent next to them.
+            assert!(
+                (3..=6).contains(&s.fits_performed),
+                "{what}: {} fits",
+                s.fits_performed
+            );
+            assert_eq!(s.aic_by_candidate.len(), s.fits_performed - 1, "{what}");
+        }
+    }
+
+    #[test]
+    fn screened_fits_one_candidate_inside_the_seasonal_lead() {
+        // A trend from the first month screens best at every change point
+        // inside the 12-month lead; the search fits one of them and spends
+        // its second fit past the lead.
+        let mut rng = SmallRng::seed_from_u64(21);
+        let ys: Vec<f64> = (0..43)
+            .map(|t| {
+                let s = 4.0 * ((t % 12) as f64 / 12.0 * std::f64::consts::TAU).sin();
+                20.0 + s + 0.4 * t as f64 + mic_stats::dist::sample_normal(&mut rng, 0.0, 0.5)
+            })
+            .collect();
+        let s = screened(&ys, true);
+        let in_lead = s
+            .aic_by_candidate
+            .keys()
+            .filter(|&&cp| cp < lead(true))
+            .count();
+        assert_eq!(in_lead, 1, "fitted {:?}", s.aic_by_candidate.keys());
+        assert!(s.aic_by_candidate.len() >= 2);
+    }
+
+    #[test]
+    fn screened_never_false_positive_and_never_beats_exact() {
+        for seed in 0..8 {
+            let ys = if seed % 2 == 0 {
+                flat_series(40, seed)
+            } else {
+                slope_break_series(40, 22, 0.15, seed) // weak break
+            };
+            let exact = exact(&ys, false);
+            let s = screened(&ys, false);
+            if s.change_point.is_some() {
+                assert!(exact.change_point.is_some(), "seed {seed}");
+            }
+            assert!(exact.aic <= s.aic, "seed {seed}: {} > {}", exact.aic, s.aic);
+            assert_eq!(s.aic_no_change.to_bits(), exact.aic_no_change.to_bits());
+        }
+    }
+
+    #[test]
+    fn screened_fits_every_candidate_of_a_short_series() {
+        // Below the screen's minimum length the search fits its way through
+        // Algorithm 2, which on one or two candidates fits all of them: the
+        // result is Algorithm 1's, bit for bit.
+        for n in [4usize, 5] {
+            let ys: Vec<f64> = (0..n).map(|t| (t * t) as f64 * 0.5 + 1.0).collect();
+            let s = screened(&ys, false);
+            let e = exact(&ys, false);
+            assert_eq!(s.fits_performed, candidates(n).len() + 1, "n = {n}");
+            assert_eq!(s.change_point, e.change_point, "n = {n}");
+            assert_eq!(s.aic.to_bits(), e.aic.to_bits(), "n = {n}");
+        }
+    }
+
+    #[test]
     fn aic_by_candidate_has_valley_at_change_point() {
         // The Fig. 5 shape: AIC lower near the true change point.
         let ys = slope_break_series(43, 30, 1.5, 15);
@@ -654,11 +919,15 @@ mod tests {
             for seasonal in [false, true] {
                 let a = approx(&ys, seasonal);
                 let e = exact(&ys, seasonal);
+                let s = screened(&ys, seasonal);
                 if seasonal || n < 4 {
                     assert_eq!(a.change_point, ChangePoint::None, "approx n={n}");
                     assert_eq!(e.change_point, ChangePoint::None, "exact n={n}");
+                    assert_eq!(s.change_point, ChangePoint::None, "screened n={n}");
                     assert_eq!(a.fits_performed, 0);
+                    assert_eq!(s.fits_performed, 0);
                     assert!(a.aic.is_infinite() && !a.aic.is_nan());
+                    assert!(s.aic.is_infinite() && !s.aic.is_nan());
                 }
             }
         }
@@ -817,6 +1086,15 @@ mod tests {
             };
             let warm_approx = search(&ys, false, &fast_opts(), &plan);
             assert_eq!(cold.change_point, warm_approx.change_point, "{what} approx");
+            let plan = SearchPlan {
+                algorithm: Algorithm::Screened,
+                ..plan
+            };
+            let warm_screened = search(&ys, false, &fast_opts(), &plan);
+            assert_eq!(
+                cold.change_point, warm_screened.change_point,
+                "{what} screened"
+            );
         }
     }
 

@@ -100,27 +100,30 @@ impl FittedStructural {
 /// Panics if the series is shorter than the model's state dimension + 2
 /// (not enough observations past the diffuse burn-in to score).
 pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> FittedStructural {
-    let (skip, extra) = if spec.intervention.is_some() {
-        comparable_skip(&spec)
+    let mut extra = Vec::new();
+    let skip = if spec.intervention.is_some() {
+        comparable_skip(&spec, &mut extra)
     } else {
-        (spec.state_dim(), Vec::new())
+        spec.state_dim()
     };
     let mut ws = FilterWorkspace::new(spec.state_dim());
     fit_structural_ws(ys, spec, opts, skip, &extra, None, &mut ws)
 }
 
 /// The likelihood exclusions that make AICs comparable across a
-/// change-point search: `(skip, extra)` for [`fit_structural_ws`]. This is
-/// the one exclusion rule, `comparable_skip_k`, for the spec's own change
-/// point (if any) under a budget of one: skip the lead (the base model's
-/// state dimension) plus the change point's own innovation, or — for a
-/// change point inside the lead and for the no-change baseline — the
-/// innovation right after the lead.
-pub(crate) fn comparable_skip(spec: &StructuralSpec) -> (usize, Vec<usize>) {
+/// change-point search: `skip` (returned) and `extra` (written into the
+/// caller's buffer, so a loop over candidate specs allocates nothing) for
+/// [`fit_structural_ws`]. This is the one exclusion rule,
+/// `comparable_skip_k`, for the spec's own change point (if any) under a
+/// budget of one: skip the lead (the base model's state dimension) plus the
+/// change point's own innovation, or — for a change point inside the lead
+/// and for the no-change baseline — the innovation right after the lead.
+pub(crate) fn comparable_skip(spec: &StructuralSpec, extra: &mut Vec<usize>) -> usize {
     comparable_skip_k(
         spec.seasonal,
         spec.intervention.change_point().as_slice(),
         1,
+        extra,
     )
 }
 
@@ -134,6 +137,9 @@ pub(crate) fn comparable_skip(spec: &StructuralSpec) -> (usize, Vec<usize>) {
 ///   months after the lead;
 /// - identifying months that continue the lead are folded into `skip`.
 ///
+/// Writes the remaining identifying months, ascending, into `extra` (which
+/// it clears first) and returns `skip`.
+///
 /// Every model the search compares — each candidate set and the no-change
 /// baseline — thus scores the same *number* of observations. Without this,
 /// the model that skips fewer (or cheaper) points gets a spurious
@@ -143,14 +149,12 @@ pub(crate) fn comparable_skip_k(
     seasonal: bool,
     change_points: &[usize],
     budget: usize,
-) -> (usize, Vec<usize>) {
+    extra: &mut Vec<usize>,
+) -> usize {
     debug_assert!(change_points.len() <= budget);
     let mut skip = lead(seasonal);
-    let mut extra: Vec<usize> = change_points
-        .iter()
-        .copied()
-        .filter(|&cp| cp >= skip)
-        .collect();
+    extra.clear();
+    extra.extend(change_points.iter().copied().filter(|&cp| cp >= skip));
     let mut free = skip;
     while extra.len() < budget {
         while extra.contains(&free) {
@@ -163,7 +167,7 @@ pub(crate) fn comparable_skip_k(
         extra.remove(0);
         skip += 1;
     }
-    (skip, extra)
+    skip
 }
 
 /// Fit by maximum likelihood with explicit likelihood exclusions — the first
@@ -371,6 +375,13 @@ mod tests {
             .collect()
     }
 
+    /// [`comparable_skip`] as a `(skip, extra)` pair.
+    fn skips(spec: &StructuralSpec) -> (usize, Vec<usize>) {
+        let mut extra = vec![99];
+        let skip = comparable_skip(spec, &mut extra);
+        (skip, extra)
+    }
+
     /// Months `0..n` a fit with these exclusions scores.
     fn scored(n: usize, (skip, extra): (usize, Vec<usize>)) -> Vec<usize> {
         (skip..n).filter(|t| !extra.contains(t)).collect()
@@ -386,7 +397,7 @@ mod tests {
                 intervention: InterventionSpec::None,
             };
             let after_lead: Vec<usize> = (lead + 1..n).collect();
-            assert_eq!(scored(n, comparable_skip(&base)), after_lead);
+            assert_eq!(scored(n, skips(&base)), after_lead);
             for cp in crate::changepoint::candidates(n) {
                 let spec = StructuralSpec {
                     intervention: InterventionSpec::SlopeShift { change_point: cp },
@@ -398,12 +409,19 @@ mod tests {
                     (lead..n).filter(|&t| t != cp).collect()
                 };
                 assert_eq!(
-                    scored(n, comparable_skip(&spec)),
+                    scored(n, skips(&spec)),
                     expected,
                     "seasonal {seasonal}, cp {cp}"
                 );
             }
         }
+    }
+
+    /// [`comparable_skip_k`] as a `(skip, extra)` pair.
+    fn skip_k(seasonal: bool, change_points: &[usize], budget: usize) -> (usize, Vec<usize>) {
+        let mut extra = vec![99];
+        let skip = comparable_skip_k(seasonal, change_points, budget, &mut extra);
+        (skip, extra)
     }
 
     #[test]
@@ -418,13 +436,13 @@ mod tests {
             (vec![], 3, 15),
             (vec![12], 3, 15),
         ] {
-            let skips = comparable_skip_k(true, &change_points, budget);
+            let skips = skip_k(true, &change_points, budget);
             let expected: Vec<usize> = (first_scored..40).collect();
             assert_eq!(scored(40, skips), expected, "{change_points:?}");
         }
         // Change points past the lead skip their own month.
-        assert_eq!(comparable_skip_k(true, &[3, 20], 2), (13, vec![20]));
-        assert_eq!(comparable_skip_k(false, &[10, 30], 3), (2, vec![10, 30]));
+        assert_eq!(skip_k(true, &[3, 20], 2), (13, vec![20]));
+        assert_eq!(skip_k(false, &[10, 30], 3), (2, vec![10, 30]));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! ```
 //!
 //! with the slope-shift intervention `w_t = max(0, t − t_CP + 1)` and a
-//! single AIC-selected change point found either exhaustively (Algorithm 1)
-//! or by binary search (Algorithm 2).
+//! single AIC-selected change point found exhaustively (Algorithm 1), by
+//! binary search (Algorithm 2), or by the screened search the pipeline
+//! runs (every candidate scored at the baseline's variances, the best two
+//! fitted).
 //!
 //! Modules:
 //!
@@ -26,8 +28,8 @@
 //! - [`estimate`] — maximum-likelihood fitting (Nelder–Mead over
 //!   log-variances), AIC and the likelihood-exclusion rule that keeps
 //!   the AICs of nested models comparable;
-//! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate), both
-//!   behind the single [`search`] entry point;
+//! - [`changepoint`] — Algorithms 1 (exact) and 2 (approximate) and the
+//!   screened search, all behind the single [`search`] entry point;
 //! - [`arima`] — the ARIMA(p,d,q) baseline with AIC order selection;
 //! - [`forecast`] — out-of-sample forecasting for both model families;
 //! - [`multi`] — greedy multi-change-point detection (the paper's §IX

@@ -36,14 +36,12 @@ fn fit_multi(
     ws: &mut FilterWorkspace,
 ) -> FittedMulti {
     let n = ys.len();
-    let (skip, extra) = comparable_skip_k(seasonal, change_points, budget);
+    let mut ssm = build_ssm(seasonal, change_points, &StructuralParams::ZERO, n);
+    ssm.n_diffuse = comparable_skip_k(seasonal, change_points, budget, &mut ssm.extra_skips);
     assert!(
-        n > skip + extra.len() + 2,
+        n > ssm.n_diffuse + ssm.extra_skips.len() + 2,
         "series of length {n} too short for {budget} interventions"
     );
-    let mut ssm = build_ssm(seasonal, change_points, &StructuralParams::ZERO, n);
-    ssm.n_diffuse = skip;
-    ssm.extra_skips = extra;
     let single_start = FitOptions {
         n_starts: 1,
         ..*opts

@@ -53,6 +53,22 @@ impl InterventionSpec {
             InterventionSpec::SlopeShift { change_point } => Some(*change_point),
         }
     }
+
+    /// Write this intervention's loadings `w_t` into the λ state of a
+    /// structural SSM built with one change point, in place: the SSM then
+    /// equals the one [`StructuralSpec::build`] makes for this intervention.
+    ///
+    /// # Panics
+    /// Panics if `ssm` has a constant loading (no intervention state).
+    pub(crate) fn write_into(&self, seasonal: bool, ssm: &mut Ssm) {
+        let ObsLoading::TimeVarying(zs) = &mut ssm.loading else {
+            panic!("the SSM carries no intervention state");
+        };
+        let lambda = lead(seasonal);
+        for (t, z) in zs.iter_mut().enumerate() {
+            z[lambda] = self.w(t);
+        }
+    }
 }
 
 /// Seasonal period of the monthly data.

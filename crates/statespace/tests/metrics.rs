@@ -1,13 +1,14 @@
 //! Instrumentation contract of the change-point searches: the `kf.*`
 //! counters must agree with the per-search `fits_performed` bookkeeping and
 //! exhibit the Table V complexity split — exact search O(T) fits, binary
-//! search O(log T) — and `kf.fits_capped` must count exactly the
+//! search O(log T), the screened search about three fits plus one screen
+//! pass per candidate — and `kf.fits_capped` must count exactly the
 //! optimiser starts that ran out of evaluations.
 //!
 //! This lives in its own integration-test binary (own process) so no other
 //! test's recording can leak into the global recorder.
 
-use mic_statespace::{fit_structural, search, FitOptions, SearchPlan, StructuralSpec};
+use mic_statespace::{fit_structural, search, Algorithm, FitOptions, SearchPlan, StructuralSpec};
 
 /// 43 months (the paper's horizon) with a clear level shift at month 25
 /// plus a small deterministic wiggle so fits are non-degenerate.
@@ -76,6 +77,43 @@ fn search_counters_match_fits_and_complexity() {
 
     // The per-search wall-time timers saw one exact and one approx search.
     assert_eq!(snap.timer("kf.search.exact").unwrap().count, 1);
+    assert_eq!(snap.timer("kf.search.approx").unwrap().count, 1);
+}
+
+#[test]
+fn screened_search_counts_its_fits_and_screen_passes() {
+    let _guard = mic_obs::exclusive();
+    mic_obs::reset();
+    mic_obs::enable();
+    let opts = FitOptions {
+        max_evals: 60,
+        n_starts: 1,
+    };
+    let ys = series();
+    let plan = SearchPlan {
+        algorithm: Algorithm::Screened,
+        ..SearchPlan::default()
+    };
+    let found = search(&ys, false, &opts, &plan);
+    let snap = mic_obs::snapshot();
+    mic_obs::disable();
+
+    assert_eq!(snap.counter("kf.searches_screened"), 1);
+    assert_eq!(snap.counter("kf.searches_approx"), 0);
+    assert_eq!(
+        snap.counter("kf.fits_screened"),
+        found.fits_performed as u64
+    );
+    assert_eq!(snap.counter("kf.fits"), found.fits_performed as u64);
+    // The baseline and the two best-screened candidates, plus any descent.
+    assert!((3..=6).contains(&found.fits_performed));
+    // One screen pass per candidate month (T − 3 = 40), each a C_KF
+    // evaluation on the same counter and timer as the optimiser's.
+    assert_eq!(snap.counter("kf.screen_evals"), 40);
+    let evals = snap.counter("kf.loglik_evals");
+    assert_eq!(evals, snap.counter("kf.nm_evals") + 40);
+    assert_eq!(snap.timer("kf.loglik").unwrap().count, evals);
+    // The pipeline's approximate mode keeps Algorithm 2's span.
     assert_eq!(snap.timer("kf.search.approx").unwrap().count, 1);
 }
 

@@ -261,7 +261,8 @@ fn analyze(flags: &Flags) -> Result<(), String> {
         "analysing {} months with {} change-point search...",
         dataset.horizon(),
         if config.approximate_search {
-            "binary (Algorithm 2)"
+            "screened (every candidate at the baseline's variances, best 2 fitted; \
+             Algorithm 2 below 24 scored months)"
         } else {
             "exhaustive (Algorithm 1)"
         }
