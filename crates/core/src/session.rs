@@ -186,11 +186,7 @@ impl Stage2Detect {
             ..SearchPlan::default()
         };
         let found = search(ys, self.seasonal, &self.fit, &plan);
-        let lambda = if found.change_point.is_some() {
-            found.fit.decompose(ys).lambda
-        } else {
-            0.0
-        };
+        let lambda = found.fit.lambda(ys);
         let seeds = WarmStart::from_search(&found);
         let report = SeriesReport {
             key,

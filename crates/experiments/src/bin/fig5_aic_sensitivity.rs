@@ -37,13 +37,7 @@ fn main() {
 
     section("Fig. 5b — AIC of models fitted with each intervention point");
     let mut table = TextTable::new(vec!["candidate t", "AIC"]);
-    let mut candidates: Vec<(usize, f64)> = found
-        .aic_by_candidate
-        .iter()
-        .map(|(&t, &a)| (t, a))
-        .collect();
-    candidates.sort_by_key(|&(t, _)| t);
-    for (t, aic) in &candidates {
+    for (t, aic) in &found.aic_by_candidate {
         table.row(vec![t.to_string(), format!("{aic:.2}")]);
     }
     emit_table("fig5_aic_by_candidate", &table);

@@ -109,7 +109,7 @@ fn main() {
         print_series(&format!("generic-{}", i + 1), panel.medicine_series(g));
     }
     let found = search(&original, false, &opts, &SearchPlan::default());
-    let lambda = found.fit.decompose(&original).lambda;
+    let lambda = found.fit.lambda(&original);
     println!(
         "decline check (negative lambda near entry): lambda = {lambda:.3}, change = {} → {}",
         found.change_point,

@@ -14,7 +14,11 @@ pub fn section(title: &str) {
 /// console output is the primary artefact).
 pub fn emit_table(name: &str, table: &TextTable) {
     println!("{}", table.render());
-    let dir = Path::new("results");
+    write_csv(Path::new("results"), name, table);
+}
+
+/// Write `table` to `<dir>/<name>.csv`, creating `dir` (best-effort).
+fn write_csv(dir: &Path, name: &str, table: &TextTable) {
     if fs::create_dir_all(dir).is_ok() {
         let _ = fs::write(dir.join(format!("{name}.csv")), table.to_csv());
     }
@@ -30,12 +34,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn emit_writes_csv() {
+    fn write_csv_creates_its_directory() {
         let mut t = TextTable::new(vec!["a"]);
         t.row(vec!["1"]);
-        emit_table("unit-test-table", &t);
-        let content = std::fs::read_to_string("results/unit-test-table.csv").unwrap();
+        let dir = std::env::temp_dir().join(format!("mic-output-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        write_csv(&dir, "unit-test-table", &t);
+        let content = fs::read_to_string(dir.join("unit-test-table.csv")).unwrap();
+        let _ = fs::remove_dir_all(&dir);
         assert!(content.starts_with("a"));
-        let _ = std::fs::remove_file("results/unit-test-table.csv");
     }
 }

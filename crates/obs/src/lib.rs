@@ -30,13 +30,13 @@
 //!   `em.cells`: the prescription events compiled and the distinct cells
 //!   the E step runs over);
 //! - `kf.*` — state-space fitting (`kf.loglik_evals`, `kf.loglik` timer
-//!   whose mean is the measured `C_KF`, `kf.fits_exact` / `kf.fits_approx`,
-//!   smoother ridge events). The screened change-point search counts
-//!   `kf.searches_screened`, `kf.fits_screened` and `kf.screen_evals` (its
-//!   fixed-variance passes, which also count in `kf.loglik_evals` and the
-//!   `kf.loglik` timer) and records under the `kf.search.approx` timer, the
-//!   pipeline's approximate mode; a series too short to screen runs
-//!   Algorithm 2 and counts as `kf.searches_approx`;
+//!   whose mean is the measured `C_KF`, `kf.fits_exact` / `kf.fits_approx`).
+//!   The screened change-point search counts `kf.searches_screened`,
+//!   `kf.fits_screened` and `kf.screen_evals` (its fixed-variance passes,
+//!   which also count in `kf.loglik_evals` and the `kf.loglik` timer) and
+//!   records under the `kf.search.approx` timer, the pipeline's approximate
+//!   mode; a series too short to screen runs Algorithm 2 and counts as
+//!   `kf.searches_approx`;
 //! - `pipeline.*` — per-stage timings and series admission/drop counts.
 //!
 //! ## Example

@@ -20,10 +20,10 @@
 //! fit improves on it: one baseline fit, two candidate fits (plus the odd
 //! step) and `T − 3` filter passes per series.
 
-use crate::estimate::{comparable_skip, fit_structural_ws, FitOptions, FittedStructural};
+use crate::estimate::{aic, comparable_skip, fit_structural_ws, FitOptions, FittedStructural};
 use crate::kalman::{kalman_loglik, FilterWorkspace};
 use crate::structural::{lead, InterventionSpec, StructuralParams, StructuralSpec};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Candidates the screened search fits in full: the best two by screen
 /// score.
@@ -142,7 +142,7 @@ pub struct ChangePointSearch {
     /// search fills every month, the binary search only the probes and the
     /// screened search the candidates it kept. Useful for the Fig. 5
     /// sensitivity plot.
-    pub aic_by_candidate: HashMap<usize, f64>,
+    pub aic_by_candidate: BTreeMap<usize, f64>,
 }
 
 /// Which algorithm a [`search`] runs.
@@ -249,7 +249,7 @@ impl Problem<'_> {
 struct SearchContext<'a> {
     problem: Problem<'a>,
     criterion: SelectionCriterion,
-    cache: HashMap<usize, FittedStructural>,
+    cache: BTreeMap<usize, FittedStructural>,
     fits: usize,
     ws: FilterWorkspace,
 }
@@ -302,18 +302,17 @@ impl SearchContext<'_> {
             fit,
             aic_no_change: f64::INFINITY,
             fits_performed: 0,
-            aic_by_candidate: HashMap::new(),
+            aic_by_candidate: BTreeMap::new(),
         }
     }
 
-    /// Best candidate probed so far (by the selection criterion); ties break
-    /// toward the later month, mirroring Algorithm 1's scan order.
+    /// Best candidate probed so far (by the selection criterion); the scan
+    /// runs in month order with Algorithm 1's `≤`, so ties break toward the
+    /// later month.
     fn best_cached(&self) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
-        let mut keys: Vec<&usize> = self.cache.keys().collect();
-        keys.sort_unstable();
-        for &cp in keys {
-            let score = self.criterion.score(&self.cache[&cp]);
+        for (&cp, fit) in &self.cache {
+            let score = self.criterion.score(fit);
             if best.is_none_or(|(_, b)| score <= b) {
                 best = Some((cp, score));
             }
@@ -336,7 +335,7 @@ impl SearchContext<'_> {
     ) -> ChangePointSearch {
         let aic_no_change = self.criterion.score(&no_change);
         let criterion = self.criterion;
-        let aic_by_candidate: HashMap<usize, f64> = self
+        let aic_by_candidate: BTreeMap<usize, f64> = self
             .cache
             .iter()
             .map(|(&cp, fit)| (cp, criterion.score(fit)))
@@ -516,7 +515,7 @@ impl SearchContext<'_> {
         let mut spec = self.problem.spec(Some(cands.start));
         let mut ssm = spec.build(&StructuralParams::ZERO, ys.len());
         params.write_into(seasonal, &mut ssm);
-        let k = (spec.state_dim() + spec.n_variance_params()) as f64;
+        let state_dim = spec.state_dim();
         // Screen passes are C_KF evaluations like an optimiser's.
         mic_obs::counter("kf.loglik_evals", cands.len() as u64);
         mic_obs::counter("kf.screen_evals", cands.len() as u64);
@@ -528,12 +527,12 @@ impl SearchContext<'_> {
                 let eval_span = mic_obs::span("kf.loglik");
                 let loglik = kalman_loglik(&ssm, ys, &mut self.ws);
                 eval_span.end();
-                let aic = if loglik.is_finite() {
-                    -2.0 * loglik + 2.0 * k
+                let score = if loglik.is_finite() {
+                    aic(loglik, state_dim, seasonal)
                 } else {
                     f64::INFINITY
                 };
-                (change_point, aic)
+                (change_point, score)
             })
             .collect()
     }
@@ -567,7 +566,7 @@ pub fn search(
     let ctx = SearchContext {
         problem,
         criterion: plan.criterion,
-        cache: HashMap::new(),
+        cache: BTreeMap::new(),
         fits: 0,
         ws,
     };
@@ -746,23 +745,22 @@ mod tests {
             let mut ctx = SearchContext {
                 problem,
                 criterion: SelectionCriterion::Aic,
-                cache: HashMap::new(),
+                cache: BTreeMap::new(),
                 fits: 0,
                 ws: FilterWorkspace::default(),
             };
             let cands: Vec<usize> = candidates(ys.len()).collect();
             let screened = ctx.screen(&params);
             assert_eq!(screened.len(), cands.len());
-            for (&cp, &(screened_cp, aic)) in cands.iter().zip(&screened) {
+            for (&cp, &(screened_cp, screened_aic)) in cands.iter().zip(&screened) {
                 assert_eq!(cp, screened_cp);
                 let spec = ctx.problem.spec(Some(cp));
                 let mut ssm = spec.build(&params, ys.len());
                 ssm.n_diffuse = comparable_skip(&spec, &mut ssm.extra_skips);
                 let loglik = crate::kalman::kalman_filter(&ssm, &ys).loglik;
-                let k = (spec.state_dim() + spec.n_variance_params()) as f64;
-                let expected = -2.0 * loglik + 2.0 * k;
+                let expected = aic(loglik, spec.state_dim(), seasonal);
                 assert_eq!(
-                    aic.to_bits(),
+                    screened_aic.to_bits(),
                     expected.to_bits(),
                     "seasonal {seasonal}, cp {cp}"
                 );

@@ -74,6 +74,15 @@ impl FittedStructural {
         Components::from_smoothed(&self.spec, &s.means, ys)
     }
 
+    /// The intervention scale `λ` (0 without an intervention) that
+    /// [`FittedStructural::decompose`] reports, read from the filter alone:
+    /// λ's smoothed value is its last filtered state.
+    pub fn lambda(&self, ys: &[f64]) -> f64 {
+        self.spec.lambda_index().map_or(0.0, |i| {
+            kalman_filter(&self.ssm(ys.len()), ys).filtered_means[ys.len() - 1][i]
+        })
+    }
+
     /// Mean forecasts for `h` steps past the end of `ys`.
     pub fn forecast(&self, ys: &[f64], h: usize) -> Vec<f64> {
         self.forecast_with_variance(ys, h)
@@ -206,18 +215,29 @@ pub(crate) fn fit_structural_ws(
     ssm.n_diffuse = skip;
     ssm.extra_skips = extra_skips.to_vec();
     let (params, loglik, evals) = maximize_loglik(ys, &mut ssm, spec.seasonal, opts, warm, ws);
-    let k = spec.state_dim() + spec.n_variance_params();
+    let k = n_params(spec.state_dim(), spec.seasonal);
     let n_scored = (n - skip - extra_skips.len()) as f64;
     FittedStructural {
         spec,
         params,
         loglik,
-        aic: -2.0 * loglik + 2.0 * k as f64,
+        aic: aic(loglik, spec.state_dim(), spec.seasonal),
         bic: -2.0 * loglik + k as f64 * n_scored.max(1.0).ln(),
         n,
         skip,
         evals,
     }
+}
+
+/// The criteria's parameter count `k = q + w` (see the module docs) of a
+/// structural model with `state_dim` states.
+fn n_params(state_dim: usize, seasonal: bool) -> usize {
+    state_dim + 2 + usize::from(seasonal)
+}
+
+/// `AIC = −2·logL + 2k`, with `k` as [`n_params`] counts it.
+pub(crate) fn aic(loglik: f64, state_dim: usize, seasonal: bool) -> f64 {
+    -2.0 * loglik + 2.0 * n_params(state_dim, seasonal) as f64
 }
 
 /// The one maximum-likelihood loop: Nelder–Mead over the log-variances
@@ -489,6 +509,43 @@ mod tests {
             lli.aic,
             ll.aic
         );
+    }
+
+    #[test]
+    fn criteria_count_states_and_variances() {
+        // k = q + w: every state, plus σ²_ε and σ²_ξ, plus σ²_ω when seasonal.
+        for (spec, k) in [
+            (StructuralSpec::local_level(), 1 + 2),
+            (StructuralSpec::with_seasonal(), 12 + 3),
+            (StructuralSpec::with_intervention(0), 2 + 2),
+            (StructuralSpec::full(0), 13 + 3),
+        ] {
+            assert_eq!(n_params(spec.state_dim(), spec.seasonal), k, "{spec:?}");
+            let want = -2.0 * -10.5 + 2.0 * k as f64;
+            assert_eq!(aic(-10.5, spec.state_dim(), spec.seasonal), want);
+        }
+    }
+
+    #[test]
+    fn decomposed_lambda_is_the_last_filtered_state() {
+        let opts = FitOptions {
+            max_evals: 150,
+            n_starts: 1,
+        };
+        for (ys, spec) in [
+            (
+                slope_break_series(43, 20, 2.0, 4),
+                StructuralSpec::with_intervention(20),
+            ),
+            (seasonal_series(43, 5), StructuralSpec::full(30)),
+        ] {
+            let fit = fit_structural(&ys, spec, &opts);
+            let filtered = kalman_filter(&fit.ssm(ys.len()), &ys);
+            let li = spec.lambda_index().expect("intervention model");
+            let last = filtered.filtered_means[ys.len() - 1][li].to_bits();
+            assert_eq!(fit.decompose(&ys).lambda.to_bits(), last, "{spec:?}");
+            assert_eq!(fit.lambda(&ys).to_bits(), last, "{spec:?}");
+        }
     }
 
     #[test]

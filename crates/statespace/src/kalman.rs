@@ -1,7 +1,9 @@
 //! Kalman filter for univariate observations.
 //!
-//! Standard prediction/update recursion with scalar innovations, storing
-//! everything the smoother and forecaster need. The log-likelihood follows
+//! Standard prediction/update recursion with scalar innovations. The full
+//! run stores what the Durbin–Koopman fixed-interval smoother (§4.4) reads —
+//! innovations, their variances, predicted means and covariances — so the
+//! smoother needs no inversion. The log-likelihood follows
 //! Commandeur & Koopman: the first `n_diffuse` innovations (dominated by the
 //! near-diffuse prior) are excluded, so models with different numbers of
 //! diffuse states get comparable AICs via the `2·(q + w)` penalty.
@@ -18,14 +20,17 @@ use mic_stats::Mat;
 
 const LN_2PI: f64 = 1.837_877_066_409_345_5;
 
-/// Full filtering output for one series.
+/// Full filtering output for one series: the inputs of the Durbin–Koopman
+/// fixed-interval smoother (§4.4), no inversion, plus the filtered means
+/// whose last entry is the smoothed state at `n − 1`.
 #[derive(Clone, Debug)]
 pub struct FilterResult {
     /// Log-likelihood (first `n_diffuse` innovations excluded).
     pub loglik: f64,
     /// One-step-ahead innovations `v_t = y_t − Z_t a_{t|t−1}`.
     pub innovations: Vec<f64>,
-    /// Innovation variances `F_t`.
+    /// Innovation variances `F_t`, floored at `max(H, 1e-12)`; a step on
+    /// the floor updated nothing.
     pub innovation_vars: Vec<f64>,
     /// Predicted state means `a_{t|t−1}`.
     pub predicted_means: Vec<Vec<f64>>,
@@ -33,8 +38,6 @@ pub struct FilterResult {
     pub predicted_covs: Vec<Mat>,
     /// Filtered state means `a_{t|t}`.
     pub filtered_means: Vec<Vec<f64>>,
-    /// Filtered state covariances `P_{t|t}`.
-    pub filtered_covs: Vec<Mat>,
 }
 
 impl FilterResult {
@@ -120,6 +123,13 @@ impl Pattern {
     }
 }
 
+/// The floor under the innovation variance `F_t` (see
+/// `FilterWorkspace::update_cov`); a step whose `F_t` sits on it takes no
+/// information from its observation, in the filter and the smoother alike.
+pub(crate) fn innovation_floor(obs_var: f64) -> f64 {
+    obs_var.max(1e-12)
+}
+
 /// Log-likelihood contribution `ln N(v; 0, F)` of one scored innovation.
 #[inline]
 fn loglik_term(v: f64, f: f64) -> f64 {
@@ -142,7 +152,6 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
         predicted_means: Vec::with_capacity(n),
         predicted_covs: Vec::with_capacity(n),
         filtered_means: Vec::with_capacity(n),
-        filtered_covs: Vec::with_capacity(n),
     };
     for (t, &y) in ys.iter().enumerate() {
         out.predicted_means.push(ws.a_pred.clone());
@@ -154,7 +163,6 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
         out.innovations.push(v);
         out.innovation_vars.push(f);
         out.filtered_means.push(ws.a_filt.clone());
-        out.filtered_covs.push(ws.p_filt.clone());
         ws.predict(&ssm.state_cov);
     }
     out
@@ -310,8 +318,16 @@ impl FilterWorkspace {
         // Z P Z' below −H. Clamp to the documented floor (H, or 1e-12 for
         // all-zero-variance models) so the likelihood stays finite and an
         // optimiser sees an ordinary bad objective value instead of
-        // NaN/−inf.
-        let f = f.max(obs_var.max(1e-12));
+        // NaN/−inf. A step at the floor updates nothing, as if `y` were
+        // missing: its `Z P Z'` is rounding noise, and a gain over it
+        // (`P zᵀ / 1e-12` when H = 0) makes `P` ever more indefinite until
+        // the state overflows.
+        let floor = innovation_floor(obs_var);
+        if f <= floor {
+            k.fill(0.0);
+            p_filt.as_mut_slice().copy_from_slice(p);
+            return floor;
+        }
         for (ki, pzi) in k.iter_mut().zip(pz.iter()) {
             *ki = pzi / f;
         }

@@ -22,7 +22,7 @@
 //! - [`model`] — general linear Gaussian state space model;
 //! - [`kalman`] — Kalman filter with near-diffuse initialisation and the
 //!   Commandeur–Koopman likelihood (first *d* innovations excluded);
-//! - [`smoother`] — fixed-interval (RTS) state smoother;
+//! - [`smoother`] — Durbin–Koopman fixed-interval smoother (§4.4), no inversion;
 //! - [`structural`] — the paper's structural model variants
 //!   (LL / LL+S / LL+I / LL+S+I), their one SSM builder and decomposition;
 //! - [`estimate`] — maximum-likelihood fitting (Nelder–Mead over

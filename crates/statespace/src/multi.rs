@@ -11,14 +11,13 @@
 //! (`estimate::comparable_skip_k` with the search's intervention budget).
 
 use crate::changepoint::candidates;
-use crate::estimate::{comparable_skip_k, maximize_loglik, FitOptions};
+use crate::estimate::{aic, comparable_skip_k, maximize_loglik, FitOptions};
 use crate::kalman::{kalman_filter, FilterWorkspace};
-use crate::smoother::smooth;
 use crate::structural::{build_ssm, lead, StructuralParams};
 
 /// A fitted multi-intervention model.
 struct FittedMulti {
-    /// Change points (ascending) with their smoothed λs.
+    /// Change points (ascending) with their λs.
     points: Vec<(usize, f64)>,
     aic: f64,
 }
@@ -26,7 +25,7 @@ struct FittedMulti {
 /// Fit the structural model with a slope shift at each of the ascending
 /// `change_points`, excluding from the likelihood what
 /// [`comparable_skip_k`] says for the round's intervention `budget`, and
-/// read out the smoothed λs.
+/// read out the λs.
 fn fit_multi(
     ys: &[f64],
     seasonal: bool,
@@ -47,19 +46,18 @@ fn fit_multi(
         ..*opts
     };
     let (_, loglik, _) = maximize_loglik(ys, &mut ssm, seasonal, &single_start, None, ws);
-    // AIC: q = state_dim (every state diffuse), w = variances.
-    let k = ssm.state_dim() + 2 + usize::from(seasonal);
-    // Smoothed λs (full filter pass — only for the winning parameters,
-    // which the MLE left in `ssm`).
-    let smoothed = smooth(&ssm, &kalman_filter(&ssm, ys));
-    let lambdas = &smoothed.means[n - 1][lead(seasonal)..];
+    // The λs are noise-free states, so their estimate from the whole series
+    // is the filtered state at the last month (one full filter pass, only
+    // for the winning parameters, which the MLE left in `ssm`).
+    let filtered = kalman_filter(&ssm, ys);
+    let lambdas = &filtered.filtered_means[n - 1][lead(seasonal)..];
     FittedMulti {
         points: change_points
             .iter()
             .copied()
             .zip(lambdas.iter().copied())
             .collect(),
-        aic: -2.0 * loglik + 2.0 * k as f64,
+        aic: aic(loglik, ssm.state_dim(), seasonal),
     }
 }
 

@@ -193,12 +193,6 @@ impl StructuralSpec {
         lead(self.seasonal) + usize::from(self.intervention.is_some())
     }
 
-    /// Number of disturbance variances estimated by MLE
-    /// (ε always, ξ always, ω when seasonal).
-    pub fn n_variance_params(&self) -> usize {
-        2 + usize::from(self.seasonal)
-    }
-
     /// Index of the seasonal block's first state (if seasonal).
     fn seasonal_index(&self) -> Option<usize> {
         self.seasonal.then_some(1)
@@ -332,14 +326,6 @@ mod tests {
         assert_eq!(StructuralSpec::with_seasonal().state_dim(), 12);
         assert_eq!(StructuralSpec::with_intervention(3).state_dim(), 2);
         assert_eq!(StructuralSpec::full(3).state_dim(), 13);
-    }
-
-    #[test]
-    fn variance_param_counts() {
-        assert_eq!(StructuralSpec::local_level().n_variance_params(), 2);
-        assert_eq!(StructuralSpec::with_seasonal().n_variance_params(), 3);
-        assert_eq!(StructuralSpec::with_intervention(0).n_variance_params(), 2);
-        assert_eq!(StructuralSpec::full(0).n_variance_params(), 3);
     }
 
     #[test]

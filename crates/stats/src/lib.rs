@@ -15,7 +15,7 @@
 //! - [`ranking`] — AP@K and NDCG@K ranking-quality metrics;
 //! - [`tsa`] — autocorrelation, Ljung–Box and the KPSS stationarity test;
 //! - [`optimize`] — Nelder–Mead simplex and golden-section search;
-//! - [`linalg`] — small dense matrices with Cholesky solves, sized for
+//! - [`linalg`] — small dense matrices with an LU solve, sized for
 //!   Kalman-filter state dimensions (≈ 4–16).
 
 pub mod descriptive;

@@ -3,11 +3,13 @@
 //! The Kalman filter in `mic-statespace` works with state dimensions in the
 //! 2–16 range, so a simple row-major `Vec<f64>` matrix with straightforward
 //! O(n³) kernels is both adequate and cache-friendly at this size. The type
-//! is deliberately minimal: only the operations the filter, smoother, and
-//! ARIMA initialisation need.
+//! is deliberately minimal: only the operations the filter and ARIMA
+//! initialisation need. The state smoother (Durbin–Koopman fixed-interval,
+//! §4.4) needs no inversion, so there is no factorisation here; `solve`
+//! serves ARIMA's Lyapunov equation and the test oracles.
 
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, Index, IndexMut, Mul};
 
 /// Dense row-major matrix of `f64`.
 #[derive(Clone, Default, PartialEq)]
@@ -167,58 +169,6 @@ impl Mat {
         acc
     }
 
-    /// Cholesky decomposition `A = L Lᵀ` for a symmetric positive-definite
-    /// matrix; returns the lower-triangular factor, or `None` when the matrix
-    /// is not (numerically) positive definite.
-    pub fn cholesky(&self) -> Option<Mat> {
-        assert_eq!(self.rows, self.cols);
-        let n = self.rows;
-        let mut l = Mat::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
-    }
-
-    /// Solve `A x = b` via Cholesky (A symmetric positive definite).
-    pub fn cholesky_solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let l = self.cholesky()?;
-        let n = self.rows;
-        assert_eq!(b.len(), n);
-        // Forward solve L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= l[(i, k)] * y[k];
-            }
-            y[i] = sum / l[(i, i)];
-        }
-        // Back solve Lᵀ x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= l[(k, i)] * x[k];
-            }
-            x[i] = sum / l[(i, i)];
-        }
-        Some(x)
-    }
-
     /// Solve the general square system `A x = b` by Gaussian elimination
     /// with partial pivoting. Returns `None` when `A` is (numerically)
     /// singular. Used for the Lyapunov equation behind ARIMA's stationary
@@ -328,25 +278,6 @@ impl Add<&Mat> for &Mat {
     }
 }
 
-impl Sub<&Mat> for &Mat {
-    type Output = Mat;
-    fn sub(self, rhs: &Mat) -> Mat {
-        assert_eq!(self.rows, rhs.rows);
-        assert_eq!(self.cols, rhs.cols);
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,38 +319,6 @@ mod tests {
         let mut b = Mat::zeros(2, 2);
         b.copy_from(&a);
         assert_eq!(b, a);
-    }
-
-    #[test]
-    fn cholesky_round_trip() {
-        let a = Mat::from_rows(&[
-            vec![4.0, 2.0, 0.6],
-            vec![2.0, 5.0, 1.5],
-            vec![0.6, 1.5, 9.0],
-        ]);
-        let l = a.cholesky().expect("SPD");
-        let lt = l.transpose();
-        let back = &l * &lt;
-        for r in 0..3 {
-            for c in 0..3 {
-                assert!((back[(r, c)] - a[(r, c)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Mat::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
-        assert!(a.cholesky().is_none());
-    }
-
-    #[test]
-    fn cholesky_solve_matches_direct() {
-        let a = Mat::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]);
-        let x = a.cholesky_solve(&[1.0, 2.0]).unwrap();
-        // 4x + y = 1; x + 3y = 2  =>  x = 1/11, y = 7/11.
-        assert!((x[0] - 1.0 / 11.0).abs() < 1e-12);
-        assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
     }
 
     #[test]

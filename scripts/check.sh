@@ -105,14 +105,15 @@ for example in multi_breaks forecasting outbreak_surveillance generic_uptake \
         || { echo "examples gate: $example failed"; exit 1; }
 done
 
-echo "==> Stage-1 experiments gate (shape checks of the reproduced panels)"
-# The experiments that reproduce panels through Stage 1 print `HOLDS` /
-# `VIOLATED` shape checks. Any VIOLATED line fails the gate except Fig. 7a's
-# known `detection check: VIOLATED` (ROADMAP item 6). They run from "$tmp"
-# so the CSVs they write do not overwrite results/.
+echo "==> experiments gate (shape checks of the reproduced panels and Table V)"
+# The experiments that reproduce panels through Stage 1, and Table V's
+# search-cost comparison (decided from fits per series, not wall clock),
+# print `HOLDS` / `VIOLATED` shape checks. Any VIOLATED line fails the gate
+# except Fig. 7a's known `detection check: VIOLATED` (ROADMAP item 6). They
+# run from "$tmp" so the CSVs they write do not overwrite results/.
 root="$PWD"
 for b in fig2_missing_links fig3_trend_factors fig6_fitting fig7_prescription_changes \
-         fig8_geographic table2_hospital_gap table3_accuracy; do
+         fig8_geographic table2_hospital_gap table3_accuracy table5_efficiency; do
     out="$(cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
         -p mic-experiments --bin "$b")" || { echo "experiments gate: $b failed"; exit 1; }
     violated="$(grep VIOLATED <<< "$out" || true)"
