@@ -9,7 +9,7 @@
 //!   diagnose diseases (`η`), select medication targets proportionally to
 //!   within-record diagnosis counts (`θ_r`, Eq. 2), and prescribe from
 //!   disease-conditional medicine distributions (`φ_d`), estimated by EM
-//!   (Eqs. 5–6);
+//!   (Eqs. 5–6) under a SQUAREM driver;
 //! - [`baseline`] — the Unigram and Cooccurrence (Eq. 10) baselines of the
 //!   Table III evaluation;
 //! - [`predict`] — held-out splitting and the perplexity measure (Eq. 11);
@@ -20,8 +20,9 @@
 //! - [`workspace`] — the allocation-free EM engine behind
 //!   [`MedicationModel::fit`], one E step per distinct (θ-signature,
 //!   medicine) cell, which also emits each month's Eq. 7 counts from those
-//!   cells; `tests/workspace_parity.rs` holds both to per-event reference
-//!   implementations at 1e-12.
+//!   cells; `tests/workspace_parity.rs` holds the EM map and the counts to
+//!   per-event reference implementations at 1e-12, and the SQUAREM fit to
+//!   uncapped plain EM's log-likelihood at 1e-6.
 //!
 //! # Example: attribute prescriptions to diseases
 //!

@@ -10,9 +10,11 @@
 //!
 //! `η` has the closed form of Eq. 4. `Φ` is estimated by EM: the E step
 //! computes responsibilities `q_rld ∝ θ_rd · φ_{d,m_rl}` (Eq. 6), the M step
-//! re-estimates `φ_dm` from expected counts (Eq. 5). A small additive
-//! (Dirichlet-MAP) smoothing keeps held-out probabilities finite, applied
-//! identically to the baselines so the Table III comparison stays fair.
+//! re-estimates `φ_dm` from expected counts (Eq. 5); a SQUAREM driver
+//! extrapolates along that fixed-point map to cut its evaluations. A small
+//! additive (Dirichlet-MAP) smoothing keeps held-out probabilities finite,
+//! applied identically to the baselines so the Table III comparison stays
+//! fair.
 
 use crate::workspace::EmWorkspace;
 use mic_claims::{DiseaseId, MedicineId, MonthlyDataset};
@@ -20,9 +22,10 @@ use mic_claims::{DiseaseId, MedicineId, MonthlyDataset};
 /// EM hyperparameters.
 #[derive(Clone, Copy, Debug)]
 pub struct EmOptions {
-    /// Maximum EM iterations.
+    /// Maximum map evaluations (`em_step` calls) of one fit.
     pub max_iters: usize,
-    /// Relative log-likelihood improvement below which EM stops.
+    /// Relative log-likelihood change between consecutive map evaluations
+    /// below which EM stops.
     pub tol: f64,
     /// Additive smoothing pseudo-count per (disease, medicine) cell.
     pub smoothing: f64,
@@ -82,35 +85,99 @@ pub struct MedicationModel {
     phi: SparsePhi,
     /// Final training log-likelihood.
     pub log_likelihood: f64,
-    /// EM iterations actually run.
+    /// EM map evaluations run, rejected SQUAREM extrapolations included.
     pub iterations: usize,
 }
 
-/// The single EM convergence driver: runs `step` (one combined E+M
-/// iteration returning the pre-step log-likelihood) until the relative
-/// improvement drops below `opts.tol` or `opts.max_iters` is reached.
-/// Returns the final log-likelihood and the iterations run, and counts a
-/// run that stops at `max_iters` in `em.capped`. Both the independent fit
-/// and the tracked refine pass share this loop, so the workspace path has a
-/// single call site for the iterate / `loglik_delta` / tolerance check
-/// logic.
-fn drive_em(opts: &EmOptions, mut step: impl FnMut() -> f64) -> (f64, usize) {
-    let mut ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut prev_ll = f64::NEG_INFINITY;
-    for iter in 0..opts.max_iters {
-        ll = step();
-        iterations = iter + 1;
-        if prev_ll.is_finite() {
-            mic_obs::value("em.loglik_delta", ll - prev_ll);
-            if (ll - prev_ll).abs() / (prev_ll.abs() + 1e-12) < opts.tol {
-                return (ll, iterations);
-            }
+/// The single EM driver: SQUAREM (Varadhan & Roland 2008, scheme S3) over
+/// the unchanged map `F` = [`EmWorkspace::em_step`]. A cycle anchors `θ₀`,
+/// takes the two map steps `θ₁ = F(θ₀)` and `θ₂ = F(θ₁)`, extrapolates
+/// (see [`EmWorkspace::extrapolate`]) and takes one stabilising step from
+/// the extrapolated `θ′`. That step returns `L(θ′)`: when `L(θ′)` is below
+/// `L(θ₁)` or not finite, the cycle falls back to `θ₂` (counted in
+/// `em.squarem_fallbacks`) and the step counts as spent.
+///
+/// Stopping is plain EM's: stop when the relative change between the
+/// log-likelihoods of two consecutive map evaluations on the accepted path
+/// drops below `opts.tol`, or after `opts.max_iters` map evaluations, a run
+/// counted in `em.capped`. Up to two evaluations this is plain EM. Returns
+/// the log-likelihood of the last accepted map input and the evaluations
+/// run. Both the independent fit and the tracked refine pass go through it.
+pub(crate) fn drive_em(opts: &EmOptions, ws: &mut EmWorkspace) -> (f64, usize) {
+    let mut run = Run {
+        opts,
+        evals: 0,
+        ll: f64::NEG_INFINITY,
+    };
+    let converged = loop {
+        ws.anchor();
+        if let Some(converged) = run.step(ws).or_else(|| run.step(ws)) {
+            break converged;
         }
-        prev_ll = ll;
+        if run.spent() {
+            break false;
+        }
+        if !ws.extrapolate() {
+            // α = −1: `θ′` is `θ₂`, and the next cycle's first step is the
+            // stabilising one.
+            continue;
+        }
+        let ll = run.eval(ws);
+        if ll.is_finite() && ll >= run.ll {
+            if run.accept(ll) {
+                break true;
+            }
+        } else {
+            mic_obs::counter("em.squarem_fallbacks", 1);
+            ws.restore_squared();
+        }
+    };
+    if !converged {
+        mic_obs::counter("em.capped", 1);
     }
-    mic_obs::counter("em.capped", 1);
-    (ll, iterations)
+    (run.ll, run.evals)
+}
+
+/// The stopping rule's state along a driver run.
+struct Run<'a> {
+    opts: &'a EmOptions,
+    /// Map evaluations so far, rejected ones included.
+    evals: usize,
+    /// Log-likelihood of the last accepted map input.
+    ll: f64,
+}
+
+impl Run<'_> {
+    fn spent(&self) -> bool {
+        self.evals >= self.opts.max_iters
+    }
+
+    /// One map evaluation; returns the log-likelihood of its input.
+    fn eval(&mut self, ws: &mut EmWorkspace) -> f64 {
+        self.evals += 1;
+        ws.em_step(self.opts.smoothing)
+    }
+
+    /// One plain map step on the accepted path: `Some(true)` once EM has
+    /// converged, `Some(false)` when no evaluation is left, `None` to go on.
+    fn step(&mut self, ws: &mut EmWorkspace) -> Option<bool> {
+        if self.spent() {
+            return Some(false);
+        }
+        let ll = self.eval(ws);
+        self.accept(ll).then_some(true)
+    }
+
+    /// Accept a map input of log-likelihood `ll`; true when its relative
+    /// change from the previous accepted one is below `tol`.
+    fn accept(&mut self, ll: f64) -> bool {
+        let prev = std::mem::replace(&mut self.ll, ll);
+        if !prev.is_finite() {
+            return false;
+        }
+        mic_obs::value("em.loglik_delta", ll - prev);
+        (ll - prev).abs() / (prev.abs() + 1e-12) < self.opts.tol
+    }
 }
 
 impl MedicationModel {
@@ -162,7 +229,7 @@ impl MedicationModel {
         mic_obs::counter("em.fits", 1);
         let eta = Self::compute_eta(month, n_diseases);
         ws.compile(month, n_diseases, n_medicines);
-        let (ll, iterations) = drive_em(opts, || ws.em_step(opts.smoothing));
+        let (ll, iterations) = drive_em(opts, ws);
         MedicationModel {
             n_diseases,
             n_medicines,
@@ -199,7 +266,7 @@ impl MedicationModel {
         ws.compile(month, self.n_diseases, self.n_medicines);
         ws.import_phi(&self.phi);
         ws.set_prior(&prev.phi, continuity);
-        let (ll, iterations) = drive_em(opts, || ws.em_step(opts.smoothing));
+        let (ll, iterations) = drive_em(opts, ws);
         if iterations > 0 {
             self.phi = ws.export_phi(Some((&prev.phi, continuity)));
             self.log_likelihood = ll;

@@ -115,6 +115,10 @@ pub struct EmWorkspace {
     totals: [Vec<f64>; 2],
     /// Which of the two buffers holds the current `Φ`.
     cur: usize,
+    /// SQUAREM's one count snapshot: `θ₀` of the running cycle, then `θ₂`
+    /// once the extrapolated point is written (the double buffer holds
+    /// `θ₁` and `θ₂` after the cycle's two map steps).
+    anchor: Vec<f64>,
     // --- temporal prior (constant across refine iterations) ---
     /// In-vocabulary prior base counts (`prev Φ · weight`), dense; empty
     /// when no prior is set.
@@ -196,6 +200,8 @@ impl EmWorkspace {
             buf.resize(n_d, 0.0);
         }
         self.cur = 0;
+        self.anchor.clear();
+        self.anchor.resize(n_d * nm, 0.0);
 
         // Record pass: θ slices and the cooccurrence start, in the exact
         // record/entry order of the reference implementation
@@ -376,6 +382,100 @@ impl EmWorkspace {
         ll
     }
 
+    /// Start a SQUAREM cycle at the current `Φ`: keep its counts as `θ₀`.
+    pub(crate) fn anchor(&mut self) {
+        self.anchor.copy_from_slice(&self.counts[self.cur]);
+    }
+
+    /// SQUAREM's extrapolation, two map steps after [`EmWorkspace::anchor`],
+    /// when the current buffer holds `θ₂` and the other one `θ₁`. With
+    /// `r = θ₁ − θ₀` and `v = θ₂ − 2θ₁ + θ₀`, the step length is
+    /// `α = −‖r‖/‖v‖`, at most −1, back-tracked toward −1 by
+    /// `α ← (α − 1)/2` until every count of `θ′ = θ₀ − 2αr + α²v` is
+    /// non-negative. At `α = −1`, `θ′` is `θ₂`: the state stays and this
+    /// returns false. Otherwise `θ′` becomes the current `Φ`, its row
+    /// totals are recomputed from its counts, `θ₂` is kept for
+    /// [`EmWorkspace::restore_squared`], and this returns true.
+    pub(crate) fn extrapolate(&mut self) -> bool {
+        let (theta2, theta1) = read_write(&mut self.counts, self.cur);
+        let theta0 = &mut self.anchor;
+        let (mut rr, mut vv) = (0.0, 0.0);
+        for ((&a, &b), &c) in theta0.iter().zip(theta1.iter()).zip(theta2) {
+            let (r, v) = (b - a, c - 2.0 * b + a);
+            rr += r * r;
+            vv += v * v;
+        }
+        let at = |alpha: f64, a: f64, b: f64, c: f64| {
+            a - 2.0 * alpha * (b - a) + alpha * alpha * (c - 2.0 * b + a)
+        };
+        // With `‖v‖` zero or so small that the ratio overflows, there is no
+        // curvature to extrapolate along: take `θ₂`.
+        let ratio = (rr / vv).sqrt();
+        let mut alpha = if ratio.is_finite() {
+            (-ratio).min(-1.0)
+        } else {
+            -1.0
+        };
+        while alpha < -1.0
+            && theta0
+                .iter()
+                .zip(theta1.iter())
+                .zip(theta2)
+                .any(|((&a, &b), &c)| at(alpha, a, b, c) < 0.0)
+        {
+            alpha = (alpha - 1.0) / 2.0;
+        }
+        if alpha == -1.0 {
+            return false;
+        }
+        for ((a, b), &c) in theta0.iter_mut().zip(theta1.iter_mut()).zip(theta2) {
+            *b = at(alpha, *a, *b, c);
+            *a = c;
+        }
+        self.cur = 1 - self.cur;
+        self.retotal();
+        true
+    }
+
+    /// SQUAREM's fallback: make the `θ₂` that [`EmWorkspace::extrapolate`]
+    /// kept the current `Φ` again.
+    pub(crate) fn restore_squared(&mut self) {
+        self.counts[self.cur].copy_from_slice(&self.anchor);
+        self.retotal();
+    }
+
+    /// Recompute the current row totals from the current counts: a row's
+    /// total is its sum plus, under a prior, the prior's mass on medicines
+    /// absent from the month (its total less its in-vocabulary counts),
+    /// which is what [`EmWorkspace::em_step`]'s totals carry.
+    fn retotal(&mut self) {
+        let nm = self.n_m_local();
+        let counts = &self.counts[self.cur];
+        for (d, total) in self.totals[self.cur].iter_mut().enumerate() {
+            let row = d * nm..(d + 1) * nm;
+            *total = counts[row.clone()].iter().sum::<f64>();
+            if self.has_prior {
+                *total += self.prior_totals[d] - self.prior_counts[row].iter().sum::<f64>();
+            }
+        }
+    }
+
+    /// Smoothed `φ_dm` of the current dense `Φ`, for a pair inside the
+    /// compiled month's vocabulary; `None` outside it, where no count
+    /// iterates. It reads the state reached by calling
+    /// [`EmWorkspace::em_step`] directly.
+    pub fn phi_prob(&self, d: DiseaseId, m: MedicineId, smoothing: f64) -> Option<f64> {
+        let dl = *self.d_global_to_local.get(d.index())?;
+        let ml = *self.m_global_to_local.get(m.index())?;
+        if dl == ABSENT || ml == ABSENT {
+            return None;
+        }
+        let (dl, nm) = (dl as usize, self.n_m_local());
+        let count = self.counts[self.cur][dl * nm + ml as usize];
+        let total = self.totals[self.cur][dl];
+        Some((count + smoothing) / (total + smoothing * self.n_medicines_global as f64))
+    }
+
     /// The reproduced counts of the compiled month under the current `Φ`
     /// (Eq. 7): per cell, the responsibilities `q_d = θ_d·φ_dm / Σ θ·φ`
     /// (Eq. 6, a uniform split when the sum is not positive) times the
@@ -478,6 +578,8 @@ impl EmWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::drive_em;
+    use crate::EmOptions;
     use mic_claims::{DiseaseId, HospitalId, MedicineId, MicRecord, Month, PatientId};
 
     fn record(diseases: &[(u32, u32)], meds: &[u32]) -> MicRecord {
@@ -511,15 +613,17 @@ mod tests {
             ws.counts[1],
             ws.totals[0],
             ws.totals[1],
+            ws.anchor,
             ws.prior_counts,
             ws.prior_totals,
             ws.q,
         ]
     }
 
-    /// After the first step no buffer is reallocated, grown or moved, with
-    /// and without a temporal prior — nor by recompiling a month no larger
-    /// than the first.
+    /// After the first step no buffer is reallocated, grown or moved by the
+    /// SQUAREM driver's steps, extrapolations and fallbacks, with and
+    /// without a temporal prior — nor by recompiling a month no larger than
+    /// the first.
     #[test]
     fn em_steps_never_reallocate() {
         let month = MonthlyDataset {
@@ -554,9 +658,20 @@ mod tests {
             }
             ws.em_step(1e-9);
             let before = buffers(&ws);
-            for _ in 0..20 {
-                ws.em_step(1e-9);
-            }
+            let opts = EmOptions {
+                max_iters: 20,
+                tol: 0.0,
+                smoothing: 1e-9,
+            };
+            assert_eq!(drive_em(&opts, &mut ws).1, 20);
+            // One cycle by hand, so the extrapolation and the fallback
+            // certainly run.
+            ws.anchor();
+            ws.em_step(1e-9);
+            ws.em_step(1e-9);
+            assert!(ws.extrapolate(), "prior = {prior}: α = −1");
+            ws.em_step(1e-9);
+            ws.restore_squared();
             assert_eq!(buffers(&ws), before, "prior = {prior}");
             for again in [&month, &part] {
                 ws.compile(again, 4, 4);

@@ -1,17 +1,24 @@
-//! Golden-parity tests: the allocation-free [`EmWorkspace`] EM engine must
-//! reproduce the per-iteration `HashMap` implementation it replaced (kept
-//! here as [`RefModel`]) to within 1e-12 on `Φ`, the log-likelihood, and
-//! the iteration count — including the tracked fit's `continuity > 0`
-//! temporal-prior path, whose prior mass on entities absent from the
-//! current month must carry over identically. The workspace's per-cell
-//! Eq. 7 column must likewise match the per-event panel pass it replaced
-//! (kept here as [`ref_column`]).
+//! Golden-parity tests for the allocation-free [`EmWorkspace`] EM engine.
+//!
+//! - **The map.** `EmWorkspace::em_step`, stepped by hand from the same
+//!   start, must reproduce the per-iteration `HashMap` implementation it
+//!   replaced (kept here as [`RefModel`]) to within 1e-12 on every `Φ`
+//!   entry and every step's log-likelihood, untracked and with the tracked
+//!   fit's temporal prior.
+//! - **Whole fits** match the reference, iteration counts included, while
+//!   the SQUAREM driver is still plain EM (up to two map evaluations),
+//!   including the prior mass the tracked fit carries for entities absent
+//!   from the month.
+//! - **Convergence.** The SQUAREM fit's final log-likelihood must come
+//!   within 1e-6 relative of plain EM run to the same stop without a cap.
+//! - **Eq. 7.** The workspace's per-cell column must match the per-event
+//!   panel pass it replaced (kept here as [`ref_column`]).
 
 use mic_claims::{
     DiseaseId, FrequencyFilter, MedicineId, Month, MonthlyDataset, Simulator, WorldSpec,
 };
 use mic_linkmodel::{EmOptions, EmWorkspace, MedicationModel, PrescriptionPanel};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 const TOL: f64 = 1e-12;
 
@@ -59,6 +66,26 @@ impl RefModel {
         n_medicines: usize,
         opts: &EmOptions,
     ) -> RefModel {
+        let mut model = RefModel::start(month, n_diseases, n_medicines, opts);
+        let (ll, iterations) = converge(opts, || {
+            let (new_phi, ll) = model.em_step(month, None);
+            model.phi = new_phi;
+            ll
+        });
+        if iterations > 0 {
+            model.log_likelihood = ll;
+            model.iterations = iterations;
+        }
+        model
+    }
+
+    /// The month's EM start: `η` and the cooccurrence `Φ`, no step taken.
+    fn start(
+        month: &MonthlyDataset,
+        n_diseases: usize,
+        n_medicines: usize,
+        opts: &EmOptions,
+    ) -> RefModel {
         // η from Eq. 4: normalised diagnosis counts.
         let df = month.disease_frequencies(n_diseases);
         let total_diag: u64 = df.iter().sum();
@@ -83,24 +110,14 @@ impl RefModel {
                 }
             }
         }
-        let mut model = RefModel {
+        RefModel {
             n_medicines,
             smoothing: opts.smoothing,
             eta,
             phi,
             log_likelihood: f64::NEG_INFINITY,
             iterations: 0,
-        };
-        let (ll, iterations) = converge(opts, || {
-            let (new_phi, ll) = model.em_step(month, None);
-            model.phi = new_phi;
-            ll
-        });
-        if iterations > 0 {
-            model.log_likelihood = ll;
-            model.iterations = iterations;
         }
-        model
     }
 
     /// Tracked sequence: each month's independent fit, refined under the
@@ -257,69 +274,226 @@ fn assert_models_match(a: &MedicationModel, b: &RefModel, what: &str) {
     }
 }
 
-#[test]
-fn workspace_fit_matches_reference_on_simulated_months() {
-    let world = spec(14).generate();
-    let ds = Simulator::new(&world, 31).run();
+/// Options under which the SQUAREM driver is still plain EM: two map
+/// evaluations, no tolerance.
+fn two_steps() -> EmOptions {
+    EmOptions {
+        max_iters: 2,
+        tol: 0.0,
+        ..EmOptions::default()
+    }
+}
+
+/// Map steps compared per start.
+const MAP_STEPS: usize = 40;
+
+/// Diseases × medicines of `month`'s usable records: the pairs whose
+/// counts `em_step` iterates.
+fn vocabulary_pairs(month: &MonthlyDataset) -> usize {
+    let usable = || {
+        month
+            .records
+            .iter()
+            .filter(|r| r.total_diagnoses() > 0 && !r.medicines.is_empty())
+    };
+    let diseases: HashSet<u32> = usable().flat_map(|r| &r.diseases).map(|d| d.0 .0).collect();
+    let medicines: HashSet<u32> = usable().flat_map(|r| &r.medicines).map(|m| m.0).collect();
+    diseases.len() * medicines.len()
+}
+
+/// Step the workspace's compiled map and the reference's side by side from
+/// the same start, `MAP_STEPS` times, holding every step's log-likelihood
+/// and every iterated `Φ` entry to `TOL`.
+fn assert_map_matches(
+    ws: &mut EmWorkspace,
+    reference: &mut RefModel,
+    month: &MonthlyDataset,
+    prior: Option<(&[RefRow], f64)>,
+    what: &str,
+) {
+    let smoothing = reference.smoothing;
+    let (n_d, n_m) = (reference.phi.len() as u32, reference.n_medicines as u32);
+    for step in 0..MAP_STEPS {
+        let what = format!("{what}, step {step}");
+        let ll = ws.em_step(smoothing);
+        let (phi, want) = reference.em_step(month, prior);
+        reference.phi = phi;
+        assert!(
+            (ll - want).abs() <= TOL * want.abs().max(1.0),
+            "{what}: loglik {ll} vs {want}"
+        );
+        let mut pairs = 0;
+        for d in (0..n_d).map(DiseaseId) {
+            for m in (0..n_m).map(MedicineId) {
+                if let Some(p) = ws.phi_prob(d, m, smoothing) {
+                    let want = reference.phi_prob(d, m);
+                    assert!(
+                        (p - want).abs() <= TOL,
+                        "{what}: phi[{d},{m}] = {p} vs {want}"
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+        assert_eq!(pairs, vocabulary_pairs(month), "{what}: iterated pairs");
+    }
+}
+
+/// The map, untracked, from each month's cooccurrence start; the tracked
+/// map from two plain steps into each month, under the previous month's
+/// two-step `Φ` as the prior.
+fn assert_maps_match(months: &[MonthlyDataset], n_d: usize, n_m: usize, what: &str) {
     let opts = EmOptions::default();
     let mut ws = EmWorkspace::new();
-    for (t, month) in ds.months.iter().enumerate() {
-        let golden = RefModel::fit(month, ds.n_diseases, ds.n_medicines, &opts);
-        // Deliberately reuse one workspace across months: stale layout or
-        // buffers from month t−1 must not leak into month t.
-        let fitted =
-            MedicationModel::fit_with(month, ds.n_diseases, ds.n_medicines, &opts, &mut ws);
-        assert_models_match(&fitted, &golden, &format!("month {t}"));
-    }
-}
-
-#[test]
-fn workspace_fit_matches_reference_under_loose_and_tight_tolerances() {
-    let world = spec(13).generate();
-    let ds = Simulator::new(&world, 7).run();
-    for (max_iters, tol) in [(1usize, 0.0), (5, 0.0), (100, 1e-9), (0, 0.0)] {
-        let opts = EmOptions {
-            max_iters,
-            tol,
-            ..EmOptions::default()
-        };
-        let golden = RefModel::fit(&ds.months[1], ds.n_diseases, ds.n_medicines, &opts);
-        let fitted = MedicationModel::fit(&ds.months[1], ds.n_diseases, ds.n_medicines, &opts);
-        assert_models_match(
-            &fitted,
-            &golden,
-            &format!("max_iters={max_iters} tol={tol}"),
+    for (t, month) in months.iter().enumerate() {
+        // One workspace across months: stale layout or buffers from month
+        // t−1 must not leak into month t.
+        ws.compile(month, n_d, n_m);
+        let mut reference = RefModel::start(month, n_d, n_m, &opts);
+        assert_map_matches(
+            &mut ws,
+            &mut reference,
+            month,
+            None,
+            &format!("{what} month {t}"),
         );
     }
+    let no_step = EmOptions {
+        max_iters: 0,
+        ..EmOptions::default()
+    };
+    for continuity in [0.3, 0.8] {
+        for t in 1..months.len() {
+            let what = format!("{what}, continuity={continuity} month {t}");
+            let prev = MedicationModel::fit(&months[t - 1], n_d, n_m, &two_steps());
+            let ref_prev = RefModel::fit(&months[t - 1], n_d, n_m, &two_steps());
+            let mut model = MedicationModel::fit(&months[t], n_d, n_m, &two_steps());
+            let mut reference = RefModel::fit(&months[t], n_d, n_m, &two_steps());
+            // With no evaluation allowed, the refine pass only loads the
+            // model's Φ and the prior into the workspace.
+            model.refine_next(&months[t], &prev, continuity, &no_step, &mut ws);
+            let prior = Some((&ref_prev.phi[..], continuity));
+            assert_map_matches(&mut ws, &mut reference, &months[t], prior, &what);
+        }
+    }
 }
 
 #[test]
-fn tracked_fit_matches_reference_with_temporal_prior() {
-    // The prior path must agree including months where diseases/medicines
-    // appear or disappear between consecutive months (simulated launches
-    // and outbreaks churn both vocabularies).
-    let world = spec(13).generate();
-    let ds = Simulator::new(&world, 13).run();
-    let opts = EmOptions::default();
+fn map_matches_reference_on_simulated_months() {
+    let ds = Simulator::new(&spec(14).generate(), 31).run();
+    assert_maps_match(&ds.months, ds.n_diseases, ds.n_medicines, "simulated");
+}
+
+#[test]
+fn map_matches_reference_with_churning_vocabularies() {
+    // Simulated launches and outbreaks make diseases and medicines appear
+    // and disappear between consecutive months, so the prior carries mass
+    // for entities absent from the month.
+    let ds = Simulator::new(&spec(13).generate(), 13).run();
+    assert_maps_match(&ds.months, ds.n_diseases, ds.n_medicines, "churning");
+}
+
+#[test]
+fn map_matches_reference_on_duplicated_months() {
+    assert_maps_match(&duplicated_months(), 6, 7, "duplicated");
+}
+
+/// The production chain, independent fits refined month by month, against
+/// the reference chain.
+fn assert_chains_match(months: &[MonthlyDataset], n_d: usize, n_m: usize, opts: &EmOptions) {
     for continuity in [0.0, 0.3, 0.8] {
-        let golden =
-            RefModel::fit_tracked(&ds.months, ds.n_diseases, ds.n_medicines, &opts, continuity);
-        // The production chain: independent fits refined month by month.
+        let golden = RefModel::fit_tracked(months, n_d, n_m, opts, continuity);
         let mut ws = EmWorkspace::new();
         let mut fitted: Vec<MedicationModel> = Vec::new();
-        for month in &ds.months {
-            let mut next =
-                MedicationModel::fit_with(month, ds.n_diseases, ds.n_medicines, &opts, &mut ws);
+        for month in months {
+            let mut next = MedicationModel::fit_with(month, n_d, n_m, opts, &mut ws);
             if let Some(prev) = fitted.last() {
-                next.refine_next(month, prev, continuity, &opts, &mut ws);
+                next.refine_next(month, prev, continuity, opts, &mut ws);
             }
             fitted.push(next);
         }
         assert_eq!(golden.len(), fitted.len());
         for (t, (f, g)) in fitted.iter().zip(&golden).enumerate() {
-            assert_models_match(f, g, &format!("continuity={continuity} month {t}"));
+            let what = format!(
+                "max_iters={} continuity={continuity} month {t}",
+                opts.max_iters
+            );
+            assert_models_match(f, g, &what);
         }
     }
+}
+
+#[test]
+fn short_fits_match_reference_while_the_driver_is_plain_em() {
+    let ds = Simulator::new(&spec(13).generate(), 13).run();
+    for max_iters in [0, 1, 2] {
+        let opts = EmOptions {
+            max_iters,
+            tol: 0.0,
+            ..EmOptions::default()
+        };
+        assert_chains_match(&ds.months, ds.n_diseases, ds.n_medicines, &opts);
+        assert_chains_match(&duplicated_months(), 6, 7, &opts);
+    }
+}
+
+/// Relative log-likelihood shortfall allowed against uncapped plain EM.
+const CONVERGED_REL: f64 = 1e-6;
+
+/// Plain EM from the workspace's current state to the given tolerance,
+/// with no cap: the log-likelihood it stops at.
+fn plain_em(ws: &mut EmWorkspace, opts: &EmOptions) -> f64 {
+    let uncapped = EmOptions {
+        max_iters: usize::MAX,
+        ..*opts
+    };
+    converge(&uncapped, || ws.em_step(opts.smoothing)).0
+}
+
+/// Every month's SQUAREM fit, independent and refined under a prior of
+/// continuity 0.5, against plain EM from the same start to the same stop;
+/// returns the worst relative shortfall.
+fn worst_shortfall(months: &[MonthlyDataset], n_d: usize, n_m: usize) -> f64 {
+    let opts = EmOptions::default();
+    let no_step = EmOptions {
+        max_iters: 0,
+        ..opts
+    };
+    let mut ws = EmWorkspace::new();
+    let mut worst = f64::NEG_INFINITY;
+    let mut check = |fitted: &MedicationModel, plain: f64, what: String| {
+        let shortfall = (plain - fitted.log_likelihood) / plain.abs().max(1.0);
+        assert!(
+            shortfall <= CONVERGED_REL,
+            "{what}: SQUAREM stops at {} vs plain EM {plain} ({shortfall:.2e} relative)",
+            fitted.log_likelihood
+        );
+        worst = worst.max(shortfall);
+    };
+    let mut chain: Vec<MedicationModel> = Vec::new();
+    for (t, month) in months.iter().enumerate() {
+        let mut model = MedicationModel::fit_with(month, n_d, n_m, &opts, &mut ws);
+        ws.compile(month, n_d, n_m);
+        check(&model, plain_em(&mut ws, &opts), format!("month {t}"));
+        if let Some(prev) = chain.last() {
+            let mut start = model.clone();
+            start.refine_next(month, prev, 0.5, &no_step, &mut ws);
+            let plain = plain_em(&mut ws, &opts);
+            model.refine_next(month, prev, 0.5, &opts, &mut ws);
+            check(&model, plain, format!("tracked month {t}"));
+        }
+        chain.push(model);
+    }
+    worst
+}
+
+#[test]
+fn squarem_fit_reaches_uncapped_plain_em() {
+    let ds = Simulator::new(&spec(14).generate(), 31).run();
+    let worst = worst_shortfall(&ds.months, ds.n_diseases, ds.n_medicines);
+    eprintln!("worst relative shortfall, simulated: {worst:.2e}");
+    let worst = worst_shortfall(&duplicated_months(), 6, 7);
+    eprintln!("worst relative shortfall, duplicated: {worst:.2e}");
 }
 
 #[test]
@@ -395,34 +569,6 @@ fn duplicated_months() -> Vec<MonthlyDataset> {
             }
         })
         .collect()
-}
-
-#[test]
-fn cell_compressed_fit_matches_reference_on_duplicated_months() {
-    let months = duplicated_months();
-    let (n_diseases, n_medicines) = (6, 7);
-    let opts = EmOptions::default();
-    let mut ws = EmWorkspace::new();
-    for month in &months {
-        let golden = RefModel::fit(month, n_diseases, n_medicines, &opts);
-        let fitted = MedicationModel::fit_with(month, n_diseases, n_medicines, &opts, &mut ws);
-        assert_models_match(&fitted, &golden, &format!("month {}", month.month));
-    }
-    for continuity in [0.0, 0.5] {
-        let golden = RefModel::fit_tracked(&months, n_diseases, n_medicines, &opts, continuity);
-        let mut fitted: Vec<MedicationModel> = Vec::new();
-        for month in &months {
-            let mut next =
-                MedicationModel::fit_with(month, n_diseases, n_medicines, &opts, &mut ws);
-            if let Some(prev) = fitted.last() {
-                next.refine_next(month, prev, continuity, &opts, &mut ws);
-            }
-            fitted.push(next);
-        }
-        for (t, (f, g)) in fitted.iter().zip(&golden).enumerate() {
-            assert_models_match(f, g, &format!("continuity={continuity} month {t}"));
-        }
-    }
 }
 
 /// One month of the reference panel: pair counts and both marginals.

@@ -25,10 +25,11 @@
 //!
 //! Names are dot-separated, grouped by layer:
 //!
-//! - `em.*` — medication-model EM (`em.iterations`, `em.step` timer whose
-//!   mean is the measured `C_EM`, `em.loglik_delta`, and `em.events` /
-//!   `em.cells`: the prescription events compiled and the distinct cells
-//!   the E step runs over);
+//! - `em.*` — medication-model EM (`em.iterations`, the map evaluations;
+//!   `em.step` timer whose mean is the measured `C_EM`; `em.loglik_delta`;
+//!   `em.squarem_fallbacks`, the rejected SQUAREM extrapolations;
+//!   `em.capped`; and `em.events` / `em.cells`: the prescription events
+//!   compiled and the distinct cells the E step runs over);
 //! - `kf.*` — state-space fitting (`kf.loglik_evals`, `kf.loglik` timer
 //!   whose mean is the measured `C_KF`, `kf.fits_exact` / `kf.fits_approx`).
 //!   The screened change-point search counts `kf.searches_screened`,

@@ -10,7 +10,7 @@
 //! make likelihoods incomparable, so like standard practice we pick `d`
 //! first).
 
-use crate::kalman::kalman_filter;
+use crate::kalman::{concentrated_sums, FilterWorkspace};
 use crate::model::{ObsLoading, Ssm};
 use mic_stats::optimize::{nelder_mead, NelderMeadOptions};
 use mic_stats::Mat;
@@ -166,21 +166,17 @@ fn stationary_covariance(t: &Mat, q: &Mat) -> Option<Mat> {
     Some(p)
 }
 
-/// Concentrated negative log-likelihood of a zero-mean ARMA on `w`;
-/// returns `(neg_loglik, sigma2_hat)`.
-fn arma_neg_loglik(phi: &[f64], theta: &[f64], w: &[f64]) -> Option<(f64, f64)> {
+/// Concentrated negative log-likelihood of a zero-mean ARMA on `w`, one
+/// filter pass through `ws`; returns `(neg_loglik, sigma2_hat)`.
+fn arma_neg_loglik(
+    phi: &[f64],
+    theta: &[f64],
+    w: &[f64],
+    ws: &mut FilterWorkspace,
+) -> Option<(f64, f64)> {
     let ssm = arma_ssm(phi, theta)?;
-    let f = kalman_filter(&ssm, w);
+    let (sum_ln_f, sum_v2f) = concentrated_sums(&ssm, w, ws)?;
     let n = w.len() as f64;
-    let mut sum_ln_f = 0.0;
-    let mut sum_v2f = 0.0;
-    for (v, fv) in f.innovations.iter().zip(&f.innovation_vars) {
-        if !fv.is_finite() || *fv <= 0.0 {
-            return None;
-        }
-        sum_ln_f += fv.ln();
-        sum_v2f += v * v / fv;
-    }
     let sigma2 = (sum_v2f / n).max(1e-300);
     let loglik = -0.5 * (n * (LN_2PI + 1.0 + sigma2.ln()) + sum_ln_f);
     if loglik.is_finite() {
@@ -219,17 +215,18 @@ pub fn fit_arima(ys: &[f64], order: ArimaOrder, opts: &ArimaFitOptions) -> Optio
     let w: Vec<f64> = w_raw.iter().map(|x| x - mean).collect();
 
     let dim = p + q;
+    let mut ws = FilterWorkspace::new(r);
     let objective = |x: &[f64]| -> f64 {
         let phi = pacf_to_coeffs(&x[..p]);
         let theta = pacf_to_coeffs(&x[p..]);
-        match arma_neg_loglik(&phi, &theta, &w) {
+        match arma_neg_loglik(&phi, &theta, &w, &mut ws) {
             Some((nll, _)) => nll,
             None => f64::INFINITY,
         }
     };
 
     let (phi, theta, neg_ll, sigma2) = if dim == 0 {
-        let (nll, s2) = arma_neg_loglik(&[], &[], &w)?;
+        let (nll, s2) = arma_neg_loglik(&[], &[], &w, &mut ws)?;
         (Vec::new(), Vec::new(), nll, s2)
     } else {
         let nm = NelderMeadOptions {
@@ -244,7 +241,7 @@ pub fn fit_arima(ys: &[f64], order: ArimaOrder, opts: &ArimaFitOptions) -> Optio
         }
         let phi = pacf_to_coeffs(&res.x[..p]);
         let theta = pacf_to_coeffs(&res.x[p..]);
-        let (nll, s2) = arma_neg_loglik(&phi, &theta, &w)?;
+        let (nll, s2) = arma_neg_loglik(&phi, &theta, &w, &mut ws)?;
         (phi, theta, nll, s2)
     };
 
@@ -316,8 +313,11 @@ impl ArimaFit {
         let mut alpha = if w.is_empty() {
             vec![0.0; ssm.state_dim()]
         } else {
-            let f = kalman_filter(&ssm, &w);
-            f.filtered_means.last().expect("non-empty").clone()
+            let mut ws = FilterWorkspace::default();
+            // Only the filtered state is read; the sums' validity does
+            // not bear on it.
+            let _ = concentrated_sums(&ssm, &w, &mut ws);
+            ws.filtered_state().to_vec()
         };
         for _ in 0..h {
             alpha = ssm.transition.mul_vec(&alpha);

@@ -258,6 +258,11 @@ impl FilterWorkspace {
         self.tp.resize(m, m);
     }
 
+    /// The filtered state `a_{t|t}` after the run's last update.
+    pub(crate) fn filtered_state(&self) -> &[f64] {
+        &self.a_filt
+    }
+
     /// Start a run of `ssm` over `ys` from the prior `(a0, P0)`.
     fn start(&mut self, ssm: &Ssm, ys: &[f64]) {
         debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
@@ -426,6 +431,35 @@ impl FilterWorkspace {
     }
 }
 
+/// One filter pass over `ys` for a likelihood with the scale concentrated
+/// out: `(Σ ln F_t, Σ v_t²/F_t)` over every step, or `None` when some
+/// `F_t` is not a positive finite number. Either way the pass runs to the
+/// end and leaves its last filtered state in `ws`
+/// ([`FilterWorkspace::filtered_state`]). The same recursion and arithmetic
+/// as [`kalman_filter`], with no per-step copies.
+///
+/// # Panics
+/// Panics if `ys` is empty, and in debug builds if the model fails
+/// validation.
+pub(crate) fn concentrated_sums(
+    ssm: &Ssm,
+    ys: &[f64],
+    ws: &mut FilterWorkspace,
+) -> Option<(f64, f64)> {
+    ws.start(ssm, ys);
+    let (mut sum_ln_f, mut sum_v2f, mut valid) = (0.0, 0.0, true);
+    for (t, &y) in ys.iter().enumerate() {
+        if t > 0 {
+            ws.predict(&ssm.state_cov);
+        }
+        let (v, f) = ws.update(ssm.loading.at(t), ssm.obs_var, y);
+        valid &= f.is_finite() && f > 0.0;
+        sum_ln_f += f.ln();
+        sum_v2f += v * v / f;
+    }
+    valid.then_some((sum_ln_f, sum_v2f))
+}
+
 /// Log-likelihood of `ys` under `ssm` — the same recursion and arithmetic
 /// as [`kalman_filter`], so it returns exactly `kalman_filter(ssm,
 /// ys).loglik`, but computing only the scalar likelihood with zero heap
@@ -480,6 +514,34 @@ mod tests {
         assert!((last - 5.0).abs() < 1e-6, "level = {last}");
         // Innovations after burn-in are ~0.
         assert!(r.innovations[29].abs() < 1e-6);
+    }
+
+    /// The ARIMA likelihood's pass sums exactly what the full filter's
+    /// innovations give and ends in its last filtered state.
+    #[test]
+    fn concentrated_sums_match_the_full_filter() {
+        // ARMA(2, 1) in Harvey form: a general transition row and a full Q.
+        let ssm = Ssm {
+            transition: Mat::from_rows(&[vec![0.5, 1.0], vec![-0.3, 0.0]]),
+            state_cov: Mat::from_rows(&[vec![1.0, 0.4], vec![0.4, 0.16]]),
+            obs_var: 0.0,
+            loading: ObsLoading::Constant(vec![1.0, 0.0]),
+            a0: vec![0.0, 0.0],
+            p0: Mat::from_rows(&[vec![2.0, 0.3], vec![0.3, 0.5]]),
+            n_diffuse: 0,
+            extra_skips: Vec::new(),
+        };
+        let ys = [0.4, -1.2, 0.9, 2.1, -0.3, 0.0, 1.7];
+        let full = kalman_filter(&ssm, &ys);
+        let mut ws = FilterWorkspace::default();
+        let (sum_ln_f, sum_v2f) = concentrated_sums(&ssm, &ys, &mut ws).unwrap();
+        let (mut ln_f, mut v2f) = (0.0, 0.0);
+        for (v, f) in full.innovations.iter().zip(&full.innovation_vars) {
+            ln_f += f.ln();
+            v2f += v * v / f;
+        }
+        assert_eq!((sum_ln_f, sum_v2f), (ln_f, v2f));
+        assert_eq!(ws.filtered_state(), &full.filtered_means[ys.len() - 1][..]);
     }
 
     #[test]

@@ -42,6 +42,12 @@ cells="$(grep -o '"name":"em.cells","value":[0-9]*' "$tmp/metrics.jsonl" \
     | grep -o '[0-9]*$' || true)"
 [[ "${cells:-0}" -gt 0 && "${cells:-0}" -le "${events:-0}" ]] \
     || { echo "metrics smoke gate: em.cells ${cells:-missing}, em.events ${events:-missing}; expected 0 < cells <= events"; exit 1; }
+# SQUAREM-accelerated EM converges in every month of the demo: no monthly
+# fit stops at the `max_iters` cap (`em.capped` absent or 0).
+capped="$(grep -o '"name":"em.capped","value":[0-9]*' "$tmp/metrics.jsonl" \
+    | grep -o '[0-9]*$' || true)"
+[[ "${capped:-0}" -eq 0 ]] \
+    || { echo "metrics smoke gate: em.capped is $capped, expected 0"; exit 1; }
 
 echo "==> malformed-input gate (typed errors, never a panic)"
 # Ids beyond the declared dims and empty dims must be rejected by the
