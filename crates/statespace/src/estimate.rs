@@ -75,11 +75,13 @@ impl FittedStructural {
     }
 
     /// The intervention scale `λ` (0 without an intervention) that
-    /// [`FittedStructural::decompose`] reports, read from the filter alone:
-    /// λ's smoothed value is its last filtered state.
+    /// [`FittedStructural::decompose`] reports, read from one likelihood
+    /// pass: λ's smoothed value is its last filtered state.
     pub fn lambda(&self, ys: &[f64]) -> f64 {
         self.spec.lambda_index().map_or(0.0, |i| {
-            kalman_filter(&self.ssm(ys.len()), ys).filtered_means[ys.len() - 1][i]
+            let mut ws = FilterWorkspace::default();
+            kalman_loglik(&self.ssm(ys.len()), ys, &mut ws);
+            ws.filtered_state()[i]
         })
     }
 

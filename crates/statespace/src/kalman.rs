@@ -8,17 +8,53 @@
 //! near-diffuse prior) are excluded, so models with different numbers of
 //! diffuse states get comparable AICs via the `2·(q + w)` penalty.
 //!
-//! Every run — [`kalman_filter`], [`kalman_loglik`] and the forecaster —
-//! goes through one update and one predict step of [`FilterWorkspace`],
-//! which do only the arithmetic the model's nonzeros need (see `Pattern`).
-//! Each sum keeps the terms and the order of the textbook dense recursion,
-//! so the results are bit-identical to it (up to the sign of exact zeros)
-//! for every model whose recursion stays finite.
+//! Every run — [`kalman_filter`], [`kalman_loglik`], the ARIMA likelihood's
+//! `concentrated_sums` and the forecaster — goes through one pass of
+//! [`FilterWorkspace`], whose update and predict steps do only the
+//! arithmetic the model's nonzeros need (see `Pattern`). Each sum keeps the
+//! terms and the order of the textbook dense recursion, so the results are
+//! bit-identical to it (up to the sign of exact zeros) for every model
+//! whose recursion stays finite.
+//!
+//! The pass picks the step's state dimension once, from `ssm.state_dim()`:
+//! the four dimensions the structural builder produces — `lead(seasonal)`
+//! plus at most one λ, i.e. 1, 2, 12 and 13 — run a step compiled for that
+//! dimension (`Const<M>`), so every `0..m` loop has a constant bound the
+//! compiler can unroll and check once; every other model (ARIMA companion
+//! forms, the multi-change-point models with two or more λs) runs the same
+//! step body at a run-time dimension (`Dyn`).
 
 use crate::model::{ObsLoading, Ssm};
 use mic_stats::Mat;
 
 const LN_2PI: f64 = 1.837_877_066_409_345_5;
+
+/// A state dimension, fixed at compile time ([`Const`]) or at run time
+/// ([`Dyn`]). The step body is generic over it; the arithmetic is the same
+/// either way, only what the compiler knows about `m` differs.
+trait Dim: Copy {
+    fn m(self) -> usize;
+}
+
+/// A state dimension known at compile time.
+#[derive(Clone, Copy)]
+struct Const<const M: usize>;
+
+impl<const M: usize> Dim for Const<M> {
+    fn m(self) -> usize {
+        M
+    }
+}
+
+/// A state dimension known at run time only.
+#[derive(Clone, Copy)]
+struct Dyn(usize);
+
+impl Dim for Dyn {
+    fn m(self) -> usize {
+        self.0
+    }
+}
 
 /// Full filtering output for one series: the inputs of the Durbin–Koopman
 /// fixed-interval smoother (§4.4), no inversion, plus the filtered means
@@ -52,7 +88,7 @@ impl FilterResult {
 }
 
 /// Where a model's nonzeros sit, derived once per run by
-/// [`FilterWorkspace::start`].
+/// [`FilterWorkspace::run`].
 ///
 /// The structural models are almost empty: the 13-state level + seasonal +
 /// λ model loads 3 states, has 2 nonzero disturbance variances, and 12 of
@@ -65,6 +101,8 @@ impl FilterResult {
 struct Pattern {
     /// Columns where the loading is nonzero at some `t`, ascending.
     z_cols: Vec<usize>,
+    /// Scratch for `load`: per column, whether some `Z_t` is nonzero there.
+    z_seen: Vec<bool>,
     /// Flat row-major indices of `Q`'s nonzero entries.
     q_nz: Vec<usize>,
     /// Per row of `T`: the source column of a unit row (a single `1.0`,
@@ -84,9 +122,18 @@ impl Pattern {
         self.z_cols.clear();
         match &ssm.loading {
             ObsLoading::Constant(z) => self.z_cols.extend((0..m).filter(|&j| z[j] != 0.0)),
-            ObsLoading::TimeVarying(zs) => self
-                .z_cols
-                .extend((0..m).filter(|&j| zs.iter().any(|z| z[j] != 0.0))),
+            ObsLoading::TimeVarying(zs) => {
+                // One pass over the loadings, OR-ing each one's nonzeros.
+                self.z_seen.clear();
+                self.z_seen.resize(m, false);
+                for z in zs {
+                    for (seen, &zj) in self.z_seen.iter_mut().zip(z) {
+                        *seen |= zj != 0.0;
+                    }
+                }
+                let seen = &self.z_seen;
+                self.z_cols.extend((0..m).filter(|&j| seen[j]));
+            }
         }
         self.q_nz.clear();
         let q = ssm.state_cov.as_slice();
@@ -124,7 +171,7 @@ impl Pattern {
 }
 
 /// The floor under the innovation variance `F_t` (see
-/// `FilterWorkspace::update_cov`); a step whose `F_t` sits on it takes no
+/// `FilterWorkspace::update`); a step whose `F_t` sits on it takes no
 /// information from its observation, in the filter and the smoother alike.
 pub(crate) fn innovation_floor(obs_var: f64) -> f64 {
     obs_var.max(1e-12)
@@ -143,8 +190,6 @@ fn loglik_term(v: f64, f: f64) -> f64 {
 /// validation.
 pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
     let n = ys.len();
-    let mut ws = FilterWorkspace::default();
-    ws.start(ssm, ys);
     let mut out = FilterResult {
         loglik: 0.0,
         innovations: Vec::with_capacity(n),
@@ -153,24 +198,23 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
         predicted_covs: Vec::with_capacity(n),
         filtered_means: Vec::with_capacity(n),
     };
-    for (t, &y) in ys.iter().enumerate() {
+    // The update leaves `(a_pred, p_pred)` as it found them.
+    FilterWorkspace::default().run(ssm, ys, |t, v, f, ws| {
         out.predicted_means.push(ws.a_pred.clone());
         out.predicted_covs.push(ws.p_pred.clone());
-        let (v, f) = ws.update(ssm.loading.at(t), ssm.obs_var, y);
         if ssm.scores(t) {
             out.loglik += loglik_term(v, f);
         }
         out.innovations.push(v);
         out.innovation_vars.push(f);
         out.filtered_means.push(ws.a_filt.clone());
-        ws.predict(&ssm.state_cov);
-    }
+    });
     out
 }
 
 /// Mean and variance forecasts of `y_{n+1}, …, y_{n+h}` past the end of
 /// `ys` (`n = ys.len()`): the filter runs over `ys`, then the predict step
-/// alone carries the state `h − 1` steps further. `ssm` must span at least
+/// alone carries the state `h` steps further. `ssm` must span at least
 /// `n + h` steps.
 ///
 /// # Panics
@@ -178,19 +222,17 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
 /// validation.
 pub(crate) fn forecast_moments(ssm: &Ssm, ys: &[f64], h: usize) -> Vec<(f64, f64)> {
     let mut ws = FilterWorkspace::default();
-    ws.start(ssm, ys);
-    for (t, &y) in ys.iter().enumerate() {
-        ws.update(ssm.loading.at(t), ssm.obs_var, y);
-        ws.predict(&ssm.state_cov);
-    }
+    ws.run(ssm, ys, |_, _, _, _| {});
+    // A handful of steps per forecast: the run-time dimension serves them.
+    let d = Dyn(ws.state_dim);
     let n = ys.len();
     (0..h)
         .map(|j| {
             if j > 0 {
                 std::mem::swap(&mut ws.a_pred, &mut ws.a_filt);
                 std::mem::swap(&mut ws.p_pred, &mut ws.p_filt);
-                ws.predict(&ssm.state_cov);
             }
+            ws.predict(d, &ssm.state_cov);
             let z = ssm.loading.at(n + j);
             let mean: f64 = z.iter().zip(&ws.a_pred).map(|(zi, ai)| zi * ai).sum();
             (mean, ws.p_pred.quad_form(z) + ssm.obs_var)
@@ -208,6 +250,15 @@ pub(crate) fn forecast_moments(ssm: &Ssm, ys: &[f64], h: usize) -> Vec<(f64, f64
 /// once per search and threaded through every [`kalman_loglik`] call,
 /// removes all per-run and per-timestep heap allocation from that path.
 ///
+/// Per step, the update computes `P zᵀ` and `F` over the loading's nonzero
+/// columns and writes `P − k pzᵀ` straight from `P`, symmetrizing each
+/// off-diagonal pair as it writes it; the predict step writes a unit row of
+/// `T P Tᵀ` straight from `P` (`P[src_i][src_j]`) and forms `T·P` only for
+/// the general rows of `T`. A run uses the step compiled for its state
+/// dimension when the structural builder can produce that dimension, and
+/// the run-time-dimension step otherwise (see the module docs; DESIGN §5
+/// gives the measured step times).
+///
 /// Buffers are sized lazily for whatever state dimension the next run needs,
 /// so one workspace can serve models of different dimensions. Resizing
 /// reuses the underlying allocations: a change-point search that alternates
@@ -223,6 +274,8 @@ pub struct FilterWorkspace {
     k: Vec<f64>,
     p_pred: Mat,
     p_filt: Mat,
+    /// `T·P` for the general rows of `T`: row `g` belongs to
+    /// `pat.t_general[g]` (only the first `g · m` entries are used).
     tp: Mat,
     pat: Pattern,
 }
@@ -263,40 +316,60 @@ impl FilterWorkspace {
         &self.a_filt
     }
 
-    /// Start a run of `ssm` over `ys` from the prior `(a0, P0)`.
-    fn start(&mut self, ssm: &Ssm, ys: &[f64]) {
+    /// One filter pass of `ssm` over `ys` from the prior `(a0, P0)`: an
+    /// update per observation, each but the first preceded by a predict
+    /// step, and `visit(t, v_t, F_t, self)` after each update. No predict
+    /// follows the last update, so the workspace ends in `a_{n|n}`,
+    /// `P_{n|n}`. The step runs at a compile-time state dimension where
+    /// there is one (see the module docs).
+    fn run(&mut self, ssm: &Ssm, ys: &[f64], visit: impl FnMut(usize, f64, f64, &Self)) {
         debug_assert!(ssm.validate().is_ok(), "invalid SSM: {:?}", ssm.validate());
         assert!(
             !ys.is_empty(),
             "the Kalman filter requires at least one observation"
         );
-        self.ensure_dim(ssm.state_dim());
+        let m = ssm.state_dim();
+        self.ensure_dim(m);
         self.a_pred.copy_from_slice(&ssm.a0);
         self.p_pred.copy_from(&ssm.p0);
         self.pat.load(ssm);
+        match m {
+            1 => self.steps(Const::<1>, ssm, ys, visit),
+            2 => self.steps(Const::<2>, ssm, ys, visit),
+            12 => self.steps(Const::<12>, ssm, ys, visit),
+            13 => self.steps(Const::<13>, ssm, ys, visit),
+            _ => self.steps(Dyn(m), ssm, ys, visit),
+        }
+    }
+
+    /// The loop of [`FilterWorkspace::run`] at dimension `d`.
+    fn steps<D: Dim>(
+        &mut self,
+        d: D,
+        ssm: &Ssm,
+        ys: &[f64],
+        mut visit: impl FnMut(usize, f64, f64, &Self),
+    ) {
+        for (t, &y) in ys.iter().enumerate() {
+            if t > 0 {
+                self.predict(d, &ssm.state_cov);
+            }
+            let (v, f) = self.update(d, ssm.loading.at(t), ssm.obs_var, y);
+            visit(t, v, f, self);
+        }
     }
 
     /// Measurement update of `(a_pred, p_pred)` by observation `y` under
-    /// loading `z` into `(a_filt, p_filt)`. Returns the innovation
-    /// `v = y − z·a_pred` and its variance `F`.
-    fn update(&mut self, z: &[f64], obs_var: f64, y: f64) -> (f64, f64) {
-        let mut zy = 0.0;
-        for &j in &self.pat.z_cols {
-            zy += z[j] * self.a_pred[j];
-        }
-        let v = y - zy;
-        let f = self.update_cov(z, obs_var);
-        for ((af, ap), ki) in self.a_filt.iter_mut().zip(&self.a_pred).zip(&self.k) {
-            *af = ap + ki * v;
-        }
-        (v, f)
-    }
-
-    /// The covariance half of [`FilterWorkspace::update`]: `pz = P zᵀ` and
+    /// loading `z` into `(a_filt, p_filt)`: `pz = P zᵀ` and
     /// `F = z P zᵀ + H`, both summed over the loading's nonzero columns; the
-    /// gain `k = pz / F`; and `p_filt = P − k pzᵀ`, symmetrized. Returns `F`.
-    fn update_cov(&mut self, z: &[f64], obs_var: f64) -> f64 {
+    /// gain `k = pz / F`; `p_filt = P − k pzᵀ`, symmetrized; and
+    /// `a_filt = a_pred + k v`. Returns the innovation `v = y − z·a_pred`
+    /// and its variance `F`.
+    fn update<D: Dim>(&mut self, d: D, z: &[f64], obs_var: f64, y: f64) -> (f64, f64) {
+        let m = d.m();
         let FilterWorkspace {
+            a_pred,
+            a_filt,
             pz,
             k,
             p_pred,
@@ -304,8 +377,16 @@ impl FilterWorkspace {
             pat,
             ..
         } = self;
-        let m = z.len();
-        let p = p_pred.as_slice();
+        let (z, a_pred, a_filt) = (&z[..m], &a_pred[..m], &mut a_filt[..m]);
+        let (pz, k) = (&mut pz[..m], &mut k[..m]);
+        let p = &p_pred.as_slice()[..m * m];
+        let out = &mut p_filt.as_mut_slice()[..m * m];
+
+        let mut zy = 0.0;
+        for &j in &pat.z_cols {
+            zy += z[j] * a_pred[j];
+        }
+        let v = y - zy;
         for (pzi, row) in pz.iter_mut().zip(p.chunks_exact(m)) {
             let mut acc = 0.0;
             for &j in &pat.z_cols {
@@ -328,31 +409,43 @@ impl FilterWorkspace {
         // (`P zᵀ / 1e-12` when H = 0) makes `P` ever more indefinite until
         // the state overflows.
         let floor = innovation_floor(obs_var);
-        if f <= floor {
+        let f = if f <= floor {
             k.fill(0.0);
-            p_filt.as_mut_slice().copy_from_slice(p);
-            return floor;
-        }
-        for (ki, pzi) in k.iter_mut().zip(pz.iter()) {
-            *ki = pzi / f;
-        }
-        // p_filt = P − k pzᵀ, written straight from P, then symmetrized.
-        let out = p_filt.as_mut_slice();
-        for ((o_row, p_row), &kr) in out.chunks_exact_mut(m).zip(p.chunks_exact(m)).zip(k.iter()) {
-            for ((o, pv), pzc) in o_row.iter_mut().zip(p_row).zip(pz.iter()) {
-                *o = pv - kr * pzc;
+            out.copy_from_slice(p);
+            floor
+        } else {
+            for (ki, pzi) in k.iter_mut().zip(pz.iter()) {
+                *ki = pzi / f;
             }
+            // p_filt = P − k pzᵀ, written straight from P, each pair
+            // (r, c), (c, r) once as their mean: the sums `Mat::symmetrize`
+            // would form after a full write, without the second pass.
+            for r in 0..m {
+                let (kr, pzr) = (k[r], pz[r]);
+                out[r * m + r] = p[r * m + r] - kr * pzr;
+                for c in r + 1..m {
+                    let upper = p[r * m + c] - kr * pz[c];
+                    let lower = p[c * m + r] - k[c] * pzr;
+                    let s = 0.5 * (upper + lower);
+                    out[r * m + c] = s;
+                    out[c * m + r] = s;
+                }
+            }
+            f
+        };
+        for ((af, ap), ki) in a_filt.iter_mut().zip(a_pred).zip(k.iter()) {
+            *af = ap + ki * v;
         }
-        p_filt.symmetrize();
-        f
+        (v, f)
     }
 
     /// Predict step: `a_pred = T a_filt`, then `p_pred = T p_filt Tᵀ + Q`,
-    /// symmetrized. A unit row of `T` is a copy in `T·a`, a row copy in
-    /// `T·P` and a gather in `(T·P)·Tᵀ`; only the general rows do
-    /// arithmetic, and `Q` is added on its nonzero entries only.
-    fn predict(&mut self, state_cov: &Mat) {
-        let m = self.state_dim;
+    /// symmetrized. A unit row of `T` is a copy in `T·a` and a gather
+    /// straight from `p_filt` in `T P Tᵀ` (`P[src_i][src_j]`); only the
+    /// general rows do arithmetic and have a `T·P` row, and `Q` is added on
+    /// its nonzero entries only.
+    fn predict<D: Dim>(&mut self, d: D, state_cov: &Mat) {
+        let m = d.m();
         let FilterWorkspace {
             a_pred,
             a_filt,
@@ -362,20 +455,18 @@ impl FilterWorkspace {
             pat,
             ..
         } = self;
-        for (a, &src) in a_pred.iter_mut().zip(&pat.t_src) {
+        let (a_pred, a_filt) = (&mut a_pred[..m], &a_filt[..m]);
+        let t_src = &pat.t_src[..m];
+        for (a, &src) in a_pred.iter_mut().zip(t_src) {
             *a = a_filt[src];
         }
         for &(r, lo, hi) in &pat.t_general {
             a_pred[r] = pat.dot(lo, hi, a_filt);
         }
 
-        let pf = p_filt.as_slice();
-        let tpd = tp.as_mut_slice();
-        for (out, &src) in tpd.chunks_exact_mut(m).zip(&pat.t_src) {
-            out.copy_from_slice(&pf[src * m..(src + 1) * m]);
-        }
-        for &(r, lo, hi) in &pat.t_general {
-            let out = &mut tpd[r * m..(r + 1) * m];
+        let pf = &p_filt.as_slice()[..m * m];
+        let tpd = &mut tp.as_mut_slice()[..pat.t_general.len() * m];
+        for (out, &(_, lo, hi)) in tpd.chunks_exact_mut(m).zip(&pat.t_general) {
             out.fill(0.0);
             for &(c, t) in &pat.t_entries[lo..hi] {
                 for (o, p) in out.iter_mut().zip(&pf[c * m..(c + 1) * m]) {
@@ -384,23 +475,31 @@ impl FilterWorkspace {
             }
         }
 
-        // (T·P)·Tᵀ. A unit column is a gather from each row of T·P. A general
-        // column mirrors its row — with `p_filt` symmetric, entry (i, c) of
-        // a unit row i sums the same products in the same order as entry
-        // (c, i) — so only pairs of general rows need their own sum.
-        let pp = p_pred.as_mut_slice();
-        let tpd = tp.as_slice();
-        for (out, tp_row) in pp.chunks_exact_mut(m).zip(tpd.chunks_exact(m)) {
-            for (o, &src) in out.iter_mut().zip(&pat.t_src) {
-                *o = tp_row[src];
+        // (T·P)·Tᵀ. A unit column is a gather from each row of T·P, and a
+        // unit row of T·P is a row of `p_filt`; a general row's gather
+        // overwrites the one its own `t_src` entry made. A general column
+        // mirrors its row — with `p_filt` symmetric, entry (i, c) of a unit
+        // row i sums the same products in the same order as entry (c, i) —
+        // so only pairs of general rows need their own sum.
+        let pp = &mut p_pred.as_mut_slice()[..m * m];
+        let tpd = &tp.as_slice()[..pat.t_general.len() * m];
+        let gather = |out: &mut [f64], row: &[f64]| {
+            for (o, &src) in out.iter_mut().zip(t_src) {
+                *o = row[src];
             }
+        };
+        for (out, &src) in pp.chunks_exact_mut(m).zip(t_src) {
+            gather(out, &pf[src * m..(src + 1) * m]);
+        }
+        for (tp_row, &(r, ..)) in tpd.chunks_exact(m).zip(&pat.t_general) {
+            gather(&mut pp[r * m..(r + 1) * m], tp_row);
         }
         for &(c, lo, hi) in &pat.t_general {
             for i in 0..m {
                 pp[i * m + c] = pp[c * m + i];
             }
-            for &(r, ..) in &pat.t_general {
-                pp[r * m + c] = pat.dot(lo, hi, &tpd[r * m..(r + 1) * m]);
+            for (tp_row, &(r, ..)) in tpd.chunks_exact(m).zip(&pat.t_general) {
+                pp[r * m + c] = pat.dot(lo, hi, tp_row);
             }
         }
         let q = state_cov.as_slice();
@@ -446,43 +545,33 @@ pub(crate) fn concentrated_sums(
     ys: &[f64],
     ws: &mut FilterWorkspace,
 ) -> Option<(f64, f64)> {
-    ws.start(ssm, ys);
     let (mut sum_ln_f, mut sum_v2f, mut valid) = (0.0, 0.0, true);
-    for (t, &y) in ys.iter().enumerate() {
-        if t > 0 {
-            ws.predict(&ssm.state_cov);
-        }
-        let (v, f) = ws.update(ssm.loading.at(t), ssm.obs_var, y);
+    ws.run(ssm, ys, |_, v, f, _| {
         valid &= f.is_finite() && f > 0.0;
         sum_ln_f += f.ln();
         sum_v2f += v * v / f;
-    }
+    });
     valid.then_some((sum_ln_f, sum_v2f))
 }
 
 /// Log-likelihood of `ys` under `ssm` — the same recursion and arithmetic
 /// as [`kalman_filter`], so it returns exactly `kalman_filter(ssm,
 /// ys).loglik`, but computing only the scalar likelihood with zero heap
-/// allocation per timestep (all state lives in `ws`). Use this in
-/// optimisation loops; use [`kalman_filter`] when the smoother or
-/// forecaster needs the full state trajectory.
+/// allocation per timestep (all state lives in `ws`). The run leaves its
+/// last filtered state in `ws` ([`FilterWorkspace::filtered_state`]). Use
+/// this in optimisation loops; use [`kalman_filter`] when the smoother
+/// needs the full state trajectory.
 ///
 /// # Panics
 /// Panics if `ys` is empty, and in debug builds if the model fails
 /// validation.
 pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
-    ws.start(ssm, ys);
     let mut loglik = 0.0;
-    for (t, &y) in ys.iter().enumerate() {
-        // No predict after the last observation: nothing reads it.
-        if t > 0 {
-            ws.predict(&ssm.state_cov);
-        }
-        let (v, f) = ws.update(ssm.loading.at(t), ssm.obs_var, y);
+    ws.run(ssm, ys, |t, v, f, _| {
         if ssm.scores(t) {
             loglik += loglik_term(v, f);
         }
-    }
+    });
     loglik
 }
 
@@ -657,9 +746,11 @@ mod tests {
     #[test]
     fn workspace_shrink_then_grow_keeps_capacity_and_results() {
         // A search alternates 12-state baseline and 13-state candidate
-        // models through ONE workspace; (re)sizing must neither corrupt
-        // state nor reallocate once the high-water mark is reached.
-        use crate::structural::{StructuralParams, StructuralSpec};
+        // models through ONE workspace, and `multi` adds 14-state models
+        // with two λs; (re)sizing must neither corrupt state nor reallocate
+        // once the high-water mark is reached — across the step compiled
+        // for 12 and 13 states and the run-time-dimension step alike.
+        use crate::structural::{build_ssm, StructuralParams, StructuralSpec};
         let params = StructuralParams {
             var_eps: 1.0,
             var_level: 0.1,
@@ -668,11 +759,12 @@ mod tests {
         let ys: Vec<f64> = (0..36)
             .map(|i| 20.0 + (i as f64 * std::f64::consts::PI / 6.0).sin())
             .collect();
+        let two = build_ssm(true, &[10, 24], &params, ys.len()); // 14-state
         let big = StructuralSpec::full(18).build(&params, ys.len()); // 13-state
         let small = StructuralSpec::with_seasonal().build(&params, ys.len()); // 12-state
 
-        let mut ws = FilterWorkspace::new(big.state_dim());
-        let _warm = kalman_loglik(&big, &ys, &mut ws);
+        let mut ws = FilterWorkspace::new(two.state_dim());
+        let _warm = kalman_loglik(&two, &ys, &mut ws);
         let probe = |ws: &FilterWorkspace| {
             (
                 ws.a_pred.capacity(),
@@ -680,6 +772,7 @@ mod tests {
                 ws.p_filt.as_slice().as_ptr(),
                 ws.tp.as_slice().as_ptr(),
                 ws.pat.z_cols.as_ptr(),
+                ws.pat.z_seen.as_ptr(),
                 ws.pat.q_nz.as_ptr(),
                 ws.pat.t_src.as_ptr(),
                 ws.pat.t_general.as_ptr(),
@@ -688,12 +781,14 @@ mod tests {
         };
         let before = probe(&ws);
 
-        // Shrink to 12 states, then grow back to 13: results must stay
-        // bit-identical to a fresh filter and no buffer may move.
-        for ssm in [&small, &big, &small, &big] {
-            let full = kalman_filter(ssm, &ys).loglik;
+        // Specialised, run-time and specialised dimensions in turn, shrinking
+        // and growing: results must stay bit-identical to a fresh filter and
+        // no buffer may move.
+        for ssm in [&big, &two, &small, &big, &small, &two, &big] {
+            let full = kalman_filter(ssm, &ys);
             let fast = kalman_loglik(ssm, &ys, &mut ws);
-            assert_eq!(full.to_bits(), fast.to_bits());
+            assert_eq!(full.loglik.to_bits(), fast.to_bits());
+            assert_eq!(ws.filtered_state(), &full.filtered_means[ys.len() - 1][..]);
         }
         assert_eq!(probe(&ws), before);
     }

@@ -12,7 +12,7 @@
 
 use crate::changepoint::candidates;
 use crate::estimate::{aic, comparable_skip_k, maximize_loglik, FitOptions};
-use crate::kalman::{kalman_filter, FilterWorkspace};
+use crate::kalman::{kalman_loglik, FilterWorkspace};
 use crate::structural::{build_ssm, lead, StructuralParams};
 
 /// A fitted multi-intervention model.
@@ -47,10 +47,10 @@ fn fit_multi(
     };
     let (_, loglik, _) = maximize_loglik(ys, &mut ssm, seasonal, &single_start, None, ws);
     // The λs are noise-free states, so their estimate from the whole series
-    // is the filtered state at the last month (one full filter pass, only
-    // for the winning parameters, which the MLE left in `ssm`).
-    let filtered = kalman_filter(&ssm, ys);
-    let lambdas = &filtered.filtered_means[n - 1][lead(seasonal)..];
+    // is the filtered state at the last month (one more likelihood pass,
+    // only for the winning parameters, which the MLE left in `ssm`).
+    kalman_loglik(&ssm, ys, ws);
+    let lambdas = &ws.filtered_state()[lead(seasonal)..];
     FittedMulti {
         points: change_points
             .iter()

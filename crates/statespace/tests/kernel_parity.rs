@@ -11,7 +11,7 @@
 
 use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
 use mic_statespace::model::{ObsLoading, Ssm};
-use mic_statespace::structural::{StructuralParams, StructuralSpec};
+use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
 use mic_stats::Mat;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -107,25 +107,94 @@ fn series(seed: u64, n: usize, cp: Option<usize>, seasonal: bool) -> Vec<f64> {
         .collect()
 }
 
-/// The Harvey companion form of a zero-mean ARMA(2, 1) with unit
-/// innovation variance — the shape `arima` builds: two general transition
-/// rows and a dense `Q = R Rᵀ`.
-fn arma21(phi: [f64; 2], theta: f64, p0: Mat) -> Ssm {
-    let r = [1.0, theta];
-    let mut q = Mat::zeros(2, 2);
-    for i in 0..2 {
-        for j in 0..2 {
-            q[(i, j)] = r[i] * r[j];
+/// The Harvey companion form of a zero-mean ARMA(p, q) with unit
+/// innovation variance — the shape `arima` builds: state dimension
+/// `r = max(p, q + 1)`, `φ` down the first column of `T` and a unit
+/// superdiagonal (so every row with a nonzero `φ` is general), and a dense
+/// `Q = R Rᵀ` with `R = [1, θ₁, …, θ_{r−1}]`.
+fn arma(phi: &[f64], theta: &[f64], p0: Mat) -> Ssm {
+    let r = phi.len().max(theta.len() + 1);
+    let mut transition = Mat::zeros(r, r);
+    for (i, &phi_i) in phi.iter().enumerate() {
+        transition[(i, 0)] = phi_i;
+    }
+    for i in 0..r - 1 {
+        transition[(i, i + 1)] = 1.0;
+    }
+    let mut big_r = vec![0.0; r];
+    big_r[0] = 1.0;
+    big_r[1..=theta.len()].copy_from_slice(theta);
+    let mut q = Mat::zeros(r, r);
+    for i in 0..r {
+        for j in 0..r {
+            q[(i, j)] = big_r[i] * big_r[j];
         }
     }
+    let mut loading = vec![0.0; r];
+    loading[0] = 1.0;
     Ssm {
-        transition: Mat::from_rows(&[vec![phi[0], 1.0], vec![phi[1], 0.0]]),
+        transition,
         state_cov: q,
         obs_var: 0.0,
-        loading: ObsLoading::Constant(vec![1.0, 0.0]),
-        a0: vec![0.0; 2],
+        loading: ObsLoading::Constant(loading),
+        a0: vec![0.0; r],
         p0,
         n_diffuse: 0,
+        extra_skips: Vec::new(),
+    }
+}
+
+/// An `r × r` prior covariance: `diag` on the diagonal, `off` on every
+/// off-diagonal entry (positive definite for `off` small enough).
+fn prior(diag: &[f64], off: f64) -> Mat {
+    let r = diag.len();
+    let mut p0 = Mat::zeros(r, r);
+    for i in 0..r {
+        for j in 0..r {
+            p0[(i, j)] = if i == j { diag[i] } else { off };
+        }
+    }
+    p0
+}
+
+/// The seasonal structural model with two slope shifts, at `cp1` and
+/// `cp2`: the 13-state single-intervention model plus a second noise-free,
+/// diffuse λ state (14 states) — the shape `multi` fits in its second
+/// round, and a state dimension the kernel runs at run time.
+fn two_lambda_seasonal(params: &StructuralParams, cp1: usize, cp2: usize, n: usize) -> Ssm {
+    let one = StructuralSpec::full(cp1).build(params, n);
+    let m = one.state_dim() + 1;
+    let widen = |a: &Mat| {
+        let mut out = Mat::zeros(m, m);
+        for i in 0..m - 1 {
+            for j in 0..m - 1 {
+                out[(i, j)] = a[(i, j)];
+            }
+        }
+        out
+    };
+    let mut transition = widen(&one.transition);
+    transition[(m - 1, m - 1)] = 1.0;
+    let mut p0 = widen(&one.p0);
+    p0[(m - 1, m - 1)] = one.p0[(m - 2, m - 2)];
+    let second = InterventionSpec::SlopeShift { change_point: cp2 };
+    let loading = (0..n)
+        .map(|t| {
+            let mut z = one.loading.at(t).to_vec();
+            z.push(second.w(t));
+            z
+        })
+        .collect();
+    let mut a0 = one.a0.clone();
+    a0.push(0.0);
+    Ssm {
+        transition,
+        state_cov: widen(&one.state_cov),
+        obs_var: one.obs_var,
+        loading: ObsLoading::TimeVarying(loading),
+        a0,
+        p0,
+        n_diffuse: m,
         extra_skips: Vec::new(),
     }
 }
@@ -146,13 +215,13 @@ fn arma21_companion_matches_dense_oracle() {
         ([0.0, 0.2], 0.0, 0.5),
     ] {
         let p0 = Mat::from_rows(&[vec![2.5, 0.7], vec![0.7, 1.3]]);
-        let mut ssm = arma21(phi, theta, p0);
+        let mut ssm = arma(&phi, &[theta], p0);
         ssm.obs_var = obs_var;
         assert_matches_oracle(&ssm, &ys, &mut ws);
     }
     // An asymmetric prior: the first update reads both triangles.
     let p0 = Mat::from_rows(&[vec![2.5, 0.7], vec![0.6, 1.3]]);
-    assert_matches_oracle(&arma21([0.5, -0.3], 0.4, p0), &ys, &mut ws);
+    assert_matches_oracle(&arma(&[0.5, -0.3], &[0.4], p0), &ys, &mut ws);
 }
 
 #[test]
@@ -243,6 +312,45 @@ proptest! {
         let ys: Vec<f64> = ys.iter().map(|y| y - 20.0).collect();
         let p0 = Mat::from_rows(&[vec![3.0, 0.4], vec![0.4, 1.5]]);
         let mut ws = FilterWorkspace::new(2);
-        assert_matches_oracle(&arma21([phi1, phi2], theta, p0), &ys, &mut ws);
+        assert_matches_oracle(&arma(&[phi1, phi2], &[theta], p0), &ys, &mut ws);
+    }
+
+    // Dimensions outside the structural builder's four run the step at a
+    // run-time dimension: ARMA companions with `r = 3, 4, 5` states, and
+    // the 14-state seasonal model with two λs. One workspace serves both
+    // models, in both directions of a resize.
+    #[test]
+    fn runtime_dimension_kernel_matches_dense_oracle(
+        seed in 0u64..1_000,
+        n in 30usize..140,
+        phi in proptest::collection::vec(-0.24..0.24f64, 1..5),
+        theta in proptest::collection::vec(-0.9..0.9f64, 2..5),
+        noisy in any::<bool>(),
+        noise in 0.01..2.0f64,
+        cp_fracs in (0.15..0.5f64, 0.55..0.95f64),
+        log_rel in (-18.5..2.3f64, -18.5..2.3f64, -18.5..2.3f64),
+    ) {
+        let mut ws = FilterWorkspace::default();
+
+        let ys = series(seed, n, None, false);
+        let ys: Vec<f64> = ys.iter().map(|y| y - 20.0).collect();
+        let r = phi.len().max(theta.len() + 1);
+        let diag: Vec<f64> = (0..r).map(|i| 3.0 - 0.4 * i as f64).collect();
+        let mut ssm = arma(&phi, &theta, prior(&diag, 0.3));
+        ssm.obs_var = if noisy { noise } else { 0.0 };
+        prop_assert!((3..=5).contains(&ssm.state_dim()));
+        assert_matches_oracle(&ssm, &ys, &mut ws);
+
+        let cp1 = (n as f64 * cp_fracs.0) as usize;
+        let cp2 = (n as f64 * cp_fracs.1) as usize;
+        let ys = series(seed, n, Some(cp1), true);
+        let params = StructuralParams {
+            var_eps: log_rel.0.exp(),
+            var_level: log_rel.1.exp(),
+            var_seasonal: log_rel.2.exp(),
+        };
+        let ssm = two_lambda_seasonal(&params, cp1, cp2, n);
+        prop_assert_eq!(ssm.state_dim(), 14);
+        assert_matches_oracle(&ssm, &ys, &mut ws);
     }
 }
