@@ -11,7 +11,7 @@
 //! first).
 
 use crate::kalman::{concentrated_sums, FilterWorkspace};
-use crate::model::{ObsLoading, Ssm};
+use crate::model::Ssm;
 use mic_stats::optimize::{nelder_mead, NelderMeadOptions};
 use mic_stats::Mat;
 
@@ -116,7 +116,8 @@ fn arma_ssm(phi: &[f64], theta: &[f64]) -> Option<Ssm> {
         transition,
         state_cov: q_state,
         obs_var: 0.0,
-        loading: ObsLoading::Constant(z),
+        loading: z,
+        slope_shifts: Vec::new(),
         a0: vec![0.0; r],
         p0,
         n_diffuse: 0,

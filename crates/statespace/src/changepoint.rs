@@ -22,7 +22,7 @@
 
 use crate::estimate::{aic, comparable_skip, fit_structural_ws, FitOptions, FittedStructural};
 use crate::kalman::{kalman_loglik, FilterWorkspace};
-use crate::structural::{lead, InterventionSpec, StructuralParams, StructuralSpec};
+use crate::structural::{lead, StructuralParams, StructuralSpec};
 use std::collections::BTreeMap;
 
 /// Candidates the screened search fits in full: the best two by screen
@@ -214,17 +214,9 @@ struct Problem<'a> {
 impl Problem<'_> {
     /// The model with a slope shift at `cp`, or the no-change baseline.
     fn spec(&self, cp: Option<usize>) -> StructuralSpec {
-        let base = if self.seasonal {
-            StructuralSpec::with_seasonal()
-        } else {
-            StructuralSpec::local_level()
-        };
-        match cp {
-            Some(change_point) => StructuralSpec {
-                intervention: InterventionSpec::SlopeShift { change_point },
-                ..base
-            },
-            None => base,
+        StructuralSpec {
+            seasonal: self.seasonal,
+            change_point: cp,
         }
     }
 
@@ -505,24 +497,24 @@ impl SearchContext<'_> {
 
     /// `(candidate, AIC)` of every candidate month with the variances fixed
     /// at `params`: one [`kalman_loglik`] pass each, in the search's
-    /// workspace and on one SSM whose λ loading and exclusions are rewritten
-    /// per candidate, so the loop allocates nothing. Every candidate has the
-    /// same parameter count and scores the same number of observations, so
-    /// AIC and BIC rank them alike. A non-finite likelihood scores `+∞`.
+    /// workspace and on one SSM whose slope shift and exclusions are
+    /// rewritten per candidate, so the loop allocates nothing. Every
+    /// candidate has the same parameter count and scores the same number of
+    /// observations, so AIC and BIC rank them alike. A non-finite
+    /// likelihood scores `+∞`.
     fn screen(&mut self, params: &StructuralParams) -> Vec<(usize, f64)> {
         let (ys, seasonal) = (self.problem.ys, self.problem.seasonal);
         let cands = candidates(ys.len());
         let mut spec = self.problem.spec(Some(cands.start));
-        let mut ssm = spec.build(&StructuralParams::ZERO, ys.len());
-        params.write_into(seasonal, &mut ssm);
+        let mut ssm = spec.build(params);
         let state_dim = spec.state_dim();
         // Screen passes are C_KF evaluations like an optimiser's.
         mic_obs::counter("kf.loglik_evals", cands.len() as u64);
         mic_obs::counter("kf.screen_evals", cands.len() as u64);
         cands
             .map(|change_point| {
-                spec.intervention = InterventionSpec::SlopeShift { change_point };
-                spec.intervention.write_into(seasonal, &mut ssm);
+                spec.change_point = Some(change_point);
+                ssm.slope_shifts[0].1 = change_point;
                 ssm.n_diffuse = comparable_skip(&spec, &mut ssm.extra_skips);
                 let eval_span = mic_obs::span("kf.loglik");
                 let loglik = kalman_loglik(&ssm, ys, &mut self.ws);
@@ -724,7 +716,7 @@ mod tests {
 
     #[test]
     fn screen_scores_each_candidate_as_a_freshly_built_model() {
-        // Rewriting one SSM's λ loading and exclusions per candidate gives
+        // Rewriting one SSM's slope shift and exclusions per candidate gives
         // the same likelihood, bit for bit, as building each candidate's
         // model afresh at the same variances.
         let params = StructuralParams {
@@ -755,7 +747,7 @@ mod tests {
             for (&cp, &(screened_cp, screened_aic)) in cands.iter().zip(&screened) {
                 assert_eq!(cp, screened_cp);
                 let spec = ctx.problem.spec(Some(cp));
-                let mut ssm = spec.build(&params, ys.len());
+                let mut ssm = spec.build(&params);
                 ssm.n_diffuse = comparable_skip(&spec, &mut ssm.extra_skips);
                 let loglik = crate::kalman::kalman_filter(&ssm, &ys).loglik;
                 let expected = aic(loglik, spec.state_dim(), seasonal);

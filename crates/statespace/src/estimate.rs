@@ -60,15 +60,14 @@ pub struct FittedStructural {
 }
 
 impl FittedStructural {
-    /// Build the numeric SSM for `horizon` steps (≥ `self.n`; longer for
-    /// forecasting).
-    pub fn ssm(&self, horizon: usize) -> Ssm {
-        self.spec.build(&self.params, horizon)
+    /// Build the numeric SSM at the fitted variances.
+    pub fn ssm(&self) -> Ssm {
+        self.spec.build(&self.params)
     }
 
     /// Smoothed component decomposition (Figs. 6–7 middle panels).
     pub fn decompose(&self, ys: &[f64]) -> Components {
-        let ssm = self.ssm(ys.len());
+        let ssm = self.ssm();
         let f = kalman_filter(&ssm, ys);
         let s = smooth(&ssm, &f);
         Components::from_smoothed(&self.spec, &s.means, ys)
@@ -80,7 +79,7 @@ impl FittedStructural {
     pub fn lambda(&self, ys: &[f64]) -> f64 {
         self.spec.lambda_index().map_or(0.0, |i| {
             let mut ws = FilterWorkspace::default();
-            kalman_loglik(&self.ssm(ys.len()), ys, &mut ws);
+            kalman_loglik(&self.ssm(), ys, &mut ws);
             ws.filtered_state()[i]
         })
     }
@@ -98,7 +97,7 @@ impl FittedStructural {
     /// noise. Useful for prediction intervals
     /// (`mean ± z·sqrt(var)`).
     pub fn forecast_with_variance(&self, ys: &[f64], h: usize) -> Vec<(f64, f64)> {
-        forecast_moments(&self.ssm(ys.len() + h), ys, h)
+        forecast_moments(&self.ssm(), ys, h)
     }
 }
 
@@ -112,7 +111,7 @@ impl FittedStructural {
 /// (not enough observations past the diffuse burn-in to score).
 pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> FittedStructural {
     let mut extra = Vec::new();
-    let skip = if spec.intervention.is_some() {
+    let skip = if spec.change_point.is_some() {
         comparable_skip(&spec, &mut extra)
     } else {
         spec.state_dim()
@@ -130,12 +129,7 @@ pub fn fit_structural(ys: &[f64], spec: StructuralSpec, opts: &FitOptions) -> Fi
 /// change point's own innovation, or — for a change point inside the lead
 /// and for the no-change baseline — the innovation right after the lead.
 pub(crate) fn comparable_skip(spec: &StructuralSpec, extra: &mut Vec<usize>) -> usize {
-    comparable_skip_k(
-        spec.seasonal,
-        spec.intervention.change_point().as_slice(),
-        1,
-        extra,
-    )
+    comparable_skip_k(spec.seasonal, spec.change_point.as_slice(), 1, extra)
 }
 
 /// The one likelihood-exclusion rule, for models with the distinct
@@ -213,7 +207,7 @@ pub(crate) fn fit_structural_ws(
         extra_skips.len(),
         skip + extra_skips.len() + 2
     );
-    let mut ssm = spec.build(&StructuralParams::ZERO, n);
+    let mut ssm = spec.build(&StructuralParams::ZERO);
     ssm.n_diffuse = skip;
     ssm.extra_skips = extra_skips.to_vec();
     let (params, loglik, evals) = maximize_loglik(ys, &mut ssm, spec.seasonal, opts, warm, ws);
@@ -366,7 +360,6 @@ fn params_from_log(x: &[f64], var_y: f64) -> StructuralParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structural::InterventionSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -416,13 +409,13 @@ mod tests {
             let lead = lead(seasonal);
             let base = StructuralSpec {
                 seasonal,
-                intervention: InterventionSpec::None,
+                change_point: None,
             };
             let after_lead: Vec<usize> = (lead + 1..n).collect();
             assert_eq!(scored(n, skips(&base)), after_lead);
             for cp in crate::changepoint::candidates(n) {
                 let spec = StructuralSpec {
-                    intervention: InterventionSpec::SlopeShift { change_point: cp },
+                    change_point: Some(cp),
                     ..base
                 };
                 let expected: Vec<usize> = if cp < lead {
@@ -542,7 +535,7 @@ mod tests {
             (seasonal_series(43, 5), StructuralSpec::full(30)),
         ] {
             let fit = fit_structural(&ys, spec, &opts);
-            let filtered = kalman_filter(&fit.ssm(ys.len()), &ys);
+            let filtered = kalman_filter(&fit.ssm(), &ys);
             let li = spec.lambda_index().expect("intervention model");
             let last = filtered.filtered_means[ys.len() - 1][li].to_bits();
             assert_eq!(fit.decompose(&ys).lambda.to_bits(), last, "{spec:?}");

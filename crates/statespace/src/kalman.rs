@@ -24,7 +24,7 @@
 //! forms, the multi-change-point models with two or more λs) runs the same
 //! step body at a run-time dimension (`Dyn`).
 
-use crate::model::{ObsLoading, Ssm};
+use crate::model::Ssm;
 use mic_stats::Mat;
 
 const LN_2PI: f64 = 1.837_877_066_409_345_5;
@@ -99,10 +99,9 @@ impl FilterResult {
 /// the dense one bit for bit (up to the sign of exact zeros).
 #[derive(Clone, Debug, Default)]
 struct Pattern {
-    /// Columns where the loading is nonzero at some `t`, ascending.
+    /// Columns where `Z_t` can be nonzero: `loading`'s nonzeros and the
+    /// slope-shift states, ascending.
     z_cols: Vec<usize>,
-    /// Scratch for `load`: per column, whether some `Z_t` is nonzero there.
-    z_seen: Vec<bool>,
     /// Flat row-major indices of `Q`'s nonzero entries.
     q_nz: Vec<usize>,
     /// Per row of `T`: the source column of a unit row (a single `1.0`,
@@ -120,21 +119,11 @@ impl Pattern {
     fn load(&mut self, ssm: &Ssm) {
         let m = ssm.state_dim();
         self.z_cols.clear();
-        match &ssm.loading {
-            ObsLoading::Constant(z) => self.z_cols.extend((0..m).filter(|&j| z[j] != 0.0)),
-            ObsLoading::TimeVarying(zs) => {
-                // One pass over the loadings, OR-ing each one's nonzeros.
-                self.z_seen.clear();
-                self.z_seen.resize(m, false);
-                for z in zs {
-                    for (seen, &zj) in self.z_seen.iter_mut().zip(z) {
-                        *seen |= zj != 0.0;
-                    }
-                }
-                let seen = &self.z_seen;
-                self.z_cols.extend((0..m).filter(|&j| seen[j]));
-            }
-        }
+        self.z_cols.extend(
+            (0..m).filter(|&j| {
+                ssm.loading[j] != 0.0 || ssm.slope_shifts.iter().any(|&(s, _)| s == j)
+            }),
+        );
         self.q_nz.clear();
         let q = ssm.state_cov.as_slice();
         self.q_nz.extend((0..m * m).filter(|&i| q[i] != 0.0));
@@ -214,8 +203,8 @@ pub fn kalman_filter(ssm: &Ssm, ys: &[f64]) -> FilterResult {
 
 /// Mean and variance forecasts of `y_{n+1}, …, y_{n+h}` past the end of
 /// `ys` (`n = ys.len()`): the filter runs over `ys`, then the predict step
-/// alone carries the state `h` steps further. `ssm` must span at least
-/// `n + h` steps.
+/// alone carries the state `h` steps further, with `Z_{n+j}` computed like
+/// the filter's.
 ///
 /// # Panics
 /// Panics if `ys` is empty, and in debug builds if the model fails
@@ -233,9 +222,9 @@ pub(crate) fn forecast_moments(ssm: &Ssm, ys: &[f64], h: usize) -> Vec<(f64, f64
                 std::mem::swap(&mut ws.p_pred, &mut ws.p_filt);
             }
             ws.predict(d, &ssm.state_cov);
-            let z = ssm.loading.at(n + j);
-            let mean: f64 = z.iter().zip(&ws.a_pred).map(|(zi, ai)| zi * ai).sum();
-            (mean, ws.p_pred.quad_form(z) + ssm.obs_var)
+            ssm.load_shifts(n + j, &mut ws.z);
+            let mean: f64 = ws.z.iter().zip(&ws.a_pred).map(|(zi, ai)| zi * ai).sum();
+            (mean, ws.p_pred.quad_form(&ws.z) + ssm.obs_var)
         })
         .collect()
 }
@@ -250,11 +239,13 @@ pub(crate) fn forecast_moments(ssm: &Ssm, ys: &[f64], h: usize) -> Vec<(f64, f64
 /// once per search and threaded through every [`kalman_loglik`] call,
 /// removes all per-run and per-timestep heap allocation from that path.
 ///
-/// Per step, the update computes `P zᵀ` and `F` over the loading's nonzero
-/// columns and writes `P − k pzᵀ` straight from `P`, symmetrizing each
-/// off-diagonal pair as it writes it; the predict step writes a unit row of
-/// `T P Tᵀ` straight from `P` (`P[src_i][src_j]`) and forms `T·P` only for
-/// the general rows of `T`. A run uses the step compiled for its state
+/// A run copies the model's constant `loading` into its `z` buffer once and
+/// writes the slope-shift entries `w_t` into it before each update. Per
+/// step, the update computes `P zᵀ` and `F` over the columns where `Z_t`
+/// can be nonzero and writes `P − k pzᵀ` straight from `P`, symmetrizing
+/// each off-diagonal pair as it writes it; the predict step writes a unit
+/// row of `T P Tᵀ` straight from `P` (`P[src_i][src_j]`) and forms `T·P`
+/// only for the general rows of `T`. A run uses the step compiled for its state
 /// dimension when the structural builder can produce that dimension, and
 /// the run-time-dimension step otherwise (see the module docs; DESIGN §5
 /// gives the measured step times).
@@ -268,6 +259,8 @@ pub(crate) fn forecast_moments(ssm: &Ssm, ys: &[f64], h: usize) -> Vec<(f64, f64
 #[derive(Clone, Debug, Default)]
 pub struct FilterWorkspace {
     state_dim: usize,
+    /// `Z_t` of the current step.
+    z: Vec<f64>,
     a_pred: Vec<f64>,
     a_filt: Vec<f64>,
     pz: Vec<f64>,
@@ -298,6 +291,7 @@ impl FilterWorkspace {
         }
         self.state_dim = m;
         for v in [
+            &mut self.z,
             &mut self.a_pred,
             &mut self.a_filt,
             &mut self.pz,
@@ -330,6 +324,7 @@ impl FilterWorkspace {
         );
         let m = ssm.state_dim();
         self.ensure_dim(m);
+        self.z.copy_from_slice(&ssm.loading);
         self.a_pred.copy_from_slice(&ssm.a0);
         self.p_pred.copy_from(&ssm.p0);
         self.pat.load(ssm);
@@ -354,20 +349,22 @@ impl FilterWorkspace {
             if t > 0 {
                 self.predict(d, &ssm.state_cov);
             }
-            let (v, f) = self.update(d, ssm.loading.at(t), ssm.obs_var, y);
+            ssm.load_shifts(t, &mut self.z);
+            let (v, f) = self.update(d, ssm.obs_var, y);
             visit(t, v, f, self);
         }
     }
 
     /// Measurement update of `(a_pred, p_pred)` by observation `y` under
-    /// loading `z` into `(a_filt, p_filt)`: `pz = P zᵀ` and
-    /// `F = z P zᵀ + H`, both summed over the loading's nonzero columns; the
+    /// the loading `z` into `(a_filt, p_filt)`: `pz = P zᵀ` and
+    /// `F = z P zᵀ + H`, both summed over `Pattern::z_cols`; the
     /// gain `k = pz / F`; `p_filt = P − k pzᵀ`, symmetrized; and
     /// `a_filt = a_pred + k v`. Returns the innovation `v = y − z·a_pred`
     /// and its variance `F`.
-    fn update<D: Dim>(&mut self, d: D, z: &[f64], obs_var: f64, y: f64) -> (f64, f64) {
+    fn update<D: Dim>(&mut self, d: D, obs_var: f64, y: f64) -> (f64, f64) {
         let m = d.m();
         let FilterWorkspace {
+            z,
             a_pred,
             a_filt,
             pz,
@@ -558,9 +555,8 @@ pub(crate) fn concentrated_sums(
 /// as [`kalman_filter`], so it returns exactly `kalman_filter(ssm,
 /// ys).loglik`, but computing only the scalar likelihood with zero heap
 /// allocation per timestep (all state lives in `ws`). The run leaves its
-/// last filtered state in `ws` ([`FilterWorkspace::filtered_state`]). Use
-/// this in optimisation loops; use [`kalman_filter`] when the smoother
-/// needs the full state trajectory.
+/// last filtered state `a_{n|n}` in `ws`. Use this in optimisation loops;
+/// use [`kalman_filter`] when the smoother needs the full state trajectory.
 ///
 /// # Panics
 /// Panics if `ys` is empty, and in debug builds if the model fails
@@ -578,14 +574,15 @@ pub fn kalman_loglik(ssm: &Ssm, ys: &[f64], ws: &mut FilterWorkspace) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ObsLoading, DIFFUSE_KAPPA};
+    use crate::model::DIFFUSE_KAPPA;
 
     fn local_level(var_eps: f64, var_level: f64) -> Ssm {
         Ssm {
             transition: Mat::identity(1),
             state_cov: Mat::diag(&[var_level]),
             obs_var: var_eps,
-            loading: ObsLoading::Constant(vec![1.0]),
+            loading: vec![1.0],
+            slope_shifts: Vec::new(),
             a0: vec![0.0],
             p0: Mat::diag(&[DIFFUSE_KAPPA]),
             n_diffuse: 1,
@@ -614,7 +611,8 @@ mod tests {
             transition: Mat::from_rows(&[vec![0.5, 1.0], vec![-0.3, 0.0]]),
             state_cov: Mat::from_rows(&[vec![1.0, 0.4], vec![0.4, 0.16]]),
             obs_var: 0.0,
-            loading: ObsLoading::Constant(vec![1.0, 0.0]),
+            loading: vec![1.0, 0.0],
+            slope_shifts: Vec::new(),
             a0: vec![0.0, 0.0],
             p0: Mat::from_rows(&[vec![2.0, 0.3], vec![0.3, 0.5]]),
             n_diffuse: 0,
@@ -662,7 +660,8 @@ mod tests {
             transition: Mat::identity(1),
             state_cov: Mat::diag(&[0.0]),
             obs_var: 2.0,
-            loading: ObsLoading::Constant(vec![1.0]),
+            loading: vec![1.0],
+            slope_shifts: Vec::new(),
             a0: vec![1.0],
             p0: Mat::diag(&[0.0]),
             n_diffuse: 0,
@@ -736,7 +735,7 @@ mod tests {
         let ys: Vec<f64> = (0..30).map(|i| 5.0 + 0.1 * i as f64).collect();
         let mut ws = FilterWorkspace::new(1);
         for spec in [StructuralSpec::local_level(), StructuralSpec::full(10)] {
-            let ssm = spec.build(&params, ys.len());
+            let ssm = spec.build(&params);
             let full = kalman_filter(&ssm, &ys).loglik;
             let fast = kalman_loglik(&ssm, &ys, &mut ws);
             assert_eq!(full.to_bits(), fast.to_bits());
@@ -759,9 +758,9 @@ mod tests {
         let ys: Vec<f64> = (0..36)
             .map(|i| 20.0 + (i as f64 * std::f64::consts::PI / 6.0).sin())
             .collect();
-        let two = build_ssm(true, &[10, 24], &params, ys.len()); // 14-state
-        let big = StructuralSpec::full(18).build(&params, ys.len()); // 13-state
-        let small = StructuralSpec::with_seasonal().build(&params, ys.len()); // 12-state
+        let two = build_ssm(true, &[10, 24], &params); // 14-state
+        let big = StructuralSpec::full(18).build(&params); // 13-state
+        let small = StructuralSpec::with_seasonal().build(&params); // 12-state
 
         let mut ws = FilterWorkspace::new(two.state_dim());
         let _warm = kalman_loglik(&two, &ys, &mut ws);
@@ -772,7 +771,7 @@ mod tests {
                 ws.p_filt.as_slice().as_ptr(),
                 ws.tp.as_slice().as_ptr(),
                 ws.pat.z_cols.as_ptr(),
-                ws.pat.z_seen.as_ptr(),
+                ws.z.as_ptr(),
                 ws.pat.q_nz.as_ptr(),
                 ws.pat.t_src.as_ptr(),
                 ws.pat.t_general.as_ptr(),

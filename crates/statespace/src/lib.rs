@@ -19,7 +19,8 @@
 //!
 //! Modules:
 //!
-//! - [`model`] — general linear Gaussian state space model;
+//! - [`model`] — general linear Gaussian state space model, whose loading
+//!   is constant but for the slope-shift regressors it computes per month;
 //! - [`kalman`] — Kalman filter with near-diffuse initialisation and the
 //!   Commandeur–Koopman likelihood (first *d* innovations excluded);
 //! - [`smoother`] — Durbin–Koopman fixed-interval smoother (§4.4), no inversion;
@@ -72,4 +73,4 @@ pub use kalman::{kalman_filter, kalman_loglik, FilterResult, FilterWorkspace};
 pub use model::Ssm;
 pub use multi::{detect_multiple, MultiChangePoints};
 pub use smoother::{smooth, SmoothResult};
-pub use structural::{Components, InterventionSpec, StructuralParams, StructuralSpec};
+pub use structural::{Components, StructuralParams, StructuralSpec};

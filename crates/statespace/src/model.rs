@@ -6,37 +6,21 @@
 //! α_1     ~ N(a0, P0)
 //! ```
 //!
-//! `Z_t` may vary over time (the intervention regressor `w_t` does);
-//! everything else is time-invariant, which covers every model in the paper.
+//! `Z_t` is a constant loading except at the slope-shift states, which load
+//! the intervention regressor `w_t = max(0, t − t_CP + 1)` of their change
+//! point ([`slope_shift_w`]); [`Ssm::load_z`] writes `Z_t` for any `t`, so
+//! a model serves a series of any length and its forecasts alike.
+//! Everything else is time-invariant, which covers every model in the paper.
 
 use mic_stats::Mat;
 
-/// Observation loading vector, constant or per-time.
-#[derive(Clone, Debug)]
-pub enum ObsLoading {
-    /// One `Z` for all `t`.
-    Constant(Vec<f64>),
-    /// `Z_t` per time step; outer length must cover the series (and any
-    /// forecast horizon requested).
-    TimeVarying(Vec<Vec<f64>>),
-}
-
-impl ObsLoading {
-    /// `Z_t` for time `t` (0-based).
-    pub fn at(&self, t: usize) -> &[f64] {
-        match self {
-            ObsLoading::Constant(z) => z,
-            ObsLoading::TimeVarying(zs) => zs
-                .get(t)
-                .unwrap_or_else(|| panic!("Z_t missing for t = {t}")),
-        }
-    }
-
-    pub fn dim(&self) -> usize {
-        match self {
-            ObsLoading::Constant(z) => z.len(),
-            ObsLoading::TimeVarying(zs) => zs.first().map_or(0, |z| z.len()),
-        }
+/// The slope-shift regressor `w_t` of a change point at 0-based month
+/// `change_point`: `t − change_point + 1` from the change point on, else 0.
+pub fn slope_shift_w(change_point: usize, t: usize) -> f64 {
+    if t >= change_point {
+        (t - change_point + 1) as f64
+    } else {
+        0.0
     }
 }
 
@@ -50,8 +34,12 @@ pub struct Ssm {
     pub state_cov: Mat,
     /// Observation noise variance `H ≥ 0`.
     pub obs_var: f64,
-    /// Observation loading(s).
-    pub loading: ObsLoading,
+    /// The constant part of `Z_t` (m entries); a slope-shift state's entry
+    /// is replaced by its `w_t`.
+    pub loading: Vec<f64>,
+    /// `(state, change_point)` per slope shift: `Z_t[state]` is
+    /// [`slope_shift_w`]`(change_point, t)`.
+    pub slope_shifts: Vec<(usize, usize)>,
     /// Initial state mean `a0`.
     pub a0: Vec<f64>,
     /// Initial state covariance `P0`.
@@ -82,6 +70,20 @@ impl Ssm {
         self.transition.rows()
     }
 
+    /// Write `Z_t` into `z` (length `m`).
+    pub fn load_z(&self, t: usize, z: &mut [f64]) {
+        z.copy_from_slice(&self.loading);
+        self.load_shifts(t, z);
+    }
+
+    /// Write the slope-shift entries of `Z_t` into `z`, whose other entries
+    /// already hold `loading`'s.
+    pub(crate) fn load_shifts(&self, t: usize, z: &mut [f64]) {
+        for &(state, change_point) in &self.slope_shifts {
+            z[state] = slope_shift_w(change_point, t);
+        }
+    }
+
     /// Whether innovation `t` enters the log-likelihood: it is past the
     /// first `n_diffuse` and not one of the `extra_skips`.
     pub(crate) fn scores(&self, t: usize) -> bool {
@@ -97,11 +99,14 @@ impl Ssm {
         if self.state_cov.rows() != m || self.state_cov.cols() != m {
             return Err("state_cov shape mismatch".into());
         }
-        if self.loading.dim() != m {
+        if self.loading.len() != m {
             return Err(format!(
                 "loading dim {} != state dim {m}",
-                self.loading.dim()
+                self.loading.len()
             ));
+        }
+        if let Some(&(state, _)) = self.slope_shifts.iter().find(|&&(s, _)| s >= m) {
+            return Err(format!("slope shift on state {state} of {m}"));
         }
         if self.a0.len() != m {
             return Err("a0 length mismatch".into());
@@ -133,7 +138,8 @@ mod tests {
             transition: Mat::identity(1),
             state_cov: Mat::diag(&[var_level]),
             obs_var: var_eps,
-            loading: ObsLoading::Constant(vec![1.0]),
+            loading: vec![1.0],
+            slope_shifts: Vec::new(),
             a0: vec![0.0],
             p0: Mat::diag(&[DIFFUSE_KAPPA]),
             n_diffuse: 1,
@@ -153,7 +159,7 @@ mod tests {
         assert!(ssm.validate().is_err());
 
         let mut ssm = local_level(1.0, 0.5);
-        ssm.loading = ObsLoading::Constant(vec![1.0, 0.0]);
+        ssm.loading = vec![1.0, 0.0];
         assert!(ssm.validate().unwrap_err().contains("loading"));
 
         let mut ssm = local_level(1.0, 0.5);
@@ -168,17 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn time_varying_loading_lookup() {
-        let loading = ObsLoading::TimeVarying(vec![vec![1.0, 0.0], vec![1.0, 2.0]]);
-        assert_eq!(loading.at(0), &[1.0, 0.0]);
-        assert_eq!(loading.at(1), &[1.0, 2.0]);
-        assert_eq!(loading.dim(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "Z_t missing")]
-    fn time_varying_out_of_range_panics() {
-        let loading = ObsLoading::TimeVarying(vec![vec![1.0]]);
-        loading.at(5);
+    fn validation_rejects_a_slope_shift_outside_the_model() {
+        let mut ssm = local_level(1.0, 0.5);
+        ssm.slope_shifts = vec![(1, 5)];
+        assert!(ssm.validate().unwrap_err().contains("slope shift"));
     }
 }

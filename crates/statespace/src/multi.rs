@@ -35,7 +35,7 @@ fn fit_multi(
     ws: &mut FilterWorkspace,
 ) -> FittedMulti {
     let n = ys.len();
-    let mut ssm = build_ssm(seasonal, change_points, &StructuralParams::ZERO, n);
+    let mut ssm = build_ssm(seasonal, change_points, &StructuralParams::ZERO);
     ssm.n_diffuse = comparable_skip_k(seasonal, change_points, budget, &mut ssm.extra_skips);
     assert!(
         n > ssm.n_diffuse + ssm.extra_skips.len() + 2,
@@ -68,7 +68,9 @@ pub struct MultiChangePoints {
     pub points: Vec<(usize, f64)>,
     /// AIC of the final model.
     pub aic: f64,
-    /// AIC trace: entry `k` is the best AIC with `k` change points.
+    /// AIC trace: entry `k` is the best AIC with `k` change points
+    /// (`points.len() + 1` entries; a provisional point confirmed by its
+    /// pair keeps its own, higher, entry).
     pub aic_trace: Vec<f64>,
 }
 
@@ -102,8 +104,8 @@ pub fn detect_multiple(
     let mut ws = FilterWorkspace::new(lead + 1);
     let mut best_fit = fit_multi(ys, seasonal, &[], opts, budget, &mut ws);
     let mut aic_trace = vec![best_fit.aic];
-    // One provisional (not-yet-improving) step may be in flight.
-    let mut provisional = false;
+    // The AIC of the one provisional (not-yet-improving) step in flight.
+    let mut provisional = None;
 
     for _round in 0..budget {
         let mut round_best: Option<(usize, FittedMulti)> = None;
@@ -127,13 +129,13 @@ pub fn detect_multiple(
         let Some((cp, fit)) = round_best else { break };
         if fit.aic < best_fit.aic {
             accepted.push(cp);
+            aic_trace.extend(provisional.take());
             aic_trace.push(fit.aic);
             best_fit = fit;
-            provisional = false;
-        } else if !provisional && accepted.is_empty() {
+        } else if accepted.is_empty() {
             // Lookahead: tentatively accept and give the pair a chance.
             accepted.push(cp);
-            provisional = true;
+            provisional = Some(fit.aic);
         } else {
             break;
         }
@@ -185,12 +187,14 @@ mod tests {
             (false, vec![5, 20], 3),
             (true, vec![5, 20], 14),
         ] {
-            let ssm = build_ssm(seasonal, &change_points, &params, 40);
+            let ssm = build_ssm(seasonal, &change_points, &params);
             assert_eq!(ssm.state_dim(), dim, "{seasonal} {change_points:?}");
             assert!(ssm.validate().is_ok(), "{seasonal} {change_points:?}");
             let base = lead(seasonal);
-            for t in [0, 4, 5, 6, 19, 20, 39] {
-                let z = ssm.loading.at(t);
+            let mut z = vec![f64::NAN; dim];
+            // Months of a 40-month series, and one far past any series.
+            for t in [0, 4, 5, 6, 19, 20, 39, 10_000] {
+                ssm.load_z(t, &mut z);
                 assert_eq!(z[0], 1.0);
                 if seasonal {
                     assert_eq!(z[1], 1.0);
@@ -202,10 +206,6 @@ mod tests {
                     assert_eq!(z[base + k], w, "t = {t}, cp = {cp}");
                 }
             }
-            assert_eq!(
-                matches!(ssm.loading, crate::model::ObsLoading::Constant(_)),
-                change_points.is_empty()
-            );
         }
     }
 
@@ -215,6 +215,7 @@ mod tests {
         let ys = double_break(48, 12, 1.0, 30, 1.5, 5);
         let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert!(r.points.len() >= 2, "found only {:?}", r.points);
+        assert_eq!(r.aic_trace.len(), r.points.len() + 1);
         let mut months: Vec<usize> = r.points.iter().map(|&(t, _)| t).collect();
         months.sort_unstable();
         assert!(
@@ -236,6 +237,7 @@ mod tests {
         let ys = double_break(43, 20, 1.5, 43, 0.0, 6); // second break never fires
         let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert_eq!(r.points.len(), 1, "found {:?}", r.points);
+        assert_eq!(r.aic_trace.len(), 2);
         assert!((r.points[0].0 as i64 - 20).abs() <= 2);
         assert!(r.points[0].1 > 0.5, "lambda = {}", r.points[0].1);
     }
@@ -278,6 +280,7 @@ mod tests {
             let r = detect_multiple(ys, seasonal, max_points, &opts()).expect("long enough");
             let points: Vec<(usize, u64)> =
                 r.points.iter().map(|&(t, l)| (t, l.to_bits())).collect();
+            assert_eq!(r.aic_trace.len(), r.points.len() + 1);
             let trace: Vec<u64> = r.aic_trace.iter().map(|a| a.to_bits()).collect();
             (points, trace)
         };
@@ -291,6 +294,7 @@ mod tests {
                 ],
                 vec![
                     4641143167941969626,
+                    4641189730647677591,
                     4639959339722001283,
                     4639844321787917432,
                 ],
@@ -320,6 +324,7 @@ mod tests {
             let ys: Vec<f64> = (0..lead + 3).map(|t| (t % 5) as f64).collect();
             let r = detect_multiple(&ys, seasonal, 3, &opts()).expect("long enough");
             assert!(r.points.is_empty());
+            assert_eq!(r.aic_trace.len(), 1);
         }
     }
 
@@ -329,6 +334,7 @@ mod tests {
         let ys = double_break(48, 10, 1.2, 28, -2.0, 8);
         let r = detect_multiple(&ys, false, 3, &opts()).expect("long enough");
         assert!(r.points.len() >= 2, "found {:?}", r.points);
+        assert_eq!(r.aic_trace.len(), r.points.len() + 1);
         let up = r.points.iter().find(|&&(t, _)| (t as i64 - 10).abs() <= 3);
         let down = r.points.iter().find(|&&(t, _)| (t as i64 - 28).abs() <= 3);
         assert!(up.is_some() && down.is_some(), "points {:?}", r.points);

@@ -41,8 +41,9 @@ pub fn smooth(ssm: &Ssm, filter: &FilterResult) -> SmoothResult {
     let mut means = vec![Vec::new(); n];
     means[n - 1] = filter.filtered_means[n - 1].clone();
     let (mut r, mut u, mut k) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+    let mut z = ssm.loading.clone();
     for t in (0..n).rev() {
-        let z = ssm.loading.at(t);
+        ssm.load_shifts(t, &mut z);
         let p = filter.predicted_covs[t].as_slice();
         let f = filter.innovation_vars[t];
         u.fill(0.0);
@@ -56,10 +57,10 @@ pub fn smooth(ssm: &Ssm, filter: &FilterResult) -> SmoothResult {
             r.copy_from_slice(&u);
         } else {
             for (ki, p_row) in k.iter_mut().zip(p.chunks_exact(m)) {
-                *ki = dot(p_row, z) / f;
+                *ki = dot(p_row, &z) / f;
             }
             let c = filter.innovations[t] / f - dot(&k, &u);
-            for ((ri, &zi), &ui) in r.iter_mut().zip(z).zip(&u) {
+            for ((ri, &zi), &ui) in r.iter_mut().zip(&z).zip(&u) {
                 *ri = zi * c + ui;
             }
         }
@@ -81,7 +82,7 @@ fn dot(x: &[f64], y: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::kalman::kalman_filter;
-    use crate::model::{ObsLoading, DIFFUSE_KAPPA};
+    use crate::model::DIFFUSE_KAPPA;
     use mic_stats::Mat;
 
     fn local_level(var_eps: f64, var_level: f64) -> Ssm {
@@ -89,7 +90,8 @@ mod tests {
             transition: Mat::identity(1),
             state_cov: Mat::diag(&[var_level]),
             obs_var: var_eps,
-            loading: ObsLoading::Constant(vec![1.0]),
+            loading: vec![1.0],
+            slope_shifts: Vec::new(),
             a0: vec![0.0],
             p0: Mat::diag(&[DIFFUSE_KAPPA]),
             n_diffuse: 1,
@@ -111,7 +113,7 @@ mod tests {
             var_seasonal: 0.0,
         };
         let ys: Vec<f64> = (0..24).map(|t| 10.0 + ((t % 12) as f64)).collect();
-        let ssm = spec.build(&params, ys.len());
+        let ssm = spec.build(&params);
         let f = kalman_filter(&ssm, &ys);
         let s = smooth(&ssm, &f);
         assert_eq!(s.means.len(), ys.len());
@@ -180,7 +182,11 @@ mod tests {
     fn conditional_means(ssm: &Ssm, ys: &[f64]) -> Vec<Vec<f64>> {
         let n = ys.len();
         let tr = &ssm.transition;
-        let z = |t: usize| ssm.loading.at(t);
+        let z = |t: usize| {
+            let mut z = vec![0.0; ssm.state_dim()];
+            ssm.load_z(t, &mut z);
+            z
+        };
         // Means `E α_t` and cross covariances `c[t][s] = Cov(α_t, α_s)` for
         // `s ≤ t`: `Var(α_{t+1}) = T Var(α_t) Tᵀ + Q` and, for `t > s`,
         // `Cov(α_t, α_s) = T Cov(α_{t−1}, α_s)`.
@@ -203,17 +209,17 @@ mod tests {
         let mut var_y = Mat::zeros(n, n);
         for s in 0..n {
             for t in 0..n {
-                var_y[(s, t)] = dot(z(s), &cov(s, t).mul_vec(z(t)));
+                var_y[(s, t)] = dot(&z(s), &cov(s, t).mul_vec(&z(t)));
             }
             var_y[(s, s)] += ssm.obs_var;
         }
-        let resid: Vec<f64> = (0..n).map(|s| ys[s] - dot(z(s), &mean[s])).collect();
+        let resid: Vec<f64> = (0..n).map(|s| ys[s] - dot(&z(s), &mean[s])).collect();
         let x = var_y.solve(&resid).expect("Var(y) is positive definite");
         (0..n)
             .map(|t| {
                 let mut out = mean[t].clone();
                 for (s, &xs) in x.iter().enumerate() {
-                    for (o, cz) in out.iter_mut().zip(cov(t, s).mul_vec(z(s))) {
+                    for (o, cz) in out.iter_mut().zip(cov(t, s).mul_vec(&z(s))) {
                         *o += cz * xs;
                     }
                 }
@@ -249,7 +255,7 @@ mod tests {
             // its solve alone loses about κ·ε ≈ 2e-9 relative, so the
             // bound there is looser than the smoother's own accuracy.
             for (p0, tol) in [(Some(10.0), 1e-11), (None, 1e-7)] {
-                let mut ssm = spec.build(&params, n);
+                let mut ssm = spec.build(&params);
                 if let Some(p0) = p0 {
                     ssm.p0 = Mat::diag(&vec![p0; ssm.state_dim()]);
                 }

@@ -10,66 +10,14 @@
 //! | `LL + S + I`    | full model (the paper's proposal)            |
 //!
 //! The intervention coefficient `λ` is carried as a noise-free diffuse state
-//! with the time-varying loading `w_t = max(0, t − t_CP + 1)`, so its MLE
-//! falls out of the Kalman filter and only the disturbance variances need
-//! numeric optimisation.
+//! whose loading is the slope-shift regressor `w_t = max(0, t − t_CP + 1)`
+//! ([`Ssm::slope_shifts`]), so its MLE falls out of the Kalman filter and
+//! only the disturbance variances need numeric optimisation. A built model
+//! holds no per-month table: the filter, the smoother and the forecaster
+//! compute `w_t` at each step, for a series of any length.
 
-use crate::model::{ObsLoading, Ssm, DIFFUSE_KAPPA};
+use crate::model::{slope_shift_w, Ssm, DIFFUSE_KAPPA};
 use mic_stats::Mat;
-
-/// Intervention component configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InterventionSpec {
-    /// No intervention component (`t_CP = ∞`).
-    None,
-    /// Slope shift starting at 0-based month `change_point`:
-    /// `w_t = t − change_point + 1` for `t ≥ change_point`, else 0.
-    SlopeShift { change_point: usize },
-}
-
-impl InterventionSpec {
-    /// The dummy `w_t`.
-    pub fn w(&self, t: usize) -> f64 {
-        match self {
-            InterventionSpec::None => 0.0,
-            InterventionSpec::SlopeShift { change_point } => {
-                if t >= *change_point {
-                    (t - change_point + 1) as f64
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    pub fn is_some(&self) -> bool {
-        !matches!(self, InterventionSpec::None)
-    }
-
-    /// The change point, if any.
-    pub fn change_point(&self) -> Option<usize> {
-        match self {
-            InterventionSpec::None => None,
-            InterventionSpec::SlopeShift { change_point } => Some(*change_point),
-        }
-    }
-
-    /// Write this intervention's loadings `w_t` into the λ state of a
-    /// structural SSM built with one change point, in place: the SSM then
-    /// equals the one [`StructuralSpec::build`] makes for this intervention.
-    ///
-    /// # Panics
-    /// Panics if `ssm` has a constant loading (no intervention state).
-    pub(crate) fn write_into(&self, seasonal: bool, ssm: &mut Ssm) {
-        let ObsLoading::TimeVarying(zs) = &mut ssm.loading else {
-            panic!("the SSM carries no intervention state");
-        };
-        let lambda = lead(seasonal);
-        for (t, z) in zs.iter_mut().enumerate() {
-            z[lambda] = self.w(t);
-        }
-    }
-}
 
 /// Seasonal period of the monthly data.
 const PERIOD: usize = 12;
@@ -85,14 +33,8 @@ pub(crate) fn lead(seasonal: bool) -> usize {
 
 /// Build the numeric SSM of the structural model with one noise-free,
 /// diffuse λ state per change point (in the given order, from state
-/// [`lead`] on), for a series observed (or forecast) over `horizon` steps.
-/// Without change points the loading is constant.
-pub(crate) fn build_ssm(
-    seasonal: bool,
-    change_points: &[usize],
-    params: &StructuralParams,
-    horizon: usize,
-) -> Ssm {
+/// [`lead`] on), each loading its change point's slope shift.
+pub(crate) fn build_ssm(seasonal: bool, change_points: &[usize], params: &StructuralParams) -> Ssm {
     let base = lead(seasonal);
     let m = base + change_points.len();
     let mut transition = Mat::zeros(m, m);
@@ -115,31 +57,18 @@ pub(crate) fn build_ssm(
         transition[(k, k)] = 1.0;
     }
 
-    let mut z = vec![0.0; m];
-    z[0] = 1.0;
+    let mut loading = vec![0.0; m];
+    loading[0] = 1.0;
     if seasonal {
-        z[1] = 1.0;
+        loading[1] = 1.0;
     }
-    let loading = if change_points.is_empty() {
-        ObsLoading::Constant(z)
-    } else {
-        let zs = (0..horizon)
-            .map(|t| {
-                let mut zt = z.clone();
-                for (k, &change_point) in change_points.iter().enumerate() {
-                    zt[base + k] = InterventionSpec::SlopeShift { change_point }.w(t);
-                }
-                zt
-            })
-            .collect();
-        ObsLoading::TimeVarying(zs)
-    };
 
     Ssm {
         transition,
         state_cov: Mat::diag(&q),
         obs_var: params.var_eps,
         loading,
+        slope_shifts: (base..).zip(change_points.iter().copied()).collect(),
         a0: vec![0.0; m],
         p0: Mat::diag(&vec![DIFFUSE_KAPPA; m]),
         n_diffuse: m,
@@ -151,7 +80,9 @@ pub(crate) fn build_ssm(
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StructuralSpec {
     pub seasonal: bool,
-    pub intervention: InterventionSpec,
+    /// The slope shift's 0-based change point `t_CP`, or `None` for no
+    /// intervention (`t_CP = ∞`).
+    pub change_point: Option<usize>,
 }
 
 impl StructuralSpec {
@@ -159,7 +90,7 @@ impl StructuralSpec {
     pub fn local_level() -> StructuralSpec {
         StructuralSpec {
             seasonal: false,
-            intervention: InterventionSpec::None,
+            change_point: None,
         }
     }
 
@@ -167,7 +98,7 @@ impl StructuralSpec {
     pub fn with_seasonal() -> StructuralSpec {
         StructuralSpec {
             seasonal: true,
-            intervention: InterventionSpec::None,
+            change_point: None,
         }
     }
 
@@ -175,7 +106,7 @@ impl StructuralSpec {
     pub fn with_intervention(change_point: usize) -> StructuralSpec {
         StructuralSpec {
             seasonal: false,
-            intervention: InterventionSpec::SlopeShift { change_point },
+            change_point: Some(change_point),
         }
     }
 
@@ -183,14 +114,14 @@ impl StructuralSpec {
     pub fn full(change_point: usize) -> StructuralSpec {
         StructuralSpec {
             seasonal: true,
-            intervention: InterventionSpec::SlopeShift { change_point },
+            change_point: Some(change_point),
         }
     }
 
     /// State dimension: level + 11 seasonal states (if seasonal) + λ (if
     /// intervention).
     pub fn state_dim(&self) -> usize {
-        lead(self.seasonal) + usize::from(self.intervention.is_some())
+        lead(self.seasonal) + usize::from(self.change_point.is_some())
     }
 
     /// Index of the seasonal block's first state (if seasonal).
@@ -200,18 +131,12 @@ impl StructuralSpec {
 
     /// Index of the λ state (if intervention).
     pub fn lambda_index(&self) -> Option<usize> {
-        self.intervention.is_some().then(|| lead(self.seasonal))
+        self.change_point.map(|_| lead(self.seasonal))
     }
 
-    /// Build the numeric SSM for a series observed (or forecast) over
-    /// `horizon` time steps.
-    pub fn build(&self, params: &StructuralParams, horizon: usize) -> Ssm {
-        build_ssm(
-            self.seasonal,
-            self.intervention.change_point().as_slice(),
-            params,
-            horizon,
-        )
+    /// Build the numeric SSM.
+    pub fn build(&self, params: &StructuralParams) -> Ssm {
+        build_ssm(self.seasonal, self.change_point.as_slice(), params)
     }
 }
 
@@ -285,9 +210,8 @@ impl Components {
             let mu = alpha[0];
             let gamma = spec.seasonal_index().map(|s0| alpha[s0]).unwrap_or(0.0);
             let interv = spec
-                .lambda_index()
-                .map(|li| alpha[li] * spec.intervention.w(t))
-                .unwrap_or(0.0);
+                .change_point
+                .map_or(0.0, |cp| alpha[lead(spec.seasonal)] * slope_shift_w(cp, t));
             let f = mu + gamma + interv;
             level.push(mu);
             seasonal.push(gamma);
@@ -312,12 +236,10 @@ mod tests {
 
     #[test]
     fn w_dummy_matches_paper_definition() {
-        let i = InterventionSpec::SlopeShift { change_point: 5 };
-        assert_eq!(i.w(4), 0.0);
-        assert_eq!(i.w(5), 1.0);
-        assert_eq!(i.w(6), 2.0);
-        assert_eq!(i.w(10), 6.0);
-        assert_eq!(InterventionSpec::None.w(3), 0.0);
+        assert_eq!(slope_shift_w(5, 4), 0.0);
+        assert_eq!(slope_shift_w(5, 5), 1.0);
+        assert_eq!(slope_shift_w(5, 6), 2.0);
+        assert_eq!(slope_shift_w(5, 10), 6.0);
     }
 
     #[test]
@@ -341,7 +263,7 @@ mod tests {
             StructuralSpec::with_intervention(4),
             StructuralSpec::full(4),
         ] {
-            let ssm = spec.build(&params, 30);
+            let ssm = spec.build(&params);
             ssm.validate().unwrap_or_else(|e| panic!("{spec:?}: {e}"));
             assert_eq!(ssm.state_dim(), spec.state_dim());
             assert_eq!(ssm.n_diffuse, spec.state_dim());
@@ -358,7 +280,7 @@ mod tests {
             var_seasonal: 0.0,
         };
         let spec = StructuralSpec::with_seasonal();
-        let ssm = spec.build(&params, 1);
+        let ssm = spec.build(&params);
         // Start from an arbitrary zero-sum seasonal pattern.
         let mut alpha = vec![0.0; 12];
         let pattern = [3.0, -1.0, 2.0, -4.0, 1.0, 0.5, -0.5, 2.5, -2.0, 0.0, -1.0];
@@ -389,13 +311,14 @@ mod tests {
             var_seasonal: 0.01,
         };
         let spec = StructuralSpec::full(3);
-        let ssm = spec.build(&params, 8);
-        assert_eq!(ssm.loading.at(2)[12], 0.0);
-        assert_eq!(ssm.loading.at(3)[12], 1.0);
-        assert_eq!(ssm.loading.at(7)[12], 5.0);
-        // Level and first seasonal slots load with 1.
-        assert_eq!(ssm.loading.at(0)[0], 1.0);
-        assert_eq!(ssm.loading.at(0)[1], 1.0);
+        let ssm = spec.build(&params);
+        let mut z = vec![f64::NAN; 13];
+        for (t, w) in [(0, 0.0), (2, 0.0), (3, 1.0), (7, 5.0)] {
+            ssm.load_z(t, &mut z);
+            assert_eq!(z[12], w, "t = {t}");
+            // Level and first seasonal slots load with 1.
+            assert_eq!(z[..2], [1.0, 1.0]);
+        }
     }
 
     #[test]

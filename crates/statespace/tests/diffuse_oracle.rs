@@ -86,8 +86,9 @@ fn diffuse_kalman_filter(
     }
 
     let tt = ssm.transition.transpose();
+    let mut z = vec![0.0; m];
     for (t, &y) in ys.iter().enumerate() {
-        let z = ssm.loading.at(t);
+        ssm.load_z(t, &mut z);
         let mut zy = 0.0;
         for i in 0..m {
             zy += z[i] * a[i];
@@ -212,7 +213,7 @@ fn no_diffuse_states_matches_standard_filter() {
     // A fully-proper model: diffuse mask all false, P_* given. The exact
     // filter must agree with the standard filter exactly.
     let spec = StructuralSpec::local_level();
-    let mut ssm = spec.build(&params(), 20);
+    let mut ssm = spec.build(&params());
     ssm.p0 = Mat::diag(&[2.5]);
     ssm.n_diffuse = 0;
     let ys = noisy_series(20, 1);
@@ -228,7 +229,7 @@ fn no_diffuse_states_matches_standard_filter() {
 #[test]
 fn local_level_diffuse_period_is_one_step() {
     let spec = StructuralSpec::local_level();
-    let ssm = spec.build(&params(), 25);
+    let ssm = spec.build(&params());
     let ys = noisy_series(25, 2);
     let r = diffuse_filter_structural(&ssm, &ys);
     assert_eq!(r.diffuse_steps, 1);
@@ -240,7 +241,7 @@ fn local_level_diffuse_period_is_one_step() {
 #[test]
 fn seasonal_diffuse_period_is_twelve_steps() {
     let spec = StructuralSpec::with_seasonal();
-    let ssm = spec.build(&params(), 30);
+    let ssm = spec.build(&params());
     let ys = noisy_series(30, 3);
     let r = diffuse_filter_structural(&ssm, &ys);
     assert_eq!(r.diffuse_steps, 12, "level + 11 seasonal states");
@@ -255,7 +256,7 @@ fn intervention_identified_at_change_point() {
     // convention (`extra_skips`) approximates.
     let cp = 15;
     let spec = StructuralSpec::with_intervention(cp);
-    let ssm = spec.build(&params(), 40);
+    let ssm = spec.build(&params());
     let ys = noisy_series(40, 4);
     let r = diffuse_filter_structural(&ssm, &ys);
     assert_eq!(r.diffuse_steps, 2, "level + λ");
@@ -276,7 +277,7 @@ fn exact_diffuse_agrees_with_skip_convention_up_to_constant() {
             var_level: vl,
             var_seasonal: 0.0,
         };
-        let ssm = spec.build(&p, ys.len());
+        let ssm = spec.build(&p);
         let skip = kalman_filter(&ssm, &ys).loglik;
         let exact = diffuse_filter_structural(&ssm, &ys).loglik;
         diffs.push(exact - skip);
@@ -318,7 +319,7 @@ fn exact_diffuse_ranks_change_points_like_production_search() {
     let mut best: Option<(usize, f64)> = None;
     for cand in [5usize, 12, 20, 28, 35] {
         let fit = fit_structural(&ys, StructuralSpec::with_intervention(cand), &opts);
-        let ssm = fit.ssm(ys.len());
+        let ssm = fit.ssm();
         let exact = diffuse_filter_structural(&ssm, &ys);
         // Exact-diffuse AIC with the same penalty convention.
         let aic = -2.0 * exact.loglik + 2.0 * (fit.spec.state_dim() + 2) as f64;

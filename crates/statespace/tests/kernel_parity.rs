@@ -10,8 +10,8 @@
 //! filtered covariance, so this covers the update too).
 
 use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
-use mic_statespace::model::{ObsLoading, Ssm};
-use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
+use mic_statespace::model::Ssm;
+use mic_statespace::structural::{StructuralParams, StructuralSpec};
 use mic_stats::Mat;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -37,10 +37,11 @@ fn dense_filter(ssm: &Ssm, ys: &[f64]) -> Dense {
         loglik: 0.0,
         predicted_covs: Vec::new(),
     };
+    let mut z = vec![0.0; m];
     for (t, &y) in ys.iter().enumerate() {
         out.predicted_covs.push(p.clone());
-        let z = ssm.loading.at(t);
-        let pz = p.mul_vec(z);
+        ssm.load_z(t, &mut z);
+        let pz = p.mul_vec(&z);
         let mut f = ssm.obs_var;
         for i in 0..m {
             f += z[i] * pz[i];
@@ -136,7 +137,8 @@ fn arma(phi: &[f64], theta: &[f64], p0: Mat) -> Ssm {
         transition,
         state_cov: q,
         obs_var: 0.0,
-        loading: ObsLoading::Constant(loading),
+        loading,
+        slope_shifts: Vec::new(),
         a0: vec![0.0; r],
         p0,
         n_diffuse: 0,
@@ -161,8 +163,8 @@ fn prior(diag: &[f64], off: f64) -> Mat {
 /// `cp2`: the 13-state single-intervention model plus a second noise-free,
 /// diffuse λ state (14 states) — the shape `multi` fits in its second
 /// round, and a state dimension the kernel runs at run time.
-fn two_lambda_seasonal(params: &StructuralParams, cp1: usize, cp2: usize, n: usize) -> Ssm {
-    let one = StructuralSpec::full(cp1).build(params, n);
+fn two_lambda_seasonal(params: &StructuralParams, cp1: usize, cp2: usize) -> Ssm {
+    let one = StructuralSpec::full(cp1).build(params);
     let m = one.state_dim() + 1;
     let widen = |a: &Mat| {
         let mut out = Mat::zeros(m, m);
@@ -177,21 +179,18 @@ fn two_lambda_seasonal(params: &StructuralParams, cp1: usize, cp2: usize, n: usi
     transition[(m - 1, m - 1)] = 1.0;
     let mut p0 = widen(&one.p0);
     p0[(m - 1, m - 1)] = one.p0[(m - 2, m - 2)];
-    let second = InterventionSpec::SlopeShift { change_point: cp2 };
-    let loading = (0..n)
-        .map(|t| {
-            let mut z = one.loading.at(t).to_vec();
-            z.push(second.w(t));
-            z
-        })
-        .collect();
+    let mut loading = one.loading.clone();
+    loading.push(0.0);
+    let mut slope_shifts = one.slope_shifts.clone();
+    slope_shifts.push((m - 1, cp2));
     let mut a0 = one.a0.clone();
     a0.push(0.0);
     Ssm {
         transition,
         state_cov: widen(&one.state_cov),
         obs_var: one.obs_var,
-        loading: ObsLoading::TimeVarying(loading),
+        loading,
+        slope_shifts,
         a0,
         p0,
         n_diffuse: m,
@@ -233,7 +232,8 @@ fn asymmetric_state_cov_is_symmetrized_like_dense() {
         transition: Mat::from_rows(&[vec![1.0, 1.0], vec![0.0, 1.0]]),
         state_cov: Mat::from_rows(&[vec![0.4, 0.05], vec![0.02, 0.1]]),
         obs_var: 1.0,
-        loading: ObsLoading::Constant(vec![1.0, 0.0]),
+        loading: vec![1.0, 0.0],
+        slope_shifts: Vec::new(),
         a0: vec![0.0; 2],
         p0: Mat::diag(&[1e7, 1e7]),
         n_diffuse: 2,
@@ -255,7 +255,7 @@ fn floored_steps_update_nothing_like_dense() {
         var_seasonal: 0.0,
     };
     let ys: Vec<f64> = (0..24).map(|t| 10.0 + (t % 12) as f64).collect();
-    let ssm = StructuralSpec::with_seasonal().build(&params, ys.len());
+    let ssm = StructuralSpec::with_seasonal().build(&params);
     assert_matches_oracle(&ssm, &ys, &mut FilterWorkspace::default());
     let full = kalman_filter(&ssm, &ys);
     assert!(full.innovation_vars.contains(&1e-12));
@@ -293,7 +293,7 @@ proptest! {
             Some(cp) if seasonal => StructuralSpec::full(cp),
             Some(cp) => StructuralSpec::with_intervention(cp),
         };
-        let mut ssm = spec.build(&params, n);
+        let mut ssm = spec.build(&params);
         ssm.n_diffuse = spec.state_dim() + n_diffuse_extra;
         ssm.extra_skips = skips.into_iter().filter(|&t| t < n).collect();
         let mut ws = FilterWorkspace::default();
@@ -349,7 +349,7 @@ proptest! {
             var_level: log_rel.1.exp(),
             var_seasonal: log_rel.2.exp(),
         };
-        let ssm = two_lambda_seasonal(&params, cp1, cp2, n);
+        let ssm = two_lambda_seasonal(&params, cp1, cp2);
         prop_assert_eq!(ssm.state_dim(), 14);
         assert_matches_oracle(&ssm, &ys, &mut ws);
     }

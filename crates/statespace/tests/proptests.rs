@@ -3,7 +3,8 @@
 use mic_statespace::arima::{difference, fit_arima, ArimaFitOptions, ArimaOrder};
 use mic_statespace::estimate::{fit_structural, FitOptions};
 use mic_statespace::kalman::{kalman_filter, kalman_loglik, FilterWorkspace};
-use mic_statespace::structural::{InterventionSpec, StructuralParams, StructuralSpec};
+use mic_statespace::model::slope_shift_w;
+use mic_statespace::structural::{StructuralParams, StructuralSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -37,7 +38,7 @@ proptest! {
         let ys = gen_series(seed, 30, None);
         let spec = StructuralSpec::local_level();
         let params = StructuralParams { var_eps, var_level, var_seasonal: 0.0 };
-        let ssm = spec.build(&params, ys.len());
+        let ssm = spec.build(&params);
         let f = kalman_filter(&ssm, &ys);
         prop_assert!(f.loglik.is_finite());
         prop_assert_eq!(f.innovations.len(), ys.len());
@@ -67,7 +68,7 @@ proptest! {
             _ => StructuralSpec::full(n / 3),
         };
         let params = StructuralParams { var_eps, var_level, var_seasonal };
-        let mut ssm = spec.build(&params, ys.len());
+        let mut ssm = spec.build(&params);
         ssm.n_diffuse = spec.state_dim();
         let full = kalman_filter(&ssm, &ys).loglik;
         let mut ws = FilterWorkspace::new(spec.state_dim());
@@ -87,7 +88,7 @@ proptest! {
         let spec = StructuralSpec::local_level();
         let fit = fit_structural(&ys, spec, &fast_fit());
         let guess = StructuralParams { var_eps: 1.0, var_level: 1.0, var_seasonal: 0.0 };
-        let ssm = spec.build(&guess, ys.len());
+        let ssm = spec.build(&guess);
         let guess_ll = kalman_filter(&ssm, &ys).loglik;
         prop_assert!(fit.loglik >= guess_ll - 1e-6,
             "MLE loglik {} below guess {}", fit.loglik, guess_ll);
@@ -168,10 +169,9 @@ proptest! {
 
     #[test]
     fn intervention_w_dummy_monotone(cp in 0usize..40) {
-        let spec = InterventionSpec::SlopeShift { change_point: cp };
         let mut prev = -1.0;
         for t in 0..45 {
-            let w = spec.w(t);
+            let w = slope_shift_w(cp, t);
             prop_assert!(w >= prev);
             prev = w;
             if t < cp {

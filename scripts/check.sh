@@ -22,6 +22,9 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (intra-doc links resolve and stay public)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> metrics smoke gate (mictrend analyze --metrics)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -455,9 +455,12 @@ fn append(flags: &Flags) -> Result<(), String> {
 }
 
 fn series(flags: &Flags) -> Result<(), String> {
-    let dataset = load(flags)?;
     let kind = flags.require("kind")?;
-    let id: u32 = flags.get_num("id", 0u32)?;
+    let id = flags.require("id")?;
+    let id: u32 = id
+        .parse()
+        .map_err(|_| format!("--id: invalid number {id:?}"))?;
+    let dataset = load(flags)?;
     let config = pipeline_config(flags, dataset.horizon())?;
     let session = AnalysisSession::from_dataset(&config, &dataset).map_err(|e| e.to_string())?;
     let panel = session.panel();

@@ -197,6 +197,20 @@ fn bad_usage_fails_gracefully() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+    // `--id` is required like `--kind`: without it `series` must not
+    // analyse some default series.
+    let out = mictrend()
+        .args([
+            "series",
+            "--data",
+            data.to_str().unwrap(),
+            "--kind",
+            "disease",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing required flag --id"));
     let _ = std::fs::remove_file(&data);
 }
 
