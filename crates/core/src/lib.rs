@@ -3,10 +3,7 @@
 //! The paper's end-to-end prescription trend analysis pipeline and its three
 //! applications (Section VII):
 //!
-//! - [`pipeline`] — the configuration, the report types and the batch
-//!   [`TrendPipeline`]: monthly medication-model fits → reproduced
-//!   prescription panel → parallel state-space fleet → per-series change
-//!   reports, run through one [`AnalysisSession`];
+//! - [`pipeline`] — the [`PipelineConfig`] and the report types;
 //! - [`classify`] — categorisation of detected changes into disease-,
 //!   medicine-, and prescription-derived causes (Fig. 1b);
 //! - [`geo`] — geographical prescription spread analysis (Fig. 8): per-city
@@ -17,9 +14,12 @@
 //!   panel per group);
 //! - [`outbreak`] — outbreak surveillance from the irregular component of
 //!   each disease series (Fig. 6a turned into a detector);
-//! - [`session`] — the incremental [`AnalysisSession`]: explicit
-//!   [`Stage1Reproduce`] / [`Stage2Detect`] stages, month-by-month appends
-//!   with warm-started EM, and a content-hashed cache of Stage-2 fits;
+//! - [`session`] — the [`AnalysisSession`], the pipeline's only driver:
+//!   monthly medication-model fits → reproduced prescription panel →
+//!   parallel state-space fleet → per-series change reports, in batch
+//!   (`AnalysisSession::from_dataset(&config, &ds)?.analyze()`) or month by
+//!   month with warm-started EM and a content-hashed cache of Stage-2 fits;
+//!   [`Stage2Detect`] runs Stage 2 on one series;
 //! - [`report`] — fixed-width table and CSV rendering of results.
 
 pub mod classify;
@@ -32,8 +32,8 @@ pub mod session;
 
 pub use classify::{classify_change, ChangeCause};
 pub use outbreak::{detect_outbreaks, OutbreakAlert, OutbreakConfig};
-pub use pipeline::{PipelineConfig, SeriesReport, TrendPipeline, TrendReport};
-pub use session::{AnalysisSession, FitCache, Stage1Reproduce, Stage2Detect};
+pub use pipeline::{PipelineConfig, SeriesReport, TrendReport};
+pub use session::{AnalysisSession, Stage2Detect};
 
 use mic_claims::{ClaimsDataset, MicRecord, Month, MonthlyDataset};
 use mic_linkmodel::{reproduce_panel, EmOptions, PrescriptionPanel};

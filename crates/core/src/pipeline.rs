@@ -1,4 +1,5 @@
-//! The end-to-end trend analysis pipeline (Fig. 1).
+//! Configuration and output of the end-to-end trend analysis pipeline
+//! (Fig. 1), which [`AnalysisSession`](crate::AnalysisSession) drives.
 //!
 //! Stage 1 fits the medication model to each (frequency-filtered) monthly
 //! dataset and reproduces the prescription panel (Eqs. 7–8). Stage 2 fits
@@ -7,8 +8,7 @@
 //! detected changes.
 
 use crate::classify::ChangeCause;
-use crate::session::AnalysisSession;
-use mic_claims::{ClaimsDataset, FrequencyFilter};
+use mic_claims::FrequencyFilter;
 use mic_linkmodel::{EmOptions, PrescriptionPanel, SeriesKey};
 use mic_statespace::{ChangePoint, FitOptions};
 
@@ -162,35 +162,11 @@ impl TrendReport {
     }
 }
 
-/// The batch pipeline driver: one [`AnalysisSession`] fed every month and
-/// analysed once. Use a session directly for Stage 1 alone
-/// ([`AnalysisSession::from_dataset`]) or for one series
-/// ([`crate::Stage2Detect::analyze_series`]).
-pub struct TrendPipeline {
-    pub config: PipelineConfig,
-}
-
-impl TrendPipeline {
-    pub fn new(config: PipelineConfig) -> TrendPipeline {
-        TrendPipeline { config }
-    }
-
-    /// Run the full pipeline: reproduce, detect, categorise.
-    ///
-    /// Equivalent to feeding every month into a fresh [`AnalysisSession`]
-    /// and analysing once — which is exactly how it is implemented.
-    pub fn run(&self, ds: &ClaimsDataset) -> TrendReport {
-        let _span = mic_obs::span("pipeline.total");
-        AnalysisSession::from_dataset(&self.config, ds)
-            .expect("dataset months must be sequentially labelled")
-            .analyze()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mic_claims::{Simulator, WorldSpec};
+    use crate::AnalysisSession;
+    use mic_claims::{ClaimsDataset, Simulator, WorldSpec};
 
     fn small_ds() -> (mic_claims::World, ClaimsDataset) {
         let spec = WorldSpec {
@@ -225,11 +201,17 @@ mod tests {
         }
     }
 
+    /// The batch pipeline: a fresh session fed every month, analysed once.
+    fn run(config: PipelineConfig, ds: &ClaimsDataset) -> TrendReport {
+        AnalysisSession::from_dataset(&config, ds)
+            .expect("simulated months are sequential")
+            .analyze()
+    }
+
     #[test]
     fn pipeline_runs_end_to_end() {
         let (_world, ds) = small_ds();
-        let pipeline = TrendPipeline::new(fast_config());
-        let report = pipeline.run(&ds);
+        let report = run(fast_config(), &ds);
         assert!(
             !report.series.is_empty(),
             "some series must survive filtering"
@@ -255,18 +237,16 @@ mod tests {
     #[test]
     fn panel_mass_equals_prescriptions() {
         let (_world, ds) = small_ds();
-        let pipeline = TrendPipeline::new(fast_config());
-        let session = AnalysisSession::from_dataset(&pipeline.config, &ds).unwrap();
+        let config = fast_config();
+        let session = AnalysisSession::from_dataset(&config, &ds).unwrap();
         let panel = session.panel();
         // Sum of all prescription series ≈ number of prescriptions that
         // survive frequency filtering.
         let mut filtered_rx = 0usize;
         for month in &ds.months {
-            let (f, _) =
-                pipeline
-                    .config
-                    .frequency_filter
-                    .filter_month(month, ds.n_diseases, ds.n_medicines);
+            let (f, _) = config
+                .frequency_filter
+                .filter_month(month, ds.n_diseases, ds.n_medicines);
             filtered_rx += f.records.iter().map(|r| r.medicines.len()).sum::<usize>();
         }
         let mass: f64 = panel
@@ -290,8 +270,8 @@ mod tests {
             approximate_search: true,
             ..fast_config()
         };
-        let exact = TrendPipeline::new(exact_cfg).run(&ds);
-        let approx = TrendPipeline::new(approx_cfg).run(&ds);
+        let exact = run(exact_cfg, &ds);
+        let approx = run(approx_cfg, &ds);
         assert_eq!(exact.series.len(), approx.series.len());
         for (e, a) in exact.series.iter().zip(&approx.series) {
             assert_eq!(e.key, a.key);
@@ -364,17 +344,19 @@ mod tests {
         // The scoped-thread work queue must not change results or order:
         // thread counts 1, 2, and 8 produce identical reports.
         let (_world, ds) = small_ds();
-        let base = TrendPipeline::new(PipelineConfig {
-            threads: 1,
-            ..fast_config()
-        })
-        .run(&ds);
+        let base = run(
+            PipelineConfig {
+                threads: 1,
+                ..fast_config()
+            },
+            &ds,
+        );
         for threads in [2usize, 8] {
             let cfg = PipelineConfig {
                 threads,
                 ..fast_config()
             };
-            let report = TrendPipeline::new(cfg).run(&ds);
+            let report = run(cfg, &ds);
             assert_reports_identical(&report, &base);
         }
     }
@@ -387,19 +369,23 @@ mod tests {
         // chains the parallel independent fits.
         let (_world, ds) = small_ds();
         for continuity in [0.0, 0.5] {
-            let base = TrendPipeline::new(PipelineConfig {
-                stage1_threads: 1,
-                continuity,
-                ..fast_config()
-            })
-            .run(&ds);
-            for stage1_threads in [2usize, 4, 8] {
-                let report = TrendPipeline::new(PipelineConfig {
-                    stage1_threads,
+            let base = run(
+                PipelineConfig {
+                    stage1_threads: 1,
                     continuity,
                     ..fast_config()
-                })
-                .run(&ds);
+                },
+                &ds,
+            );
+            for stage1_threads in [2usize, 4, 8] {
+                let report = run(
+                    PipelineConfig {
+                        stage1_threads,
+                        continuity,
+                        ..fast_config()
+                    },
+                    &ds,
+                );
                 assert_reports_identical(&report, &base);
             }
         }
@@ -410,25 +396,29 @@ mod tests {
         // Routing the exhaustive per-series search through the
         // candidate-parallel mode must leave every detection untouched.
         let (_world, ds) = small_ds();
-        let serial = TrendPipeline::new(PipelineConfig {
-            search_threads: 1,
-            approximate_search: false,
-            ..fast_config()
-        })
-        .run(&ds);
-        let par = TrendPipeline::new(PipelineConfig {
-            search_threads: 4,
-            approximate_search: false,
-            ..fast_config()
-        })
-        .run(&ds);
+        let serial = run(
+            PipelineConfig {
+                search_threads: 1,
+                approximate_search: false,
+                ..fast_config()
+            },
+            &ds,
+        );
+        let par = run(
+            PipelineConfig {
+                search_threads: 4,
+                approximate_search: false,
+                ..fast_config()
+            },
+            &ds,
+        );
         assert_reports_identical(&par, &serial);
     }
 
     #[test]
     fn report_lookup() {
         let (_world, ds) = small_ds();
-        let report = TrendPipeline::new(fast_config()).run(&ds);
+        let report = run(fast_config(), &ds);
         let first_key = report.series[0].key;
         assert!(report.report_for(first_key).is_some());
     }

@@ -1,47 +1,41 @@
-//! Long-lived incremental analysis sessions.
+//! Long-lived incremental analysis sessions — the pipeline's only driver.
 //!
-//! The paper's pipeline consumes *monthly* MIC datasets, but the batch
-//! [`crate::pipeline::TrendPipeline::run`] recomputes every monthly EM fit
-//! and every change-point search from scratch whenever a month arrives. An
-//! [`AnalysisSession`] owns all cross-call state instead — the per-month
-//! fitted `Φ` models, the accumulated [`PrescriptionPanel`], and a per-series
-//! [`FitCache`] of Stage-2 results — so absorbing month `T+1` costs one EM
-//! fit (warm-started from month `T`'s `Φ` when `continuity > 0`, the paper's
-//! Section IV-C temporal prior) plus change-point searches only for series
-//! whose data actually changed, each seeded from its cached optimum.
+//! The paper's pipeline (Fig. 1) consumes *monthly* MIC datasets. An
+//! [`AnalysisSession`] owns all cross-call state — the per-month fitted `Φ`
+//! models, the accumulated [`PrescriptionPanel`], and a per-series cache of
+//! Stage-2 results — so absorbing month `T+1` costs one EM fit (refined
+//! from month `T`'s `Φ` when `continuity > 0`, the paper's Section IV-C
+//! temporal prior) plus change-point searches only for series whose data
+//! actually changed, each seeded from its cached optimum. A batch analysis
+//! is a fresh session fed every month:
+//! `AnalysisSession::from_dataset(&config, &ds)?.analyze()`.
 //!
-//! The two pipeline stages are explicit types composed by the session:
+//! - Stage 1 ([`AnalysisSession::append_months`]) — frequency filter +
+//!   monthly EM fit + panel extension (Eqs. 5–8);
+//! - Stage 2 ([`AnalysisSession::analyze`], or [`Stage2Detect`] for one
+//!   series) — AIC change-point search and λ decomposition per series
+//!   (Algorithm 1, or the screened search).
 //!
-//! - [`Stage1Reproduce`] — frequency filter + monthly EM fit + panel
-//!   extension (Eqs. 5–8);
-//! - [`Stage2Detect`] — AIC change-point search and λ decomposition per
-//!   series (Algorithm 1, or the screened search).
+//! **Equivalence by construction**: each appended month depends only on
+//! that month's records, the previous month's final `Φ`, and the
+//! configuration. Feeding months one-by-one therefore reproduces the batch
+//! panel bit-for-bit; Stage-2 results can differ only where a warm-started
+//! refit converges to a marginally different optimum, which is why the
+//! equivalence tests pin change-point *decisions*.
 //!
-//! **Equivalence by construction**: the batch pipeline is a thin wrapper
-//! that feeds all months into a fresh session, and each appended month
-//! depends only on that month's records, the previous month's final `Φ`,
-//! and the configuration. Feeding months one-by-one therefore reproduces
-//! the batch panel bit-for-bit; Stage-2 results can differ only where a
-//! warm-started refit converges to a marginally different optimum, which is
-//! why the equivalence tests pin change-point *decisions*.
-//!
-//! **Cache invalidation** is content-based: each [`FitCache`] entry stores a
-//! hash of the series' exact values (length + every `f64` bit pattern). A
-//! lookup hits only when the hash matches; any change — including a grown
+//! **Cache invalidation** is content-based: each cache entry stores a hash
+//! of the series' exact values (length + every `f64` bit pattern). A lookup
+//! hits only when the hash matches; any change — including a grown
 //! horizon, since even a trailing zero changes the change-point candidate
 //! set — invalidates the entry, and the refit is warm-started from the
 //! stale entry's fitted variances instead of the default simplex.
 
 use crate::classify::{classify_change, ChangeCause, MATCH_WINDOW};
 use crate::pipeline::{PipelineConfig, SeriesReport, TrendReport};
-use mic_claims::{
-    ClaimsDataset, ClaimsError, FilteredVocabulary, FrequencyFilter, MonthlyDataset, YearMonth,
-};
-use mic_linkmodel::{
-    EmOptions, EmWorkspace, MedicationModel, MonthColumn, PrescriptionPanel, SeriesKey,
-};
+use mic_claims::{ClaimsDataset, ClaimsError, MonthlyDataset, YearMonth};
+use mic_linkmodel::{EmWorkspace, MedicationModel, PrescriptionPanel, SeriesKey};
 use mic_par::{default_threads, parallel_map, parallel_map_with};
-use mic_statespace::{search, Algorithm, ChangePoint, FitOptions, SearchPlan, WarmStart};
+use mic_statespace::{search, Algorithm, ChangePoint, SearchPlan, WarmStart};
 use std::collections::HashMap;
 
 /// Worker count for a `threads` setting, where 0 means auto.
@@ -53,151 +47,58 @@ fn worker_threads(threads: usize) -> usize {
     }
 }
 
-/// Stage 1 of the pipeline as an explicit type: per-month frequency
-/// filtering and EM fitting of the medication model, with the optional
-/// temporal-prior refinement (`continuity`) chaining consecutive months.
-#[derive(Clone, Debug)]
-pub struct Stage1Reproduce {
-    pub filter: FrequencyFilter,
-    pub em: EmOptions,
-    /// Temporal-prior weight for chaining consecutive months' `Φ`
-    /// (see [`MedicationModel::refine_next`]); 0 = independent fits.
-    pub continuity: f64,
-    /// Worker threads for batch month fits (0 = auto).
-    pub threads: usize,
-}
-
-impl Stage1Reproduce {
-    pub fn from_config(config: &PipelineConfig) -> Stage1Reproduce {
-        Stage1Reproduce {
-            filter: config.frequency_filter,
-            em: config.em,
-            continuity: config.continuity,
-            threads: config.stage1_threads,
-        }
-    }
-
-    /// Parallel filter + *independent* EM fit and reproduced column of a
-    /// batch of months — the cost-dominant half of Stage 1. One
-    /// [`EmWorkspace`] per worker; the result is identical at any thread
-    /// count. Continuity refinement is sequential by nature and left to the
-    /// caller (see [`AnalysisSession::append_months`]).
-    pub fn fit_months(
-        &self,
-        months: &[MonthlyDataset],
-        n_diseases: usize,
-        n_medicines: usize,
-    ) -> Vec<FittedMonth> {
-        parallel_map_with(
-            months,
-            worker_threads(self.threads),
-            EmWorkspace::new,
-            |ws, month| {
-                let (filtered, vocab) = self.filter.filter_month(month, n_diseases, n_medicines);
-                let model =
-                    MedicationModel::fit_with(&filtered, n_diseases, n_medicines, &self.em, ws);
-                let column = ws.column(self.em.smoothing);
-                mic_obs::counter("pipeline.stage1_fits", 1);
-                // Publish this worker's collector so periodic `--progress`
-                // snapshots see Stage-1 work as it completes.
-                mic_obs::flush();
-                FittedMonth {
-                    kept_records: filtered.records.len(),
-                    filtered: (self.continuity != 0.0).then_some(filtered),
-                    vocab,
-                    model,
-                    column,
-                }
-            },
-        )
-    }
-}
-
-/// One month through [`Stage1Reproduce::fit_months`].
-#[derive(Clone, Debug)]
-pub struct FittedMonth {
-    /// The frequency-filtered month, kept only when `continuity != 0`: the
-    /// continuity refinement is its only later reader, and without it each
-    /// month's filtered copy is dropped in the worker that made it.
-    pub filtered: Option<MonthlyDataset>,
-    pub vocab: FilteredVocabulary,
-    /// The month's independent EM fit.
-    pub model: MedicationModel,
-    /// The month's reproduced panel column under `model`.
-    pub column: MonthColumn,
-    /// Records the frequency filter kept.
-    pub kept_records: usize,
-}
-
-/// Stage 2 of the pipeline as an explicit type: the AIC change-point search
-/// (Algorithm 1 exact, or the screened search) and λ decomposition for one
-/// series, with an optional warm start from a cached optimum.
+/// Stage 2 for one series outside a session: the AIC change-point search
+/// (Algorithm 1 exact, or the screened search) and λ decomposition under a
+/// [`PipelineConfig`]'s search settings, always cold.
 #[derive(Clone, Debug)]
 pub struct Stage2Detect {
-    /// Minimum total series mass over the window (paper: 10).
-    pub min_total: f64,
-    pub fit: FitOptions,
-    /// Run the screened search instead of Algorithm 1 (see
-    /// [`PipelineConfig::approximate_search`]).
-    pub approximate: bool,
-    pub seasonal: bool,
-    /// Worker threads for the series fleet (0 = auto).
-    pub threads: usize,
-    /// Candidate-parallel workers inside each exhaustive search.
-    pub search_threads: usize,
+    config: PipelineConfig,
 }
 
 impl Stage2Detect {
     pub fn from_config(config: &PipelineConfig) -> Stage2Detect {
         Stage2Detect {
-            min_total: config.series_min_total,
-            fit: config.fit,
-            approximate: config.approximate_search,
-            seasonal: config.seasonal,
-            threads: config.threads,
-            search_threads: config.search_threads,
+            config: config.clone(),
         }
     }
 
     /// Change-point analysis of one series (cold start).
     pub fn analyze_series(&self, key: SeriesKey, ys: &[f64]) -> SeriesReport {
-        self.analyze_series_warm(key, ys, None).0
+        analyze_series_warm(&self.config, key, ys, None).0
     }
+}
 
-    /// [`Stage2Detect::analyze_series`] with an optional warm start; also
-    /// returns the search's fitted optima so a session can seed the next
-    /// refit of the same series.
-    pub fn analyze_series_warm(
-        &self,
-        key: SeriesKey,
-        ys: &[f64],
-        warm: Option<WarmStart>,
-    ) -> (SeriesReport, WarmStart) {
-        let algorithm = if self.approximate {
-            Algorithm::Screened
-        } else {
-            Algorithm::Exact {
-                threads: self.search_threads,
-            }
-        };
-        let plan = SearchPlan {
-            algorithm,
-            warm,
-            ..SearchPlan::default()
-        };
-        let found = search(ys, self.seasonal, &self.fit, &plan);
-        let lambda = found.fit.lambda(ys);
-        let seeds = WarmStart::from_search(&found);
-        let report = SeriesReport {
-            key,
-            change_point: found.change_point,
-            aic: found.aic,
-            aic_no_change: found.aic_no_change,
-            lambda,
-            fits_performed: found.fits_performed,
-        };
-        (report, seeds)
-    }
+/// [`Stage2Detect::analyze_series`] with an optional warm start; also
+/// returns the search's fitted optima so a session can seed the next refit
+/// of the same series.
+fn analyze_series_warm(
+    config: &PipelineConfig,
+    key: SeriesKey,
+    ys: &[f64],
+    warm: Option<WarmStart>,
+) -> (SeriesReport, WarmStart) {
+    let algorithm = if config.approximate_search {
+        Algorithm::Screened
+    } else {
+        Algorithm::Exact {
+            threads: config.search_threads,
+        }
+    };
+    let plan = SearchPlan {
+        algorithm,
+        warm,
+        ..SearchPlan::default()
+    };
+    let found = search(ys, config.seasonal, &config.fit, &plan);
+    let report = SeriesReport {
+        key,
+        change_point: found.change_point,
+        aic: found.aic,
+        aic_no_change: found.aic_no_change,
+        lambda: found.fit.lambda(ys),
+        fits_performed: found.fits_performed,
+    };
+    (report, WarmStart::from_search(&found))
 }
 
 /// One memoised Stage-2 result.
@@ -209,31 +110,6 @@ struct CacheEntry {
     /// The search's fitted optima — the warm seeds for the next refit of
     /// this series after its data changes.
     seeds: WarmStart,
-}
-
-/// Per-series cache of Stage-2 fits, keyed by series identity and guarded
-/// by a content hash of the series values. See the module docs for the
-/// invalidation rule.
-#[derive(Clone, Debug, Default)]
-pub struct FitCache {
-    entries: HashMap<SeriesKey, CacheEntry>,
-}
-
-impl FitCache {
-    /// Number of series with a memoised result.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop every memoised result (the next analysis refits everything
-    /// cold).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// FNV-1a over the series length and every value's exact bit pattern. Any
@@ -251,7 +127,6 @@ fn series_hash(ys: &[f64]) -> u64 {
     }
     h
 }
-
 /// Change-cause categorisation over a finished series fleet (Fig. 1b): for
 /// every broken prescription pair, compare its change point against the
 /// disease and medicine marginals and count sibling pairs of the same
@@ -299,20 +174,19 @@ pub(crate) fn classify_all(series: &[SeriesReport]) -> Vec<(SeriesKey, ChangeCau
 /// A long-lived incremental analysis over a growing monthly claims window.
 ///
 /// Owns the fitted per-month `Φ` models, the accumulated panel, and the
-/// Stage-2 [`FitCache`]. Feed months with [`AnalysisSession::append_month`]
+/// Stage-2 fit cache. Feed months with [`AnalysisSession::append_month`]
 /// (or in bulk with [`AnalysisSession::append_months`]) and pull reports
 /// with [`AnalysisSession::analyze`] whenever needed; repeated analyses of
 /// an unchanged window are served from the cache.
 #[derive(Clone)]
 pub struct AnalysisSession {
-    stage1: Stage1Reproduce,
-    stage2: Stage2Detect,
+    config: PipelineConfig,
     start: YearMonth,
     n_diseases: usize,
     n_medicines: usize,
     models: Vec<MedicationModel>,
     panel: PrescriptionPanel,
-    cache: FitCache,
+    cache: HashMap<SeriesKey, CacheEntry>,
 }
 
 impl AnalysisSession {
@@ -325,14 +199,13 @@ impl AnalysisSession {
         n_medicines: usize,
     ) -> AnalysisSession {
         AnalysisSession {
-            stage1: Stage1Reproduce::from_config(config),
-            stage2: Stage2Detect::from_config(config),
+            config: config.clone(),
             start,
             n_diseases,
             n_medicines,
             models: Vec::new(),
             panel: PrescriptionPanel::empty(n_diseases, n_medicines, 0),
-            cache: FitCache::default(),
+            cache: HashMap::new(),
         }
     }
 
@@ -373,45 +246,10 @@ impl AnalysisSession {
 
     /// Drop every memoised Stage-2 result and warm seed: the next
     /// [`analyze`](Self::analyze) refits everything cold, which makes its
-    /// report bitwise identical to a batch [`TrendPipeline::run`] over the
-    /// same months (see the module docs on equivalence by construction).
-    ///
-    /// [`TrendPipeline::run`]: crate::TrendPipeline::run
+    /// report bitwise identical to a fresh session's over the same months
+    /// (see the module docs on equivalence by construction).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-    }
-
-    fn check_label(&self, month: &MonthlyDataset, offset: usize) -> Result<(), ClaimsError> {
-        let index = self.models.len() + offset;
-        if month.month.index() != index {
-            return Err(ClaimsError::MonthLabel {
-                index,
-                label: month.month,
-            });
-        }
-        Ok(())
-    }
-
-    fn record_drops(
-        &self,
-        month: &MonthlyDataset,
-        kept_records: usize,
-        vocab: &FilteredVocabulary,
-    ) {
-        // The frequency filter's silent drops, made visible: entities below
-        // the per-month threshold and the records they emptied.
-        mic_obs::counter(
-            "pipeline.diseases_dropped",
-            (self.n_diseases - vocab.n_kept_diseases()) as u64,
-        );
-        mic_obs::counter(
-            "pipeline.medicines_dropped",
-            (self.n_medicines - vocab.n_kept_medicines()) as u64,
-        );
-        mic_obs::counter(
-            "pipeline.records_dropped",
-            (month.records.len() - kept_records) as u64,
-        );
     }
 
     /// Absorb one new month: filter, fit its EM model (refined from the
@@ -424,34 +262,70 @@ impl AnalysisSession {
     }
 
     /// Absorb a batch of months — Stage 1, the only Stage-1 driver: the
-    /// independent EM fits and their reproduced columns fan out over Stage
-    /// 1's worker threads, then the sequential continuity refinement (which
-    /// recomputes a refined month's column) and panel extension chain
-    /// through the months serially. The result does not depend on how the
-    /// months are split into calls.
+    /// frequency filter, the independent EM fits and their reproduced
+    /// columns fan out over Stage 1's worker threads (one [`EmWorkspace`]
+    /// each), then the sequential continuity refinement (which recomputes a
+    /// refined month's column) and panel extension chain through the months
+    /// serially. The result does not depend on the thread count or on how
+    /// the months are split into calls. A batch with any out-of-sequence
+    /// label is rejected whole, before anything is fitted.
     pub fn append_months(&mut self, months: &[MonthlyDataset]) -> Result<(), ClaimsError> {
         let _span = mic_obs::span("pipeline.stage1");
         for (i, month) in months.iter().enumerate() {
-            self.check_label(month, i)?;
-        }
-        let fitted = self
-            .stage1
-            .fit_months(months, self.n_diseases, self.n_medicines);
-        let mut ws = EmWorkspace::new();
-        let (continuity, em) = (self.stage1.continuity, self.stage1.em);
-        for (month, fitted) in months.iter().zip(fitted) {
-            let FittedMonth {
-                filtered,
-                vocab,
-                mut model,
-                mut column,
-                kept_records,
-            } = fitted;
-            if let (Some(prev), Some(filtered)) = (self.models.last(), &filtered) {
-                model.refine_next(filtered, prev, continuity, &em, &mut ws);
-                column = ws.column(em.smoothing);
+            let index = self.models.len() + i;
+            if month.month.index() != index {
+                return Err(ClaimsError::MonthLabel {
+                    index,
+                    label: month.month,
+                });
             }
-            self.record_drops(month, kept_records, &vocab);
+        }
+        let (config, n_diseases, n_medicines) = (&self.config, self.n_diseases, self.n_medicines);
+        let threads = worker_threads(config.stage1_threads);
+        let fitted = parallel_map_with(months, threads, EmWorkspace::new, |ws, month| {
+            let (filtered, vocab) =
+                config
+                    .frequency_filter
+                    .filter_month(month, n_diseases, n_medicines);
+            // The frequency filter's silent drops, made visible: entities
+            // below the per-month threshold and the records they emptied.
+            for (name, dropped) in [
+                (
+                    "pipeline.diseases_dropped",
+                    n_diseases - vocab.n_kept_diseases(),
+                ),
+                (
+                    "pipeline.medicines_dropped",
+                    n_medicines - vocab.n_kept_medicines(),
+                ),
+                (
+                    "pipeline.records_dropped",
+                    month.records.len() - filtered.records.len(),
+                ),
+            ] {
+                mic_obs::counter(name, dropped as u64);
+            }
+            let model =
+                MedicationModel::fit_with(&filtered, n_diseases, n_medicines, &config.em, ws);
+            let column = ws.column(config.em.smoothing);
+            mic_obs::counter("pipeline.stage1_fits", 1);
+            // Publish this worker's collector so periodic `--progress`
+            // snapshots see Stage-1 work as it completes.
+            mic_obs::flush();
+            // The continuity refinement is the filtered month's only later
+            // reader; without it the copy is dropped here.
+            (
+                model,
+                column,
+                (config.continuity != 0.0).then_some(filtered),
+            )
+        });
+        let mut ws = EmWorkspace::new();
+        for (mut model, mut column, filtered) in fitted {
+            if let (Some(prev), Some(filtered)) = (self.models.last(), &filtered) {
+                model.refine_next(filtered, prev, config.continuity, &config.em, &mut ws);
+                column = ws.column(config.em.smoothing);
+            }
             self.panel.extend_with(column);
             self.models.push(model);
             mic_obs::counter("session.appends", 1);
@@ -459,31 +333,26 @@ impl AnalysisSession {
         Ok(())
     }
 
-    /// Stage 2 over the current window, served from the [`FitCache`] where
-    /// the data is unchanged: cache hits return the memoised report, misses
-    /// refit — warm-started from the stale entry when one exists — and the
-    /// cache is updated. Reports come back in sorted key order, exactly as
-    /// the batch pipeline produces them.
+    /// Stage 2 over the current window, served from the fit cache where the
+    /// data is unchanged: one pass decides, for each admitted series, between
+    /// a cache hit (the memoised entry), a warm refit (seeded from the stale
+    /// entry) and a cold one; one fan-out then replays or refits every
+    /// series and the cache is updated. Reports come back in sorted key
+    /// order, exactly as a fresh session produces them.
     fn detect_series(&mut self) -> Vec<SeriesReport> {
         let _span = mic_obs::span("pipeline.stage2");
-        let keys = self.panel.filtered_keys(self.stage2.min_total);
+        let config = &self.config;
+        let keys = self.panel.filtered_keys(config.series_min_total);
         mic_obs::counter("pipeline.series_admitted", keys.len() as u64);
         mic_obs::counter(
             "pipeline.series_dropped",
             (self.panel.n_series() - keys.len()) as u64,
         );
-        let panel = &self.panel;
-        let stage2 = &self.stage2;
-        let cache = &mut self.cache;
-
-        enum Slot {
-            Hit(SeriesReport),
-            Pending(usize),
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(keys.len());
-        let mut jobs: Vec<(SeriesKey, &[f64], u64, Option<WarmStart>)> = Vec::new();
-        for &key in &keys {
-            let Some(ys) = panel.series(key) else {
+        // `Ok` replays a cache hit; `Err` refits from the stale entry's
+        // seeds (`None` = cold).
+        let mut jobs = Vec::with_capacity(keys.len());
+        for key in keys {
+            let Some(ys) = self.panel.series(key) else {
                 // A filtered key without a backing series is a panel
                 // inconsistency; skip and count it rather than abort the
                 // whole run.
@@ -491,10 +360,10 @@ impl AnalysisSession {
                 continue;
             };
             let hash = series_hash(ys);
-            match cache.entries.get(&key) {
+            let decision = match self.cache.get(&key) {
                 Some(entry) if entry.hash == hash => {
                     mic_obs::counter("session.cache_hits", 1);
-                    slots.push(Slot::Hit(entry.report.clone()));
+                    Ok(entry.clone())
                 }
                 entry => {
                     mic_obs::counter("session.cache_misses", 1);
@@ -507,43 +376,45 @@ impl AnalysisSession {
                         },
                         1,
                     );
-                    slots.push(Slot::Pending(jobs.len()));
-                    jobs.push((key, ys, hash, warm));
+                    Err(warm)
                 }
-            }
+            };
+            jobs.push((key, ys, hash, decision));
         }
-        let threads = worker_threads(stage2.threads);
-        let fitted = parallel_map(&jobs, threads, |&(key, ys, _, warm)| {
-            let (report, seeds) = stage2.analyze_series_warm(key, ys, warm);
-            mic_obs::counter("pipeline.fits", report.fits_performed as u64);
-            mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);
-            // Publish this worker's collector so periodic `--progress`
-            // snapshots see work as it completes, not only at join.
-            mic_obs::flush();
-            (report, seeds)
-        });
-        for (&(key, _, hash, _), (report, seeds)) in jobs.iter().zip(&fitted) {
-            cache.entries.insert(
-                key,
-                CacheEntry {
-                    hash,
-                    report: report.clone(),
-                    seeds: *seeds,
-                },
-            );
-        }
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Hit(report) => report,
-                Slot::Pending(i) => fitted[i].0.clone(),
+        let entries = parallel_map(
+            &jobs,
+            worker_threads(config.threads),
+            |(key, ys, hash, decision)| match decision {
+                Ok(hit) => hit.clone(),
+                Err(warm) => {
+                    let (report, seeds) = analyze_series_warm(config, *key, ys, *warm);
+                    mic_obs::counter("pipeline.fits", report.fits_performed as u64);
+                    mic_obs::value("pipeline.fits_per_series", report.fits_performed as f64);
+                    // Publish this worker's collector so periodic
+                    // `--progress` snapshots see work as it completes, not
+                    // only at join.
+                    mic_obs::flush();
+                    CacheEntry {
+                        hash: *hash,
+                        report,
+                        seeds,
+                    }
+                }
+            },
+        );
+        jobs.iter()
+            .zip(entries)
+            .map(|(&(key, ..), entry)| {
+                let report = entry.report.clone();
+                self.cache.insert(key, entry);
+                report
             })
             .collect()
     }
 
     /// Full report over the current window: detect (cache-aware), then
-    /// categorise causes. A fresh session fed all months at once produces
-    /// exactly the batch pipeline's report.
+    /// categorise causes. A fresh session fed all months at once and
+    /// analysed once is the batch pipeline.
     pub fn analyze(&mut self) -> TrendReport {
         let series = self.detect_series();
         let causes = classify_all(&series);
@@ -563,7 +434,7 @@ impl AnalysisSession {
 mod tests {
     use super::*;
     use mic_claims::{DiseaseId, HospitalId, MedicineId, MicRecord, Month, PatientId};
-    use mic_statespace::ChangePoint;
+    use mic_statespace::FitOptions;
 
     fn record(diseases: Vec<(u32, u32)>, meds: Vec<u32>) -> MicRecord {
         let truth = vec![DiseaseId(diseases[0].0); meds.len()];
@@ -630,6 +501,25 @@ mod tests {
         let err = session.append_month(&months[2]).unwrap_err();
         assert!(matches!(err, ClaimsError::MonthLabel { index: 1, .. }));
         assert_eq!(session.horizon(), 1);
+    }
+
+    #[test]
+    fn append_months_is_all_or_nothing() {
+        // A batch with one out-of-sequence month is rejected whole: nothing
+        // of its valid first month is absorbed, and the session still takes
+        // a valid append afterwards.
+        let months = synthetic_months(3);
+        let mut session = AnalysisSession::new(&fast_config(), YearMonth::paper_start(), 3, 4);
+        let err = session
+            .append_months(&[months[0].clone(), months[2].clone()])
+            .unwrap_err();
+        assert!(matches!(err, ClaimsError::MonthLabel { index: 1, .. }));
+        assert_eq!(session.horizon(), 0);
+        assert!(session.models().is_empty());
+        assert_eq!(session.panel().horizon(), 0);
+        session.append_months(&months[..2]).unwrap();
+        assert_eq!(session.horizon(), 2);
+        assert_eq!(session.panel().horizon(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use mic_claims::{Simulator, WorldSpec};
 use mic_statespace::FitOptions;
-use mic_trend::{AnalysisSession, PipelineConfig, TrendPipeline};
+use mic_trend::{AnalysisSession, PipelineConfig};
 
 fn small_dataset() -> mic_claims::ClaimsDataset {
     let spec = WorldSpec {
@@ -44,7 +44,9 @@ fn pipeline_metrics_agree_with_report() {
         threads: 4,
         ..Default::default()
     };
-    let report = TrendPipeline::new(config).run(&ds);
+    let report = AnalysisSession::from_dataset(&config, &ds)
+        .expect("simulated months are sequential")
+        .analyze();
     let snap = mic_obs::snapshot();
     mic_obs::disable();
 
@@ -74,13 +76,10 @@ fn pipeline_metrics_agree_with_report() {
     assert_eq!(per_series.count, report.series.len() as u64);
     assert_eq!(per_series.sum, fits_sum as f64);
 
-    // Both stages, the classification step, and the run envelope timed once.
-    for stage in [
-        "pipeline.stage1",
-        "pipeline.stage2",
-        "pipeline.classify",
-        "pipeline.total",
-    ] {
+    // Both stages and the classification step timed once (the
+    // `pipeline.total` envelope belongs to `mictrend analyze`, whose
+    // `--metrics` snapshot tests/cli.rs checks).
+    for stage in ["pipeline.stage1", "pipeline.stage2", "pipeline.classify"] {
         assert_eq!(snap.timer(stage).map(|t| t.count), Some(1), "{stage}");
     }
 
@@ -107,7 +106,9 @@ fn disabled_pipeline_records_nothing() {
         threads: 2,
         ..Default::default()
     };
-    let report = TrendPipeline::new(config).run(&ds);
+    let report = AnalysisSession::from_dataset(&config, &ds)
+        .expect("simulated months are sequential")
+        .analyze();
     assert!(!report.series.is_empty());
     assert!(
         mic_obs::snapshot().is_empty(),

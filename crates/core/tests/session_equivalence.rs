@@ -3,8 +3,9 @@
 //!
 //! The session's contract is equivalence *by construction*: appending the
 //! same months in any prefix/suffix split and then analysing with an empty
-//! fit cache runs exactly the fits a batch [`TrendPipeline::run`] would
-//! run, so the reports must match bitwise — not merely statistically.
+//! fit cache runs exactly the fits a batch run (a fresh session fed every
+//! month, analysed once) would run, so the reports must match bitwise —
+//! not merely statistically.
 //! Warm-path analyses (a populated cache) may legitimately drift at AIC
 //! decision boundaries; [`AnalysisSession::clear_cache`] restores the
 //! strict guarantee, which is what `mictrend append --check-batch` leans
@@ -12,7 +13,7 @@
 
 use mic_claims::{Simulator, WorldSpec};
 use mic_statespace::FitOptions;
-use mic_trend::{AnalysisSession, PipelineConfig, TrendPipeline, TrendReport};
+use mic_trend::{AnalysisSession, PipelineConfig, TrendReport};
 use proptest::prelude::*;
 
 fn dataset(months: u32, patients: usize, seed: u64) -> mic_claims::ClaimsDataset {
@@ -50,6 +51,13 @@ fn config(max_evals: usize) -> PipelineConfig {
     }
 }
 
+/// The batch pipeline: a fresh session fed every month, analysed once.
+fn batch_run(cfg: &PipelineConfig, ds: &mic_claims::ClaimsDataset) -> TrendReport {
+    AnalysisSession::from_dataset(cfg, ds)
+        .expect("simulated months are sequential")
+        .analyze()
+}
+
 /// Both runs must have performed the identical fit sequence, so every field
 /// — including the floating-point AICs — matches bitwise.
 fn assert_reports_identical(batch: &TrendReport, incremental: &TrendReport) {
@@ -78,7 +86,7 @@ fn assert_reports_identical(batch: &TrendReport, incremental: &TrendReport) {
 fn incremental_appends_match_batch_over_24_months() {
     let ds = dataset(24, 150, 42);
     let cfg = config(100);
-    let batch = TrendPipeline::new(cfg.clone()).run(&ds);
+    let batch = batch_run(&cfg, &ds);
 
     let mut session = AnalysisSession::new(&cfg, ds.start, ds.n_diseases, ds.n_medicines);
     for month in &ds.months {
@@ -99,7 +107,7 @@ fn incremental_appends_match_batch_over_24_months() {
 fn cold_reanalysis_after_warm_appends_matches_batch() {
     let ds = dataset(18, 120, 9);
     let cfg = config(80);
-    let batch = TrendPipeline::new(cfg.clone()).run(&ds);
+    let batch = batch_run(&cfg, &ds);
 
     let mut session = AnalysisSession::new(&cfg, ds.start, ds.n_diseases, ds.n_medicines);
     session.append_months(&ds.months[..15]).unwrap();
@@ -127,7 +135,7 @@ proptest! {
     ) {
         let ds = dataset(14, 100, seed);
         let cfg = config(60);
-        let batch = TrendPipeline::new(cfg.clone()).run(&ds);
+        let batch = batch_run(&cfg, &ds);
 
         let mut session = AnalysisSession::new(&cfg, ds.start, ds.n_diseases, ds.n_medicines);
         session.append_months(&ds.months[..split]).unwrap();

@@ -6,7 +6,7 @@
 use prescription_trends::claims::{DatasetStats, Simulator, WorldSpec};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::report::{detected_changes_table, sparkline};
-use prescription_trends::trend::{PipelineConfig, TrendPipeline};
+use prescription_trends::trend::{AnalysisSession, PipelineConfig};
 
 fn main() {
     // 1. A claims world: diseases with seasonality, medicines with release
@@ -39,7 +39,9 @@ fn main() {
         },
         ..PipelineConfig::default()
     };
-    let report = TrendPipeline::new(config).run(&dataset);
+    let report = AnalysisSession::from_dataset(&config, &dataset)
+        .expect("simulated months are sequential")
+        .analyze();
 
     let (rd, rm, rp) = report.detection_rates();
     println!();

@@ -86,6 +86,12 @@ hits="$(grep -o '"name":"session.cache_hits","value":[0-9]*' "$tmp/append.jsonl"
     | grep -o '[0-9]*$' || true)"
 [[ "${hits:-0}" -gt 0 ]] \
     || { echo "incremental smoke gate: session.cache_hits is ${hits:-missing}, expected > 0"; exit 1; }
+# The same check with the Section IV-C temporal prior chaining the months:
+# each appended month's EM fit is refined from the previous month's Φ, and
+# the cold re-analysis must still match a batch run with the same chain.
+cargo run --release -q --bin mictrend -- append --data "$tmp/claims.mic" \
+    --tail 3 --continuity 0.5 --check-batch > /dev/null \
+    || { echo "incremental smoke gate: append --continuity 0.5 --check-batch failed"; exit 1; }
 
 echo "==> golden-report gate (analyze output pinned byte for byte)"
 # Two reports committed under tests/golden/: the 24-month seasonal demo

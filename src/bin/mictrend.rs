@@ -20,7 +20,7 @@ use prescription_trends::claims::store::{read_dataset, write_dataset};
 use prescription_trends::claims::{DatasetStats, DiseaseId, MedicineId, Simulator, WorldSpec};
 use prescription_trends::statespace::FitOptions;
 use prescription_trends::trend::report::{detected_changes_table, sparkline};
-use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect, TrendPipeline};
+use prescription_trends::trend::{AnalysisSession, PipelineConfig, Stage2Detect};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -281,11 +281,15 @@ fn analyze(flags: &Flags) -> Result<(), String> {
             }
         })
     });
-    let report = TrendPipeline::new(config).run(&dataset);
+    let report = {
+        let _span = mic_obs::span("pipeline.total");
+        AnalysisSession::from_dataset(&config, &dataset).map(|mut session| session.analyze())
+    };
     stop.store(true, Ordering::Relaxed);
     if let Some(handle) = ticker {
         let _ = handle.join();
     }
+    let report = report.map_err(|e| e.to_string())?;
     if let Some(path) = &metrics_path {
         let snap = snapshot_with_cost_units();
         std::fs::write(path, snap.to_jsonl())
@@ -404,7 +408,9 @@ fn append(flags: &Flags) -> Result<(), String> {
         eprintln!("metrics snapshot written to {path}");
     }
     if flags.has("check-batch") {
-        let batch = TrendPipeline::new(config).run(&dataset);
+        let batch = AnalysisSession::from_dataset(&config, &dataset)
+            .map_err(|e| e.to_string())?
+            .analyze();
         // Warm refits can land on slightly different likelihood optima than
         // a cold batch fit, so decisions near the AIC boundary may drift.
         // Report that drift, then verify the incremental Stage-1 state the

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use prescription_trends::claims::{Simulator, WorldSpec};
-//! use prescription_trends::trend::{PipelineConfig, TrendPipeline};
+//! use prescription_trends::trend::{AnalysisSession, PipelineConfig};
 //!
 //! // A small synthetic claims world with planted market events.
 //! let spec = WorldSpec { months: 18, n_patients: 150, n_diseases: 10,
@@ -38,12 +38,14 @@
 //! let world = spec.generate();
 //! let dataset = Simulator::new(&world, 7).run();
 //!
-//! // Reproduce prescription series and detect trend changes.
+//! // Reproduce prescription series and detect trend changes: a session fed
+//! // every month (Stage 1), analysed once (Stage 2).
 //! let config = PipelineConfig { seasonal: false, ..PipelineConfig::default() };
-//! let report = TrendPipeline::new(config).run(&dataset);
+//! let report = AnalysisSession::from_dataset(&config, &dataset)?.analyze();
 //! for change in report.detected().iter().take(3) {
 //!     println!("{}: change at {}", change.key, change.change_point);
 //! }
+//! # Ok::<(), prescription_trends::claims::ClaimsError>(())
 //! ```
 
 pub use mic_claims as claims;

@@ -234,3 +234,53 @@ fn simulate_rejects_too_small_world() {
     }
     assert!(!data.exists());
 }
+
+#[test]
+fn analyze_metrics_time_the_run_and_each_stage_once() {
+    // `analyze --metrics` times the whole batch run (`pipeline.total`) and
+    // each of its two stages exactly once.
+    let data = temp_path("metrics.mic");
+    let metrics = temp_path("metrics.jsonl");
+    let ok = mictrend()
+        .args([
+            "simulate",
+            "--out",
+            data.to_str().unwrap(),
+            "--months",
+            "14",
+            "--patients",
+            "40",
+            "--diseases",
+            "8",
+            "--medicines",
+            "10",
+        ])
+        .output()
+        .unwrap();
+    assert!(ok.status.success());
+    let out = mictrend()
+        .args([
+            "analyze",
+            "--data",
+            data.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "analyze failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let snapshot = std::fs::read_to_string(&metrics).expect("metrics snapshot written");
+    for span in ["pipeline.total", "pipeline.stage1", "pipeline.stage2"] {
+        let timer = format!("{{\"type\":\"timer\",\"name\":\"{span}\",\"count\":1,");
+        assert!(
+            snapshot.lines().any(|line| line.starts_with(&timer)),
+            "{span} not timed exactly once in:\n{snapshot}"
+        );
+    }
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_file(&metrics);
+}

@@ -3,12 +3,12 @@
 //! the planted phenomena are recovered end to end.
 
 use prescription_trends::claims::{
-    DiseaseKind, MarketEvent, MedicineClass, Month, SeasonalProfile, Simulator, WorldBuilder,
-    WorldSpec, YearMonth,
+    ClaimsDataset, DiseaseKind, MarketEvent, MedicineClass, Month, SeasonalProfile, Simulator,
+    WorldBuilder, WorldSpec, YearMonth,
 };
 use prescription_trends::linkmodel::SeriesKey;
 use prescription_trends::statespace::FitOptions;
-use prescription_trends::trend::{ChangeCause, PipelineConfig, TrendPipeline};
+use prescription_trends::trend::{AnalysisSession, ChangeCause, PipelineConfig, TrendReport};
 
 fn fast_config(seasonal: bool) -> PipelineConfig {
     PipelineConfig {
@@ -20,6 +20,13 @@ fn fast_config(seasonal: bool) -> PipelineConfig {
         approximate_search: true,
         ..Default::default()
     }
+}
+
+/// The batch pipeline: a fresh session fed every month, analysed once.
+fn run(config: &PipelineConfig, ds: &ClaimsDataset) -> TrendReport {
+    AnalysisSession::from_dataset(config, ds)
+        .expect("simulated months are sequential")
+        .analyze()
 }
 
 #[test]
@@ -54,7 +61,7 @@ fn pipeline_detects_planted_new_medicine() {
     let world = b.build();
     let ds = Simulator::new(&world, 3).run();
 
-    let report = TrendPipeline::new(fast_config(false)).run(&ds);
+    let report = run(&fast_config(false), &ds);
     let med_report = report
         .report_for(SeriesKey::Medicine(new_med))
         .expect("new medicine series analysed");
@@ -121,7 +128,7 @@ fn pipeline_categorises_indication_expansion_as_prescription_derived() {
     let world = b.build();
     let ds = Simulator::new(&world, 5).run();
 
-    let report = TrendPipeline::new(fast_config(false)).run(&ds);
+    let report = run(&fast_config(false), &ds);
     let key = SeriesKey::Prescription(d_new, med);
     let pair = report.report_for(key).expect("pair series analysed");
     let cp = pair
@@ -160,7 +167,7 @@ fn pipeline_handles_generated_world_without_panicking() {
     };
     let world = spec.generate();
     let ds = Simulator::new(&world, 11).run();
-    let report = TrendPipeline::new(fast_config(false)).run(&ds);
+    let report = run(&fast_config(false), &ds);
     assert!(!report.series.is_empty());
     // Every report references a series that exists in the panel and the
     // change point, if any, is inside the window.
@@ -194,9 +201,9 @@ fn store_round_trip_preserves_pipeline_results() {
     prescription_trends::claims::store::write_dataset(&ds, &mut buf).unwrap();
     let ds2 = prescription_trends::claims::store::read_dataset(&buf[..]).unwrap();
 
-    let pipeline = TrendPipeline::new(fast_config(false));
-    let a = pipeline.run(&ds);
-    let b = pipeline.run(&ds2);
+    let config = fast_config(false);
+    let a = run(&config, &ds);
+    let b = run(&config, &ds2);
     assert_eq!(a.series.len(), b.series.len());
     for (x, y) in a.series.iter().zip(&b.series) {
         assert_eq!(x.key, y.key);
